@@ -27,7 +27,13 @@ from .codebook import (
     load_codebook,
     save_codebook,
 )
-from .decoder import DecodedToken, decode_attributes, decode_token_identity, unbind_slot
+from .decoder import (
+    DecodedToken,
+    decode_attributes,
+    decode_token_identity,
+    decode_vocabulary,
+    unbind_slot,
+)
 from .encoder import (
     AnnotatedToken,
     CompressedVocabulary,
@@ -91,6 +97,7 @@ __all__ = [
     "cosine_similarity",
     "decode_attributes",
     "decode_token_identity",
+    "decode_vocabulary",
     "default_ner_types",
     "default_pos_tags",
     "k_nearest",

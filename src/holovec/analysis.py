@@ -10,7 +10,6 @@ scale do not need approximate indexing.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -373,7 +372,6 @@ def classify_neighborhoods(
     cores: Sequence[str],
     k: int = DEFAULT_K,
     compressed_key_to_word: Mapping[str, str] | None = None,
-    threads: int = 1,
 ) -> NeighborhoodReport:
     """Compare top-k neighborhoods of each core in both spaces.
 
@@ -424,8 +422,8 @@ def classify_neighborhoods(
     comp_index = {key: i for i, key in enumerate(comp_keys)}
     comp_normalized = _normalized_matrix(comp_keys, comp_space)
 
-    def run(core: str) -> CoreNeighborhood:
-        return _classify_core(
+    results = [
+        _classify_core(
             core,
             orig_keys,
             orig_normalized,
@@ -435,12 +433,8 @@ def classify_neighborhoods(
             word_to_keys,
             k,
         )
-
-    if threads > 1 and len(core_list) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, core_list))
-    else:
-        results = [run(core) for core in core_list]
+        for core in core_list
+    ]
 
     denominator = sum(c.k_effective for c in results)
     if denominator == 0:

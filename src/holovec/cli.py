@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import __version__, hrr
+from . import __version__
 from ._fileio import atomic_write_text
 from .analysis import (
     DEFAULT_K,
@@ -24,15 +24,12 @@ from .analysis import (
 from .codebook import (
     DEFAULT_DIMENSION,
     DEFAULT_SEED,
-    SLOT_NER,
-    SLOT_POS,
     build_codebook,
-    cleanup,
     load_codebook,
     read_tag_list,
     save_codebook,
 )
-from .decoder import decode_attributes
+from .decoder import decode_vocabulary
 from .encoder import (
     build_vocabulary,
     load_vocabulary,
@@ -76,7 +73,7 @@ def cmd_compress(args) -> int:
             f"codebook dimension {cb.dimension}"
         )
     tokens = read_annotations(args.annotations)
-    vocab = build_vocabulary(tokens, table, cb, threads=args.threads)
+    vocab = build_vocabulary(tokens, table, cb)
     sidecar = args.sidecar or args.output + ".meta.json"
     write_vocabulary(args.output, vocab)
     write_sidecar(sidecar, vocab)
@@ -103,31 +100,29 @@ def cmd_decode(args) -> int:
                 f"vocabulary dimension {vocab.dimension} differs from "
                 f"codebook dimension {cb.dimension}"
             )
-        for key, entry in vocab.entries.items():
-            decoded = decode_attributes(entry.vector, entry.component_count, cb)
+        keys = list(vocab.entries)
+        entries = list(vocab.entries.values())
+        counts = [e.component_count for e in entries]
+        decoded_all = decode_vocabulary([e.vector for e in entries], counts, cb)
+        for entry, decoded in zip(entries, decoded_all):
             pos_total += 1
             pos_ok += int(decoded.pos_tag == entry.pos_tag)
             if entry.component_count == 4:
                 ner_total += 1
                 ner_ok += int(decoded.ner_type == entry.ner_type)
-            ner = decoded.ner_type or "-"
-            ner_sim = "-" if decoded.ner_similarity is None else f"{decoded.ner_similarity:.6f}"
-            lines.append(
-                f"{key}\t{entry.component_count}\t{decoded.pos_tag}"
-                f"\t{decoded.pos_similarity:.6f}\t{ner}\t{ner_sim}\n"
-            )
     else:
         # without the sidecar the component count is unknown, so unbind
         # without the frame subtraction (cosine cleanup is scale-invariant)
-        dimension, vectors = read_vectors(args.vocabulary, expected_dimension=cb.dimension)
-        for key, vec in vectors.items():
-            pos, pos_sim = cleanup(
-                hrr.circular_correlate_fft(cb.slot_labels[SLOT_POS], vec), cb.pos_fillers
-            )
-            ner, ner_sim = cleanup(
-                hrr.circular_correlate_fft(cb.slot_labels[SLOT_NER], vec), cb.ner_fillers
-            )
-            lines.append(f"{key}\t-\t{pos}\t{pos_sim:.6f}\t{ner}\t{ner_sim:.6f}\n")
+        _, vectors = read_vectors(args.vocabulary, expected_dimension=cb.dimension)
+        keys = list(vectors)
+        counts = ["-"] * len(keys)
+        decoded_all = decode_vocabulary(list(vectors.values()), None, cb)
+    for key, m, decoded in zip(keys, counts, decoded_all):
+        ner = decoded.ner_type or "-"
+        ner_sim = "-" if decoded.ner_similarity is None else f"{decoded.ner_similarity:.6f}"
+        lines.append(
+            f"{key}\t{m}\t{decoded.pos_tag}\t{decoded.pos_similarity:.6f}\t{ner}\t{ner_sim}\n"
+        )
 
     text = "".join(lines)
     if args.out:
@@ -180,7 +175,6 @@ def cmd_analyze_neighborhoods(args) -> int:
         cores,
         k=args.k,
         compressed_key_to_word=key_to_word,
-        threads=args.threads,
     )
     report.write(args.out)
     print(f"neighborhood report written to {args.out}")
@@ -235,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("annotations", help="TSV: surface, POS tag, NER type or '-'")
     c.add_argument("output", help="compressed vocabulary path")
     c.add_argument("--sidecar", help="metadata path (default: OUTPUT.meta.json)")
-    c.add_argument("--threads", type=int, default=1, help="worker threads")
     c.set_defaults(func=cmd_compress)
 
     d = sub.add_parser("decode", help="decode POS/NER attributes from a vocabulary")
@@ -263,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--cores", required=True, metavar="FILE", help="core words, one per line")
     an.add_argument("--k", type=int, default=DEFAULT_K)
     an.add_argument("--out", required=True, help="report JSON path")
-    an.add_argument("--threads", type=int, default=1)
     an.set_defaults(func=cmd_analyze_neighborhoods)
 
     s = sub.add_parser("self-test", help="synthetic round-trip against frozen floors")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Mapping
@@ -25,11 +26,13 @@ __all__ = [
     "Codebook",
     "DEFAULT_DIMENSION",
     "DEFAULT_SEED",
+    "FillerTable",
     "SLOT_NER",
     "SLOT_POS",
     "SLOT_TOKEN",
     "build_codebook",
     "cleanup",
+    "cleanup_rows",
     "default_ner_types",
     "default_pos_tags",
     "load_codebook",
@@ -72,9 +75,35 @@ def default_ner_types() -> list[str]:
     return _read_tag_lines(data.read_text(encoding="utf-8"))
 
 
+class FillerTable:
+    """One tag set's fillers, with the tables the batched encoder and decoder use.
+
+    ``index`` maps each tag to its position in list order, the row order of
+    ``bound`` (slot ⊛ filler per tag). ``keys`` are the tags sorted, the row
+    order of ``unit`` (the unit-normalised fillers), which is the order
+    cleanup scans: the first maximum of a row of cosines against ``unit`` is
+    the lexicographically smallest tied tag. Each table is computed on first
+    use.
+    """
+
+    def __init__(self, slot_label: np.ndarray, fillers: dict[str, np.ndarray]) -> None:
+        self.slot_label = slot_label
+        self.fillers = fillers
+        self.index = {tag: i for i, tag in enumerate(fillers)}
+        self.keys = sorted(fillers)
+
+    @cached_property
+    def bound(self) -> np.ndarray:
+        return hrr.circular_convolve_fft(self.slot_label, np.stack(list(self.fillers.values())))
+
+    @cached_property
+    def unit(self) -> np.ndarray:
+        return _unit_rows(self.keys, self.fillers)
+
+
 @dataclass(eq=False)
 class Codebook:
-    """Immutable after construction; shareable across threads."""
+    """Immutable after construction; the filler tables are derived on first use."""
 
     dimension: int
     seed: int
@@ -95,6 +124,14 @@ class Codebook:
     @property
     def vector_count(self) -> int:
         return 2 + len(self.slot_labels) + len(self.pos_fillers) + len(self.ner_fillers)
+
+    @cached_property
+    def pos_table(self) -> FillerTable:
+        return FillerTable(self.slot_labels[SLOT_POS], self.pos_fillers)
+
+    @cached_property
+    def ner_table(self) -> FillerTable:
+        return FillerTable(self.slot_labels[SLOT_NER], self.ner_fillers)
 
     def all_vectors(self) -> dict[str, np.ndarray]:
         """Every vector under its persistent name, in draw order."""
@@ -262,6 +299,32 @@ def load_codebook(source: str | Path) -> Codebook:
     )
 
 
+def _unit_rows(keys: list[str], candidates: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The candidates' vectors in ``keys`` order, each scaled to unit norm."""
+    matrix = np.stack([np.asarray(candidates[k], dtype=np.float64) for k in keys])
+    norms = np.linalg.norm(matrix, axis=1)
+    zero = np.nonzero(norms == 0.0)[0]
+    if zero.size:
+        raise ValueError(f"cleanup() candidate {keys[zero[0]]!r} has zero norm")
+    return matrix / norms[:, None]
+
+
+def cleanup_rows(
+    queries: np.ndarray, keys: list[str], unit: np.ndarray
+) -> tuple[list[str], np.ndarray]:
+    """For each query row, the nearest of ``keys`` by cosine, and that cosine.
+
+    ``unit`` holds the candidates' unit vectors in the order of ``keys``,
+    which are sorted, so the first maximum is the smallest key among ties.
+    """
+    norms = np.linalg.norm(queries, axis=1)
+    if np.any(norms == 0.0):
+        raise ValueError("cleanup() query has zero norm")
+    sims = (queries @ unit.T) / norms[:, None]
+    best = np.argmax(sims, axis=1)
+    return [keys[i] for i in best], sims[np.arange(len(best)), best]
+
+
 def cleanup(query, candidates: Mapping[str, np.ndarray]) -> tuple[str, float]:
     """Nearest candidate by cosine; ties go to the lexicographically smallest key.
 
@@ -271,20 +334,11 @@ def cleanup(query, candidates: Mapping[str, np.ndarray]) -> tuple[str, float]:
     if not candidates:
         raise ValueError("cleanup() requires a non-empty candidate set")
     q = np.asarray(query, dtype=np.float64)
-    qn = float(np.linalg.norm(q))
-    if qn == 0.0:
-        raise ValueError("cleanup() query has zero norm")
-
     keys = sorted(candidates)
-    matrix = np.stack([np.asarray(candidates[k], dtype=np.float64) for k in keys])
-    if matrix.shape[1] != q.shape[0]:
+    unit = _unit_rows(keys, candidates)
+    if unit.shape[1] != q.shape[0]:
         raise DimensionMismatchError(
-            f"candidate length {matrix.shape[1]} differs from query length {q.shape[0]}"
+            f"candidate length {unit.shape[1]} differs from query length {q.shape[0]}"
         )
-    norms = np.linalg.norm(matrix, axis=1)
-    zero = np.nonzero(norms == 0.0)[0]
-    if zero.size:
-        raise ValueError(f"cleanup() candidate {keys[zero[0]]!r} has zero norm")
-    sims = (matrix @ q) / (norms * qn)
-    best = int(np.argmax(sims))  # first maximum == smallest key among ties
-    return keys[best], float(sims[best])
+    found, sims = cleanup_rows(q[None, :], keys, unit)
+    return found[0], float(sims[0])

@@ -3,20 +3,30 @@
 Unbinding multiplies the compressed vector back up by its component count,
 subtracts the frame label (known, so removing it cuts noise), and
 correlates with the slot label; cleanup against a candidate set then names
-the filler. All functions are pure.
+the filler. `decode_vocabulary` does this for blocks of vectors at once: one
+batched correlation per slot and one product with the codebook's
+unit-normalised filler matrix. All functions are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import hrr
-from .codebook import SLOT_NER, SLOT_POS, SLOT_TOKEN, Codebook, cleanup
-from .encoder import EmbeddingTable
+from .codebook import SLOT_TOKEN, Codebook, cleanup, cleanup_rows
+from .encoder import BLOCK_ROWS, EmbeddingTable
+from .errors import DimensionMismatchError
 
-__all__ = ["DecodedToken", "decode_attributes", "decode_token_identity", "unbind_slot"]
+__all__ = [
+    "DecodedToken",
+    "decode_attributes",
+    "decode_token_identity",
+    "decode_vocabulary",
+    "unbind_slot",
+]
 
 
 @dataclass(frozen=True)
@@ -57,22 +67,61 @@ def unbind_slot(
     return hrr.circular_correlate_fft(slot_label, m * compressed - frame_label)
 
 
+def decode_vocabulary(
+    vectors: Sequence[np.ndarray] | np.ndarray,
+    m: Sequence[int] | np.ndarray | None,
+    cb: Codebook,
+) -> list[DecodedToken]:
+    """Decode the POS tag, and the NER type, of every vector, in blocks.
+
+    With component counts ``m`` (3 or 4 per vector) the frame is removed
+    from m * vector before unbinding, and the NER type is decoded only
+    where m is 4. With ``m`` None the counts are unknown: vectors are
+    unbound as they are, and both tags are decoded for every vector.
+    """
+    if m is not None:
+        m = np.asarray(m)
+        if m.shape != (len(vectors),):
+            raise ValueError(f"{len(vectors)} vectors but component counts of shape {m.shape}")
+        bad = m[(m != 3) & (m != 4)]
+        if bad.size:
+            raise ValueError(f"component count must be 3 or 4, got {bad[0]}")
+    pos, ner = cb.pos_table, cb.ner_table
+    decoded: list[DecodedToken] = []
+    for start in range(0, len(vectors), BLOCK_ROWS):
+        rows = np.asarray(vectors[start : start + BLOCK_ROWS], dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != cb.dimension:
+            raise DimensionMismatchError(
+                f"vectors of shape {rows.shape[1:]} differ from codebook dimension {cb.dimension}"
+            )
+        if m is None:
+            residual = rows
+            tagged = np.arange(len(rows))
+        else:
+            counts = m[start : start + BLOCK_ROWS]
+            residual = counts[:, None] * rows - cb.frame_label
+            tagged = np.flatnonzero(counts == 4)
+        pos_tags, pos_sims = cleanup_rows(
+            hrr.circular_correlate_fft(pos.slot_label, residual), pos.keys, pos.unit
+        )
+        ner_types: list[str | None] = [None] * len(rows)
+        ner_sims: list[float | None] = [None] * len(rows)
+        if tagged.size:
+            found, sims = cleanup_rows(
+                hrr.circular_correlate_fft(ner.slot_label, residual[tagged]), ner.keys, ner.unit
+            )
+            for i, tag, sim in zip(tagged, found, sims):
+                ner_types[i], ner_sims[i] = tag, float(sim)
+        decoded += [
+            DecodedToken(*fields)
+            for fields in zip(pos_tags, map(float, pos_sims), ner_types, ner_sims)
+        ]
+    return decoded
+
+
 def decode_attributes(compressed: np.ndarray, m: int, cb: Codebook) -> DecodedToken:
     """Decode the POS tag, and the NER type when m indicates one was bound."""
-    if m not in (3, 4):
-        raise ValueError(f"component count must be 3 or 4, got {m}")
-    pos_query = unbind_slot(compressed, cb.slot_labels[SLOT_POS], m, cb.frame_label)
-    pos_tag, pos_sim = cleanup(pos_query, cb.pos_fillers)
-    if m == 3:
-        return DecodedToken(pos_tag=pos_tag, pos_similarity=pos_sim)
-    ner_query = unbind_slot(compressed, cb.slot_labels[SLOT_NER], m, cb.frame_label)
-    ner_type, ner_sim = cleanup(ner_query, cb.ner_fillers)
-    return DecodedToken(
-        pos_tag=pos_tag,
-        pos_similarity=pos_sim,
-        ner_type=ner_type,
-        ner_similarity=ner_sim,
-    )
+    return decode_vocabulary([compressed], [m], cb)[0]
 
 
 def decode_token_identity(

@@ -5,12 +5,16 @@ fixed-dimension vector: a frame label plus slot-label bindings for the
 token embedding, the POS filler, and the NER filler when present, averaged
 over the number of summands. Tokens sharing the lowercased surface, POS
 tag, and NER type collapse onto one composite key.
+
+Binding is linear, so a block of tokens is encoded at once: the token
+fillers of the block are bound to the token slot in one batched transform,
+and the POS and NER terms are gathered from the codebook's precomputed
+bound terms.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -19,7 +23,7 @@ import numpy as np
 
 from . import hrr
 from ._fileio import atomic_write_text
-from .codebook import SLOT_NER, SLOT_POS, SLOT_TOKEN, Codebook
+from .codebook import SLOT_TOKEN, Codebook
 from .errors import (
     DimensionMismatchError,
     IntegrityError,
@@ -29,6 +33,7 @@ from .errors import (
 
 __all__ = [
     "AnnotatedToken",
+    "BLOCK_ROWS",
     "BuildStats",
     "CompressedVocabulary",
     "EmbeddingTable",
@@ -52,6 +57,9 @@ __all__ = [
 FILLER_EXACT = "exact"
 FILLER_LOWERCASED = "lowercased"
 FILLER_UNKNOWN = "unknown"
+
+# rows per batched bind or unbind: bounds the size of the transform temporaries
+BLOCK_ROWS = 128
 
 _SIDECAR_FORMAT = "holovec-vocabulary-meta"
 _SIDECAR_VERSION = 1
@@ -143,22 +151,43 @@ def lookup_filler(
     return cb.unknown_token, FILLER_UNKNOWN
 
 
-def _tag_vectors(token: AnnotatedToken, cb: Codebook) -> tuple[np.ndarray, np.ndarray | None]:
-    pos_vec = cb.pos_fillers.get(token.pos_tag)
-    if pos_vec is None:
+def _tag_rows(token: AnnotatedToken, cb: Codebook) -> tuple[int, int | None]:
+    """Rows of the token's POS and NER bound terms in the codebook's tables."""
+    pos_row = cb.pos_table.index.get(token.pos_tag)
+    if pos_row is None:
         where = f"line {token.line}" if token.line is not None else "token"
         raise UnknownTagError(
             f"{where}: POS tag {token.pos_tag!r} is not in the codebook"
         )
-    ner_vec = None
+    ner_row = None
     if token.ner_type is not None:
-        ner_vec = cb.ner_fillers.get(token.ner_type)
-        if ner_vec is None:
+        ner_row = cb.ner_table.index.get(token.ner_type)
+        if ner_row is None:
             where = f"line {token.line}" if token.line is not None else "token"
             raise UnknownTagError(
                 f"{where}: NER type {token.ner_type!r} is not in the codebook"
             )
-    return pos_vec, ner_vec
+    return pos_row, ner_row
+
+
+def _bind_rows(
+    fillers: np.ndarray, tag_rows: list[tuple[int, int | None]], cb: Codebook
+) -> tuple[np.ndarray, np.ndarray]:
+    """Compress a block: per row, (frame + T⊛filler + P⊛pos [+ N⊛ner]) / m.
+
+    The terms are summed in that order, as `hrr.superpose` sums them, so a
+    row comes out bit-identical whatever block it is bound in.
+    """
+    pos_rows = [pos for pos, _ in tag_rows]
+    tagged = [i for i, (_, ner) in enumerate(tag_rows) if ner is not None]
+    out = hrr.circular_convolve_fft(cb.slot_labels[SLOT_TOKEN], fillers)
+    out += cb.frame_label
+    out += cb.pos_table.bound[pos_rows]
+    out[tagged] += cb.ner_table.bound[[tag_rows[i][1] for i in tagged]]
+    counts = np.full(len(tag_rows), 3)
+    counts[tagged] = 4
+    out /= counts[:, None]
+    return out, counts
 
 
 def compress_token(
@@ -174,64 +203,57 @@ def compress_token(
             f"embedding dimension {table.dimension} differs from codebook dimension {cb.dimension}"
         )
     filler, _ = lookup_filler(token.surface, table, cb)
-    pos_vec, ner_vec = _tag_vectors(token, cb)
-    terms = [
-        cb.frame_label,
-        hrr.circular_convolve_fft(cb.slot_labels[SLOT_TOKEN], filler),
-        hrr.circular_convolve_fft(cb.slot_labels[SLOT_POS], pos_vec),
-    ]
-    if ner_vec is not None:
-        terms.append(hrr.circular_convolve_fft(cb.slot_labels[SLOT_NER], ner_vec))
-    m = len(terms)
-    return hrr.superpose(terms, m), m
+    vectors, counts = _bind_rows(np.stack([filler]), [_tag_rows(token, cb)], cb)
+    return vectors[0], int(counts[0])
 
 
 def build_vocabulary(
     tokens: Iterable[AnnotatedToken],
     table: EmbeddingTable,
     cb: Codebook,
-    threads: int = 1,
 ) -> CompressedVocabulary:
     """One entry per distinct composite key; the first occurrence wins.
 
-    Vectors are computed once per key, so the result is independent of
-    stream order beyond which occurrence is first, and independent of the
-    thread count.
+    Vectors are computed once per key, in blocks of `BLOCK_ROWS` keys, so
+    the result is independent of stream order beyond which occurrence is
+    first. Each vector equals `compress_token` of that occurrence exactly.
     """
     if table.dimension != cb.dimension:
         raise DimensionMismatchError(
             f"embedding dimension {table.dimension} differs from codebook dimension {cb.dimension}"
         )
 
-    firsts: dict[str, AnnotatedToken] = {}
+    firsts: dict[str, tuple[AnnotatedToken, tuple[int, int | None]]] = {}
     word_types: set[str] = set()
     total = 0
     for token in tokens:
         total += 1
         word_types.add(token.surface.lower())
-        _tag_vectors(token, cb)  # validate tags eagerly, with line diagnostics
+        tag_rows = _tag_rows(token, cb)  # validate tags eagerly, with line diagnostics
         key = composite_key(token)
         if key not in firsts:
-            firsts[key] = token
+            firsts[key] = (token, tag_rows)
 
     keys = list(firsts)
-    if threads > 1 and len(keys) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vectors = list(pool.map(lambda k: compress_token(firsts[k], table, cb), keys))
-    else:
-        vectors = [compress_token(firsts[k], table, cb) for k in keys]
+    vectors = np.empty((len(keys), cb.dimension))
+    counts = np.empty(len(keys), dtype=int)
+    sources: list[str] = []
+    for start in range(0, len(keys), BLOCK_ROWS):
+        block = [firsts[key] for key in keys[start : start + BLOCK_ROWS]]
+        found = [lookup_filler(token.surface, table, cb) for token, _ in block]
+        sources += [source for _, source in found]
+        stop = start + len(block)
+        vectors[start:stop], counts[start:stop] = _bind_rows(
+            np.stack([filler for filler, _ in found]), [rows for _, rows in block], cb
+        )
 
     entries: dict[str, VocabEntry] = {}
-    unknown = 0
-    for key, (vec, m) in zip(keys, vectors):
-        token = firsts[key]
-        _, source = lookup_filler(token.surface, table, cb)
-        if source == FILLER_UNKNOWN:
-            unknown += 1
+    for i, key in enumerate(keys):
+        token = firsts[key][0]
         entries[key] = VocabEntry(
-            vector=vec,
-            component_count=m,
-            filler_source=source,
+            vector=vectors[i],
+            component_count=int(counts[i]),
+            filler_source=sources[i],
             word_type=token.surface.lower(),
             pos_tag=token.pos_tag,
             ner_type=token.ner_type,
@@ -241,7 +263,7 @@ def build_vocabulary(
         input_tokens=total,
         distinct_word_types=len(word_types),
         distinct_keys=len(entries),
-        unknown_filler_entries=unknown,
+        unknown_filler_entries=sources.count(FILLER_UNKNOWN),
     )
     return CompressedVocabulary(dimension=cb.dimension, entries=entries, stats=stats)
 
@@ -256,11 +278,15 @@ def read_vectors(
 ) -> tuple[int, dict[str, np.ndarray]]:
     """Read a text vector file: ``key v1 v2 ... vn`` per line, single spaces.
 
-    The dimension is inferred from the first record unless
-    ``expected_dimension`` pins it. Malformed lines are reported by number.
+    A first line of exactly two non-negative integers is a word2vec text
+    header, ``count dimension``: the dimension is taken from it and the
+    record count checked against it. Otherwise the dimension is inferred
+    from the first record unless ``expected_dimension`` pins it. Malformed
+    lines are reported by number.
     """
     path = Path(path)
     dimension = expected_dimension
+    declared = None
     entries: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -268,6 +294,14 @@ def read_vectors(
             if not line:
                 continue
             fields = line.split(" ")
+            if lineno == 1 and len(fields) == 2 and all(f.isascii() and f.isdigit() for f in fields):
+                declared, header_dimension = int(fields[0]), int(fields[1])
+                if dimension is not None and header_dimension != dimension:
+                    raise ParseError(
+                        f"{path}:1: header declares dimension {header_dimension}, expected {dimension}"
+                    )
+                dimension = header_dimension
+                continue
             if len(fields) < 2:
                 raise ParseError(f"{path}:{lineno}: expected 'key value...' fields")
             key = fields[0]
@@ -288,6 +322,8 @@ def read_vectors(
             if key in entries:
                 raise IntegrityError(f"{path}:{lineno}: duplicate key {key!r}")
             entries[key] = vec
+    if declared is not None and declared != len(entries):
+        raise ParseError(f"{path}: header declares {declared} records, file has {len(entries)}")
     if dimension is None:
         raise ParseError(f"{path}: file contains no records")
     return dimension, entries

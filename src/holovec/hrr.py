@@ -2,14 +2,16 @@
 
 Binding is circular convolution, unbinding is circular correlation, and
 composition is an element-wise sum scaled by the number of summands. All
-operations are pure functions over 1-D float64 arrays and never mutate
-their inputs, so they are safe to call from any number of threads.
+operations are pure functions over float64 arrays and never mutate their
+inputs.
 
 Two implementations of each transform-based operation exist: a
-direct-summation form that follows the defining sums term by term, and a
-fast form that multiplies spectra. The fast form falls back to the direct
-one for lengths the transform backend cannot handle; `fft_length_supported`
-reports which path a given length takes.
+direct-summation form over 1-D vectors that follows the defining sums term
+by term, kept as the reference, and a fast form that multiplies real-FFT
+spectra. The fast form also takes stacks of rows (the last axis is the
+vector) and broadcasts over the leading axes, so one call binds or unbinds
+a whole block; each row of the result is bit-identical to the same row
+transformed alone.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ __all__ = [
     "circular_correlate",
     "circular_correlate_fft",
     "cosine_similarity",
-    "fft_length_supported",
     "random_vector",
     "superpose",
 ]
@@ -46,14 +47,17 @@ def _paired(a, b) -> tuple[np.ndarray, np.ndarray]:
     return va, vb
 
 
-def fft_length_supported(n: int) -> bool:
-    """Whether the fast path handles length ``n``.
-
-    numpy's pocketfft is mixed-radix with a Bluestein fallback for large
-    prime factors, so every positive length is supported; the direct-path
-    fallback in the ``*_fft`` functions is kept for exotic future backends.
-    """
-    return n >= 1
+def _paired_rows(a, b) -> tuple[np.ndarray, np.ndarray]:
+    va = np.asarray(a, dtype=np.float64)
+    vb = np.asarray(b, dtype=np.float64)
+    for v in (va, vb):
+        if v.ndim == 0 or v.shape[-1] == 0:
+            raise ValueError(f"expected non-empty vectors along the last axis, got shape {v.shape}")
+    if va.shape[-1] != vb.shape[-1]:
+        raise DimensionMismatchError(
+            f"vector lengths differ: {va.shape[-1]} vs {vb.shape[-1]}"
+        )
+    return va, vb
 
 
 def circular_convolve(a, b) -> np.ndarray:
@@ -69,12 +73,13 @@ def circular_convolve(a, b) -> np.ndarray:
 
 
 def circular_convolve_fft(a, b) -> np.ndarray:
-    """Circular convolution via real FFTs; equals `circular_convolve` to ~1e-12."""
-    a, b = _paired(a, b)
-    n = a.shape[0]
-    if not fft_length_supported(n):
-        return circular_convolve(a, b)
-    return np.fft.irfft(np.fft.rfft(a) * np.fft.rfft(b), n=n)
+    """Circular convolution via real FFTs; equals `circular_convolve` to ~1e-12.
+
+    ``a`` and ``b`` are vectors or stacks of rows that broadcast against
+    each other over their leading axes.
+    """
+    a, b = _paired_rows(a, b)
+    return np.fft.irfft(np.fft.rfft(a) * np.fft.rfft(b), n=a.shape[-1])
 
 
 def circular_correlate(a, t) -> np.ndarray:
@@ -91,12 +96,12 @@ def circular_correlate(a, t) -> np.ndarray:
 
 
 def circular_correlate_fft(a, t) -> np.ndarray:
-    """Circular correlation via real FFTs; equals `circular_correlate` to ~1e-12."""
-    a, t = _paired(a, t)
-    n = a.shape[0]
-    if not fft_length_supported(n):
-        return circular_correlate(a, t)
-    return np.fft.irfft(np.conj(np.fft.rfft(a)) * np.fft.rfft(t), n=n)
+    """Circular correlation via real FFTs; equals `circular_correlate` to ~1e-12.
+
+    Broadcasts over leading axes like `circular_convolve_fft`.
+    """
+    a, t = _paired_rows(a, t)
+    return np.fft.irfft(np.conj(np.fft.rfft(a)) * np.fft.rfft(t), n=a.shape[-1])
 
 
 def superpose(vectors, divisor: int) -> np.ndarray:

@@ -236,15 +236,6 @@ class TestClassifyNeighborhoods:
         assert fwd.fraction_same_position == rev.fraction_same_position
         assert fwd.fraction_shifted == rev.fraction_shifted
 
-    def test_threads_do_not_change_the_report(self):
-        original = random_space(80, 8, seed=30)
-        rng = np.random.default_rng(31)
-        compressed = {key: vec + 0.3 * rng.normal(size=8) for key, vec in original.items()}
-        cores = ["k0001", "k002" + "0", "k0040", "k0060"]
-        serial = classify_neighborhoods(original, compressed, cores, k=6, threads=1)
-        threaded = classify_neighborhoods(original, compressed, cores, k=6, threads=4)
-        assert serial.to_json_dict() == threaded.to_json_dict()
-
     def test_k_clamps_to_the_space_size(self):
         space = random_space(5, 8, seed=35)
         rng = np.random.default_rng(36)

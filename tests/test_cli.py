@@ -115,6 +115,17 @@ class TestCompress:
         sidecar = json.loads((tmp / "vocab.txt.meta.json").read_text())
         assert sidecar["entries"]["fishNNPPERSON"]["component_count"] == 4
 
+    def test_word2vec_header_gives_the_same_vocabulary(self, fish_setup, capsys):
+        tmp = fish_setup
+        emb = (tmp / "emb.txt").read_text()
+        (tmp / "w2v.txt").write_text("1 32\n" + emb)
+        assert main(["build-codebook", str(tmp / "cb.json"), "--dim", "32"]) == 0
+        for embeddings, out in (("emb.txt", "plain.txt"), ("w2v.txt", "w2v_vocab.txt")):
+            args = [str(tmp / "cb.json"), str(tmp / embeddings), str(tmp / "ann.tsv"), str(tmp / out)]
+            assert main(["compress", *args]) == 0
+        capsys.readouterr()
+        assert (tmp / "w2v_vocab.txt").read_bytes() == (tmp / "plain.txt").read_bytes()
+
     def test_empty_annotations_report_null_growth(self, tmp_path, capsys):
         rng = np.random.default_rng(43)
         write_vector_file(tmp_path / "emb.txt", {"a": rng.normal(size=16)})

@@ -2,11 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holovec import hrr
 from holovec.codebook import build_codebook, cleanup
-from holovec.decoder import decode_attributes, decode_token_identity, unbind_slot
-from holovec.encoder import AnnotatedToken, EmbeddingTable, build_vocabulary, compress_token
+from holovec.decoder import (
+    decode_attributes,
+    decode_token_identity,
+    decode_vocabulary,
+    unbind_slot,
+)
+from holovec.encoder import (
+    BLOCK_ROWS,
+    AnnotatedToken,
+    EmbeddingTable,
+    build_vocabulary,
+    compress_token,
+)
+from holovec.errors import DimensionMismatchError
 from holovec.selftest import synthetic_corpus, synthetic_embeddings
 
 
@@ -119,6 +133,89 @@ class TestDecodeAttributes:
         second = decode_attributes(vec, m, cb)
         np.testing.assert_array_equal(vec, before)
         assert first == second
+
+
+class TestDecodeVocabulary:
+    """The batched decoder against per-row cleanup of the direct-sum correlation."""
+
+    @given(
+        n=st.integers(min_value=8, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        with_m=st.booleans(),
+        scale=st.sampled_from([0.01, 1.0, 5.0, 300.0]),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_matches_per_row_cleanup_across_a_block_boundary(self, n, seed, with_m, scale):
+        cb = build_codebook(dimension=n, seed=seed)
+        rng = np.random.default_rng(seed)
+        vectors = scale * rng.normal(size=(BLOCK_ROWS + 1, n))
+        m = rng.integers(3, 5, size=len(vectors))
+        decoded = decode_vocabulary(vectors, m if with_m else None, cb)
+        assert len(decoded) == len(vectors)
+        for vec, count, got in zip(vectors, m, decoded):
+            residual = count * vec - cb.frame_label if with_m else vec
+            pos, pos_sim = cleanup(hrr.circular_correlate(cb.slot_labels["pos"], residual), cb.pos_fillers)
+            assert got.pos_tag == pos
+            assert got.pos_similarity == pytest.approx(pos_sim, abs=1e-12)
+            if with_m and count == 3:
+                assert (got.ner_type, got.ner_similarity) == (None, None)
+                continue
+            ner, ner_sim = cleanup(hrr.circular_correlate(cb.slot_labels["ner"], residual), cb.ner_fillers)
+            assert got.ner_type == ner
+            assert got.ner_similarity == pytest.approx(ner_sim, abs=1e-12)
+
+    def test_identical_fillers_tie_to_the_smaller_key(self):
+        cb = build_codebook(["NN", "VB", "NNP", "JJ", "DT"], ["PERSON", "ORG"], dimension=300, seed=3)
+        # first and last in sorted order, so the tie spans the whole scan
+        cb.pos_fillers["VB"] = cb.pos_fillers["DT"].copy()
+        cb.ner_fillers["PERSON"] = cb.ner_fillers["ORG"].copy()
+        table = EmbeddingTable(300, {"x": np.zeros(300)})
+        vec, m = compress_token(AnnotatedToken("x", "VB", "PERSON"), table, cb)
+        vectors = [vec] * (BLOCK_ROWS + 1)
+        for counts in ([m] * len(vectors), None):
+            for got in decode_vocabulary(vectors, counts, cb):
+                assert (got.pos_tag, got.ner_type) == ("DT", "ORG")
+        assert decode_attributes(vec, m, cb).pos_tag == cleanup(
+            unbind_slot(vec, cb.slot_labels["pos"], m, cb.frame_label), cb.pos_fillers
+        )[0]
+
+    def test_single_rows_agree_with_the_batch(self, default_codebook):
+        # the cosines of a one-row product may differ from a block's in the last bit
+        cb = default_codebook
+        rng = np.random.default_rng(68)
+        vectors = rng.normal(size=(5, 300))
+        counts = [3, 4, 4, 3, 4]
+        batched = decode_vocabulary(vectors, counts, cb)
+        for vec, count, got in zip(vectors, counts, batched):
+            alone = decode_attributes(vec, count, cb)
+            assert (alone.pos_tag, alone.ner_type) == (got.pos_tag, got.ner_type)
+            assert alone.pos_similarity == pytest.approx(got.pos_similarity, abs=1e-15)
+            assert alone.ner_similarity == pytest.approx(got.ner_similarity, abs=1e-15)
+
+    def test_empty_input(self, small_codebook):
+        assert decode_vocabulary([], [], small_codebook) == []
+        assert decode_vocabulary([], None, small_codebook) == []
+
+    def test_bad_component_count_rejected(self, small_codebook):
+        with pytest.raises(ValueError, match="3 or 4, got 2"):
+            decode_vocabulary(np.ones((2, 16)), [3, 2], small_codebook)
+        with pytest.raises(ValueError):
+            decode_vocabulary(np.ones((2, 16)), [3], small_codebook)
+
+    def test_dimension_mismatch_rejected(self, small_codebook):
+        with pytest.raises(DimensionMismatchError):
+            decode_vocabulary(np.ones((2, 8)), None, small_codebook)
+
+    def test_zero_norm_query_rejected(self, small_codebook):
+        with pytest.raises(ValueError, match="zero norm"):
+            decode_vocabulary(np.zeros((1, 16)), None, small_codebook)
+
+    def test_zero_norm_filler_rejected_at_decode_not_at_compress(self):
+        cb = build_codebook(["NN", "VB"], ["ORG"], dimension=16, seed=4)
+        cb.pos_fillers["VB"] = np.zeros(16)
+        vec, m = compress_token(AnnotatedToken("x", "NN"), EmbeddingTable(16, {}), cb)
+        with pytest.raises(ValueError, match="'VB' has zero norm"):
+            decode_attributes(vec, m, cb)
 
 
 class TestDecodeTokenIdentity:

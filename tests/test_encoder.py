@@ -4,11 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import FISH_ANNOTATIONS, fish_table, make_annotated_corpus
 from holovec import hrr
 from holovec.codebook import build_codebook
 from holovec.encoder import (
+    BLOCK_ROWS,
     FILLER_EXACT,
     FILLER_LOWERCASED,
     FILLER_UNKNOWN,
@@ -207,22 +211,6 @@ class TestBuildVocabulary:
             np.testing.assert_array_equal(entry.vector, vec)
             assert entry.component_count == m
 
-    def test_thread_count_does_not_change_the_result(self, small_codebook):
-        corpus = make_annotated_corpus(
-            [f"word{i}" for i in range(40)],
-            small_codebook.pos_tags,
-            small_codebook.ner_types,
-            seed=5,
-        )
-        table = EmbeddingTable(16, {f"word{i}": np.random.default_rng(i).normal(size=16) for i in range(40)})
-        serial = build_vocabulary(corpus, table, small_codebook, threads=1)
-        threaded = build_vocabulary(corpus, table, small_codebook, threads=4)
-        assert list(serial.entries) == list(threaded.entries)
-        for key in serial.entries:
-            np.testing.assert_array_equal(
-                serial.entries[key].vector, threaded.entries[key].vector
-            )
-
     def test_growth_bounds(self, small_codebook):
         corpus = make_annotated_corpus(
             [f"w{i}" for i in range(30)],
@@ -251,6 +239,74 @@ class TestBuildVocabulary:
             vocab = build_vocabulary(tokens, table, default_codebook)
             msn = float(np.mean([np.sum(e.vector**2) for e in vocab.entries.values()]))
             assert 0.8 / m <= msn <= 1.2 / m
+
+
+class TestBatchedBuild:
+    """`build_vocabulary` binds blocks of keys at once; the direct sums are the oracle."""
+
+    @given(
+        n=st.shared(st.integers(min_value=2, max_value=24), key="dim"),
+        words=arrays(
+            np.float64,
+            st.shared(st.integers(min_value=2, max_value=24), key="dim").map(lambda n: (6, n)),
+            elements=st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_rows_match_the_direct_sums_across_a_block_boundary(self, n, words, seed):
+        cb = build_codebook(dimension=n, seed=seed)
+        table = EmbeddingTable(n, {f"w{i}": vec for i, vec in enumerate(words)})
+        rng = np.random.default_rng(seed)
+        # BLOCK_ROWS + 1 distinct keys over known, capitalised and unknown surfaces
+        surfaces = ["w0", "w1", "w2", "w3", "w4", "w5", "oov0", "oov1"]
+        ner_choices = [None, *cb.ner_types]
+        combos = set()
+        while len(combos) < BLOCK_ROWS + 1:
+            combos.add((
+                int(rng.integers(len(surfaces))),
+                int(rng.integers(len(cb.pos_tags))),
+                int(rng.integers(len(ner_choices))),
+            ))
+        tokens = []
+        for line, (w, p, e) in enumerate(sorted(combos, key=lambda c: rng.random()), 1):
+            surface = surfaces[w].upper() if rng.random() < 0.3 else surfaces[w]
+            tokens.append(AnnotatedToken(surface, cb.pos_tags[p], ner_choices[e], line=line))
+        tokens += tokens[:40]  # repeats collapse onto their first occurrence
+
+        vocab = build_vocabulary(tokens, table, cb)
+        assert len(vocab) == BLOCK_ROWS + 1
+        firsts = {}
+        for token in tokens:
+            firsts.setdefault(composite_key(token), token)
+        for key, entry in vocab.entries.items():
+            token = firsts[key]
+            filler, source = lookup_filler(token.surface, table, cb)
+            terms = [
+                cb.frame_label,
+                hrr.circular_convolve(cb.slot_labels["token"], filler),
+                hrr.circular_convolve(cb.slot_labels["pos"], cb.pos_fillers[token.pos_tag]),
+            ]
+            if token.ner_type is not None:
+                terms.append(hrr.circular_convolve(cb.slot_labels["ner"], cb.ner_fillers[token.ner_type]))
+            expected = sum(terms) / len(terms)
+            scale = max(float(np.max(np.abs(t))) for t in terms)
+            assert float(np.max(np.abs(entry.vector - expected))) <= 1e-12 * scale, key
+            assert entry.component_count == len(terms)
+            assert entry.filler_source == source
+            # the scalar formula, term by term in the same order: equal to the last bit
+            fast = [cb.frame_label] + [
+                hrr.circular_convolve_fft(cb.slot_labels[slot], vec)
+                for slot, vec in (
+                    ("token", filler),
+                    ("pos", cb.pos_fillers[token.pos_tag]),
+                    ("ner", cb.ner_fillers.get(token.ner_type)),
+                )
+                if vec is not None
+            ]
+            np.testing.assert_array_equal(entry.vector, hrr.superpose(fast, len(fast)))
+            vec, _ = compress_token(token, table, cb)
+            np.testing.assert_array_equal(entry.vector, vec)
 
 
 class TestVectorFiles:
@@ -294,6 +350,35 @@ class TestVectorFiles:
         path.write_text("a 1.0 2.0\n")
         with pytest.raises(ParseError, match=":1"):
             read_vectors(path, expected_dimension=5)
+
+    def test_word2vec_header_sets_the_dimension(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("2 3\na 1.0 2.0 3.0\nb 4.0 5.0 6.0\n")
+        dimension, loaded = read_vectors(path)
+        assert dimension == 3
+        assert list(loaded) == ["a", "b"]
+        np.testing.assert_array_equal(loaded["b"], [4.0, 5.0, 6.0])
+
+    def test_word2vec_header_count_is_checked(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("3 2\na 1.0 2.0\nb 3.0 4.0\n")
+        with pytest.raises(ParseError, match="header declares 3 records, file has 2"):
+            read_vectors(path)
+
+    def test_word2vec_header_dimension_is_enforced(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("2 3\na 1.0 2.0\nb 3.0 4.0\n")
+        with pytest.raises(ParseError, match=":2: expected 3 values, got 2"):
+            read_vectors(path)
+        with pytest.raises(ParseError, match=":1: header declares dimension 3, expected 2"):
+            read_vectors(path, expected_dimension=2)
+
+    def test_first_record_with_a_numeric_value_is_not_a_header(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("7 1.5\n8 2.5\n")
+        dimension, loaded = read_vectors(path)
+        assert dimension == 1
+        assert list(loaded) == ["7", "8"]
 
     def test_read_embeddings_wraps_read_vectors(self, tmp_path):
         path = tmp_path / "emb.txt"

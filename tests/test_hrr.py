@@ -58,8 +58,41 @@ class TestCircularConvolveFft:
         with pytest.raises(DimensionMismatchError):
             hrr.circular_convolve_fft([1, 2], [1, 2, 3])
 
-    def test_every_length_uses_fast_path(self):
-        assert all(hrr.fft_length_supported(n) for n in (1, 2, 3, 300, 997))
+
+class TestStackedRows:
+    @pytest.mark.parametrize("fn", [hrr.circular_convolve_fft, hrr.circular_correlate_fft])
+    def test_each_row_is_bit_identical_to_the_row_alone(self, fn):
+        rng = np.random.default_rng(9)
+        a = hrr.random_vector(rng, 300)
+        rows = 5.0 * rng.normal(size=(257, 300))
+        stacked = fn(a, rows)
+        assert stacked.shape == rows.shape
+        for row, out in zip(rows, stacked):
+            np.testing.assert_array_equal(out, fn(a, row))
+
+    @pytest.mark.parametrize(
+        "fn, oracle",
+        [
+            (hrr.circular_convolve_fft, hrr.circular_convolve),
+            (hrr.circular_correlate_fft, hrr.circular_correlate),
+        ],
+    )
+    def test_stack_against_stack_matches_the_direct_sums(self, fn, oracle):
+        rng = np.random.default_rng(10)
+        a = rng.normal(size=(2, 3, 16))
+        b = rng.normal(size=(2, 3, 16))
+        out = fn(a, b)
+        assert out.shape == (2, 3, 16)
+        for i in np.ndindex(2, 3):
+            assert rel_err(out[i], oracle(a[i], b[i])) < 1e-9
+
+    def test_last_axis_mismatch_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            hrr.circular_convolve_fft(np.ones(4), np.ones((3, 5)))
+
+    def test_scalar_rejected(self):
+        with pytest.raises(ValueError):
+            hrr.circular_correlate_fft(1.0, np.ones(3))
 
 
 class TestCircularCorrelate:
