@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 from .analysis import (
     NeighborhoodReport,
     OrthogonalityReport,
+    VectorSpace,
     classify_neighborhoods,
     k_nearest,
     pairwise_cosine_stats,
@@ -83,6 +84,7 @@ __all__ = [
     "ParseError",
     "UnknownKeyError",
     "UnknownTagError",
+    "VectorSpace",
     "VocabEntry",
     "build_codebook",
     "build_vocabulary",

@@ -3,16 +3,22 @@
 Two methodologies over key -> vector spaces: sampled disjoint-pair cosine
 statistics (how close to orthogonal a vocabulary is), and top-k neighborhood
 comparison between an original and a compressed space (how well semantic
-neighborhoods survive compression). Scans are exact; vocabularies at desk
-scale do not need approximate indexing.
+neighborhoods survive compression).
+
+Every analysis reads a `VectorSpace`: the keys in sorted order plus one
+matrix of unit-norm rows, built once on first use. Scans are exact
+matrix-vector products over that matrix; vocabularies at desk scale do not
+need approximate indexing. Building the space once and reusing it makes
+repeated `k_nearest` queries cost one product each.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +36,7 @@ __all__ = [
     "NeighborhoodReport",
     "OrthogonalityReport",
     "PairwiseStats",
+    "VectorSpace",
     "classify_neighborhoods",
     "k_nearest",
     "pairwise_cosine_stats",
@@ -46,19 +53,48 @@ SHIFTED = "shifted"
 DISJOINT = "disjoint"
 
 
-def _as_space(space) -> dict[str, np.ndarray]:
-    if hasattr(space, "as_space"):
-        return space.as_space()
-    return dict(space)
+class VectorSpace(Mapping[str, np.ndarray]):
+    """Read-only snapshot of a key -> vector mapping, iterated in sorted key order.
 
+    Holds references to the given vectors, not copies. `unit` stacks them
+    into rows of unit L2 norm on first use, so a zero-norm vector raises
+    there, in the analysis that needs it, not when the space is built.
+    """
 
-def _normalized_matrix(keys: Sequence[str], space: Mapping[str, np.ndarray]) -> np.ndarray:
-    matrix = np.stack([np.asarray(space[k], dtype=np.float64) for k in keys])
-    norms = np.linalg.norm(matrix, axis=1)
-    zero = np.nonzero(norms == 0.0)[0]
-    if zero.size:
-        raise ValueError(f"vector {keys[zero[0]]!r} has zero norm")
-    return matrix / norms[:, None]
+    def __init__(self, vectors: Mapping[str, np.ndarray]):
+        self.sorted_keys = sorted(vectors)
+        self.index = {key: row for row, key in enumerate(self.sorted_keys)}
+        self._vectors = [vectors[key] for key in self.sorted_keys]
+
+    @classmethod
+    def of(cls, space) -> VectorSpace:
+        """``space`` itself, a vocabulary's ``as_space()``, or a snapshot of a mapping."""
+        if isinstance(space, VectorSpace):
+            return space
+        if hasattr(space, "as_space"):
+            return space.as_space()
+        return cls(space)
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        return self._vectors[self.index[key]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.sorted_keys)
+
+    def __len__(self) -> int:
+        return len(self.sorted_keys)
+
+    @cached_property
+    def unit(self) -> np.ndarray:
+        """float64 rows of unit L2 norm, one per key in sorted order."""
+        matrix = np.stack(self._vectors, dtype=np.float64)
+        norms = np.linalg.norm(matrix, axis=1)
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            raise ValueError(f"vector {self.sorted_keys[zero[0]]!r} has zero norm")
+        matrix /= norms[:, None]
+        matrix.flags.writeable = False
+        return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -109,22 +145,21 @@ def sample_orthogonality(
     A sample size larger than half the space is clamped (and flagged), so
     the two lists stay disjoint by construction.
     """
-    vectors = _as_space(space)
-    if len(vectors) < 2:
-        raise ValueError(f"orthogonality sampling needs >= 2 vectors, got {len(vectors)}")
+    space = VectorSpace.of(space)
+    if len(space) < 2:
+        raise ValueError(f"orthogonality sampling needs >= 2 vectors, got {len(space)}")
     if sample_size < 1:
         raise ValueError(f"sample_size must be >= 1, got {sample_size}")
-    keys = sorted(vectors)
-    half = len(keys) // 2
+    half = len(space) // 2
     clamped = sample_size > half
     size = min(sample_size, half)
 
     rng = np.random.default_rng(seed)
-    picked = rng.choice(len(keys), size=2 * size, replace=False)
+    picked = rng.choice(len(space), size=2 * size, replace=False)
     first, second = picked[:size], picked[size:]
 
-    normalized = _normalized_matrix(keys, vectors)
-    cosines = np.abs(np.sum(normalized[first] * normalized[second], axis=1))
+    unit = space.unit
+    cosines = np.abs(np.sum(unit[first] * unit[second], axis=1))
     cosines = np.clip(cosines, 0.0, 1.0)
     counts, _ = np.histogram(cosines, bins=np.linspace(0.0, 1.0, 21))
     return OrthogonalityReport(
@@ -149,18 +184,16 @@ def pairwise_cosine_stats(
     space, threshold: float = DEFAULT_THRESHOLD, max_keys: int = 20_000
 ) -> PairwiseStats:
     """Exhaustive all-pairs |cosine| statistics; refused above ``max_keys``."""
-    vectors = _as_space(space)
-    if len(vectors) < 2:
-        raise ValueError(f"pairwise scan needs >= 2 vectors, got {len(vectors)}")
-    if len(vectors) > max_keys:
+    space = VectorSpace.of(space)
+    if len(space) < 2:
+        raise ValueError(f"pairwise scan needs >= 2 vectors, got {len(space)}")
+    if len(space) > max_keys:
         raise ValueError(
-            f"exhaustive scan over {len(vectors)} keys exceeds the {max_keys}-key limit; "
+            f"exhaustive scan over {len(space)} keys exceeds the {max_keys}-key limit; "
             "use sample_orthogonality instead"
         )
-    keys = sorted(vectors)
-    normalized = _normalized_matrix(keys, vectors)
-    gram = normalized @ normalized.T
-    upper = np.abs(gram[np.triu_indices(len(keys), 1)])
+    gram = space.unit @ space.unit.T
+    upper = np.abs(gram[np.triu_indices(len(space), 1)])
     return PairwiseStats(
         pairs=int(upper.size),
         fraction_below=float(np.mean(upper < threshold)),
@@ -173,10 +206,13 @@ def pairwise_cosine_stats(
 # ---------------------------------------------------------------------------
 
 
-def _rank_top(keys: Sequence[str], sims: np.ndarray, k: int) -> list[tuple[str, float]]:
-    # keys are lexicographically sorted, so a stable sort breaks ties by key
-    order = np.argsort(-sims, kind="stable")[:k]
-    return [(keys[i], float(sims[i])) for i in order]
+def _top_rows(sims: np.ndarray, exclude: int, k: int) -> np.ndarray:
+    """Rows of the k largest ``sims``, leaving out row ``exclude``.
+
+    Rows follow sorted keys, so a stable sort breaks exact ties by key.
+    """
+    order = np.argsort(-sims, kind="stable")
+    return order[order != exclude][:k]
 
 
 def k_nearest(space, core: str, k: int = DEFAULT_K) -> list[tuple[str, float]]:
@@ -184,23 +220,23 @@ def k_nearest(space, core: str, k: int = DEFAULT_K) -> list[tuple[str, float]]:
 
     Ordered by non-increasing cosine; exact ties resolve to the
     lexicographically smaller key. Returns fewer than k entries only when
-    the space itself is smaller.
+    the space itself is smaller. Pass a `VectorSpace` built once (such as
+    ``vocab.as_space()``) to run many queries over one normalised matrix.
     """
-    vectors = _as_space(space)
-    if core not in vectors:
+    space = VectorSpace.of(space)
+    row = space.index.get(core)
+    if row is None:
         raise UnknownKeyError(f"core {core!r} is not in the space")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    keys = sorted(key for key in vectors if key != core)
-    if not keys:
+    if len(space) == 1:
         return []
-    query = np.asarray(vectors[core], dtype=np.float64)
+    query = np.asarray(space[core], dtype=np.float64)
     qnorm = float(np.linalg.norm(query))
     if qnorm == 0.0:
         raise ValueError(f"core {core!r} has zero norm")
-    normalized = _normalized_matrix(keys, vectors)
-    sims = normalized @ (query / qnorm)
-    return _rank_top(keys, sims, k)
+    sims = space.unit @ (query / qnorm)
+    return [(space.sorted_keys[i], float(sims[i])) for i in _top_rows(sims, row, k)]
 
 
 @dataclass
@@ -286,79 +322,61 @@ class NeighborhoodReport:
         atomic_write_text(path, json.dumps(self.to_json_dict(), separators=(",", ":")) + "\n")
 
 
-def _cosine_matrix(vectors: list[np.ndarray]) -> list[list[float]]:
-    matrix = np.stack(vectors)
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    normalized = matrix / norms
+def _cosine_matrix(rows: np.ndarray) -> list[list[float]]:
+    normalized = rows / np.linalg.norm(rows, axis=1, keepdims=True)
     return (normalized @ normalized.T).tolist()
 
 
 def _classify_core(
-    core: str,
-    orig_keys: list[str],
-    orig_normalized: np.ndarray,
-    orig_index: dict[str, int],
-    comp_normalized: np.ndarray,
-    comp_index: dict[str, int],
-    word_to_keys: dict[str, list[str]],
+    core_row: int,
+    orig: VectorSpace,
+    comp: VectorSpace,
+    segments: tuple[np.ndarray, np.ndarray, np.ndarray],
     k: int,
 ) -> CoreNeighborhood:
-    # original-space neighborhood
-    core_row = orig_index[core]
-    sims = orig_normalized @ orig_normalized[core_row]
-    cand_keys = [key for key in orig_keys if key != core]
-    orig_nbrs = _rank_top(cand_keys, np.delete(sims, core_row), k)
+    words = orig.sorted_keys  # word i owns segment i
+    seg_rows, starts, seg_word = segments
+    sims = orig.unit @ orig.unit[core_row]
+    orig_rows = _top_rows(sims, core_row, k)
+    orig_nbrs = [(words[i], float(sims[i])) for i in orig_rows]
 
     # compressed-space neighborhood: each word is represented by its composite
-    # vector most similar to the core's own (lexicographically first) vector
-    core_key = word_to_keys[core][0]
-    unit = comp_normalized[comp_index[core_key]]
-    sims_all = comp_normalized @ unit
+    # vector most similar to the core's own (lexicographically first) vector;
+    # of equally similar composites, the first in the segment (smallest key)
+    anchor = seg_rows[starts[core_row]]
+    seg_sims = (comp.unit @ comp.unit[anchor])[seg_rows]
+    best = np.maximum.reduceat(seg_sims, starts)
+    at_best = np.flatnonzero(seg_sims == best[seg_word])
+    first = at_best[np.searchsorted(at_best, starts)]
+    rep_sims = seg_sims[first]
+    comp_words = _top_rows(rep_sims, core_row, k)
+    comp_nbrs = [(words[i], float(rep_sims[i])) for i in comp_words]
 
-    words = [w for w in sorted(word_to_keys) if w != core]
-    rep_sims = np.empty(len(words))
-    rep_rows = np.empty(len(words), dtype=np.intp)
-    for i, word in enumerate(words):
-        rows = [comp_index[key] for key in word_to_keys[word]]
-        local = sims_all[rows]
-        best = int(np.argmax(local))  # first max == lexicographically first key
-        rep_sims[i] = local[best]
-        rep_rows[i] = rows[best]
-    rep_of = {word: comp_normalized[row] for word, row in zip(words, rep_rows)}
-    comp_nbrs = _rank_top(words, rep_sims, k)
-
-    rank_orig = {key: i + 1 for i, (key, _) in enumerate(orig_nbrs)}
-    rank_comp = {key: i + 1 for i, (key, _) in enumerate(comp_nbrs)}
+    rank_orig = {key: rank for rank, (key, _) in enumerate(orig_nbrs, 1)}
+    rank_comp = {key: rank for rank, (key, _) in enumerate(comp_nbrs, 1)}
     records = []
-    same = shifted = 0
-    for key, _ in orig_nbrs:
-        ro, rc = rank_orig[key], rank_comp.get(key)
-        if rc is None:
-            records.append(NeighborRecord(key, ro, None, DISJOINT))
-        elif ro == rc:
-            same += 1
-            records.append(NeighborRecord(key, ro, rc, SAME_POSITION))
-        else:
-            shifted += 1
-            records.append(NeighborRecord(key, ro, rc, SHIFTED))
-    for key, _ in comp_nbrs:
-        if key not in rank_orig:
-            records.append(NeighborRecord(key, None, rank_comp[key], DISJOINT))
-
+    for key, ro in rank_orig.items():
+        rc = rank_comp.get(key)
+        kind = DISJOINT if rc is None else SAME_POSITION if ro == rc else SHIFTED
+        records.append(NeighborRecord(key, ro, rc, kind))
+    records += [
+        NeighborRecord(key, None, rc, DISJOINT)
+        for key, rc in rank_comp.items()
+        if key not in rank_orig
+    ]
+    same = sum(r.classification == SAME_POSITION for r in records)
+    shifted = sum(r.classification == SHIFTED for r in records)
     k_eff = len(orig_nbrs)
     disjoint = k_eff - (same + shifted)
-
-    orig_vectors = [orig_normalized[orig_index[core]]] + [
-        orig_normalized[orig_index[key]] for key, _ in orig_nbrs
-    ]
-    comp_vectors = [unit] + [rep_of[key] for key, _ in comp_nbrs]
     return CoreNeighborhood(
-        core=core,
+        core=words[core_row],
         records=records,
         original_neighbors=orig_nbrs,
         compressed_neighbors=comp_nbrs,
-        original_cosine_matrix=_cosine_matrix(orig_vectors),
-        compressed_cosine_matrix=_cosine_matrix(comp_vectors),
+        original_cosine_matrix=_cosine_matrix(orig.unit[np.r_[core_row, orig_rows]]),
+        compressed_cosine_matrix=_cosine_matrix(
+            comp.unit[np.r_[anchor, seg_rows[first[comp_words]]]]
+        ),
         same_position=same,
         shifted=shifted,
         disjoint=disjoint,
@@ -386,55 +404,36 @@ def classify_neighborhoods(
     core's vector (the core itself uses its lexicographically first
     composite key). Both spaces must then resolve the same word set.
     """
-    orig_space = _as_space(original)
-    comp_space = _as_space(compressed)
+    orig = VectorSpace.of(original)
+    comp = VectorSpace.of(compressed)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not cores:
         raise ValueError("classify_neighborhoods() requires at least one core")
     core_list = sorted(set(cores))
 
-    if compressed_key_to_word is None:
-        word_to_keys = {key: [key] for key in comp_space}
-    else:
-        word_to_keys = {}
-        for key in comp_space:
-            word = compressed_key_to_word.get(key)
-            if word is None:
-                raise UnknownKeyError(f"composite key {key!r} has no word-type mapping")
-            word_to_keys.setdefault(word, []).append(key)
-        for keys in word_to_keys.values():
-            keys.sort()
+    word_rows: dict[str, list[int]] = {}
+    for row, key in enumerate(comp.sorted_keys):
+        word = key if compressed_key_to_word is None else compressed_key_to_word.get(key)
+        if word is None:
+            raise UnknownKeyError(f"composite key {key!r} has no word-type mapping")
+        word_rows.setdefault(word, []).append(row)
 
-    orig_words = set(orig_space)
-    comp_words = set(word_to_keys)
-    if orig_words != comp_words:
-        offender = sorted(orig_words.symmetric_difference(comp_words))[0]
+    if orig.index.keys() != word_rows.keys():
+        offender = sorted(orig.index.keys() ^ word_rows.keys())[0]
         raise UnknownKeyError(f"key {offender!r} is not resolvable in both spaces")
     for core in core_list:
-        if core not in orig_words:
+        if core not in orig.index:
             raise UnknownKeyError(f"core {core!r} is not resolvable in both spaces")
 
-    orig_keys = sorted(orig_space)
-    orig_index = {key: i for i, key in enumerate(orig_keys)}
-    orig_normalized = _normalized_matrix(orig_keys, orig_space)
-    comp_keys = sorted(comp_space)
-    comp_index = {key: i for i, key in enumerate(comp_keys)}
-    comp_normalized = _normalized_matrix(comp_keys, comp_space)
-
-    results = [
-        _classify_core(
-            core,
-            orig_keys,
-            orig_normalized,
-            orig_index,
-            comp_normalized,
-            comp_index,
-            word_to_keys,
-            k,
-        )
-        for core in core_list
-    ]
+    # composite rows grouped by word, words in sorted order and keys sorted within
+    lengths = [len(word_rows[word]) for word in orig.sorted_keys]
+    segments = (
+        np.array([row for word in orig.sorted_keys for row in word_rows[word]]),
+        np.cumsum([0] + lengths[:-1]),
+        np.repeat(np.arange(len(lengths)), lengths),
+    )
+    results = [_classify_core(orig.index[core], orig, comp, segments, k) for core in core_list]
 
     denominator = sum(c.k_effective for c in results)
     if denominator == 0:

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import hrr
 from ._fileio import atomic_write_text
+from .analysis import VectorSpace
 from .codebook import SLOT_TOKEN, Codebook
 from .errors import (
     DimensionMismatchError,
@@ -128,9 +129,13 @@ class CompressedVocabulary:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def as_space(self) -> dict[str, np.ndarray]:
-        """Plain key -> vector view for similarity scans."""
-        return {key: entry.vector for key, entry in self.entries.items()}
+    def as_space(self) -> VectorSpace:
+        """Snapshot of the key -> vector map for similarity scans.
+
+        Each call builds a new `VectorSpace`; build it once and reuse it
+        across queries, so the space is sorted and normalised only once.
+        """
+        return VectorSpace({key: entry.vector for key, entry in self.entries.items()})
 
 
 def composite_key(token: AnnotatedToken) -> str:
@@ -282,13 +287,13 @@ def read_vectors(
     header, ``count dimension``: the dimension is taken from it and the
     record count checked against it. Otherwise the dimension is inferred
     from the first record unless ``expected_dimension`` pins it. Malformed
-    lines are reported by number.
+    lines are reported by number. A leading UTF-8 byte-order mark is skipped.
     """
     path = Path(path)
     dimension = expected_dimension
     declared = None
     entries: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\r\n")
             if not line:
@@ -348,11 +353,14 @@ def write_vectors(path: str | Path, entries: dict[str, np.ndarray]) -> None:
 def read_annotations(path: str | Path) -> list[AnnotatedToken]:
     """Read tab-separated annotations: surface, POS tag, NER type or ``-``.
 
-    Blank lines are ignored; every token keeps its 1-based line number.
+    Blank lines and a leading UTF-8 byte-order mark are ignored; every token
+    keeps its 1-based line number. A surface may not contain a space: the
+    vector format separates a key from its values by spaces, so its
+    composite key could not be read back.
     """
     path = Path(path)
     tokens: list[AnnotatedToken] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\r\n")
             if not line.strip():
@@ -363,6 +371,8 @@ def read_annotations(path: str | Path) -> list[AnnotatedToken]:
                     f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
                 )
             surface, pos_tag, ner = fields
+            if " " in surface:
+                raise ParseError(f"{path}:{lineno}: surface {surface!r} contains a space")
             try:
                 tokens.append(
                     AnnotatedToken(
@@ -379,7 +389,7 @@ def read_annotations(path: str | Path) -> list[AnnotatedToken]:
 
 def write_vocabulary(path: str | Path, vocab: CompressedVocabulary) -> None:
     """Write compressed vectors keyed by composite key, in build order."""
-    write_vectors(path, vocab.as_space())
+    write_vectors(path, {key: entry.vector for key, entry in vocab.entries.items()})
 
 
 def write_sidecar(path: str | Path, vocab: CompressedVocabulary) -> None:

@@ -129,6 +129,47 @@ def brute_force_classify(original, compressed, cores, k):
     return same / denom, shifted / denom, disjoint / denom
 
 
+def reference_neighborhoods(original, compressed, core, k, key_to_word):
+    """Oracle: one core's top-k in both spaces, by a loop over the words.
+
+    Returns (original neighbors, word-level compressed neighbors, the
+    composite key representing each word). Each word is represented by the
+    first of its sorted composite keys with the highest cosine to the core
+    word's first composite key.
+    """
+
+    def unit_rows(space, keys):
+        matrix = np.stack([np.asarray(space[key], dtype=np.float64) for key in keys])
+        return matrix / np.linalg.norm(matrix, axis=1)[:, None]
+
+    def top(keys, sims):
+        order = np.argsort(-sims, kind="stable")[:k]
+        return [(keys[i], float(sims[i])) for i in order]
+
+    orig_keys = sorted(original)
+    orig_unit = unit_rows(original, orig_keys)
+    row = orig_keys.index(core)
+    sims = orig_unit @ orig_unit[row]
+    orig_nbrs = top([key for key in orig_keys if key != core], np.delete(sims, row))
+
+    comp_keys = sorted(compressed)
+    comp_unit = unit_rows(compressed, comp_keys)
+    comp_index = {key: i for i, key in enumerate(comp_keys)}
+    word_to_keys = {}
+    for key in comp_keys:
+        word_to_keys.setdefault(key_to_word[key], []).append(key)
+    reps = {core: word_to_keys[core][0]}
+    sims_all = comp_unit @ comp_unit[comp_index[reps[core]]]
+    words = [w for w in sorted(word_to_keys) if w != core]
+    rep_sims = np.empty(len(words))
+    for i, word in enumerate(words):
+        local = sims_all[[comp_index[key] for key in word_to_keys[word]]]
+        best = int(np.argmax(local))  # first max == lexicographically first key
+        rep_sims[i] = local[best]
+        reps[word] = word_to_keys[word][best]
+    return orig_nbrs, top(words, rep_sims), reps
+
+
 def write_vector_file(path, entries: dict[str, np.ndarray]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for key, vec in entries.items():

@@ -6,21 +6,118 @@ that shares no code with the library path.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import brute_force_classify, brute_force_neighbors
+from conftest import brute_force_classify, brute_force_neighbors, reference_neighborhoods
 from holovec import hrr
 from holovec.analysis import (
+    VectorSpace,
     classify_neighborhoods,
     k_nearest,
     pairwise_cosine_stats,
     sample_orthogonality,
 )
+from holovec.encoder import CompressedVocabulary, VocabEntry
 from holovec.errors import UnknownKeyError
 
 
 def random_space(n_keys, dimension, seed):
     rng = np.random.default_rng(seed)
     return {f"k{i:04d}": hrr.random_vector(rng, dimension) for i in range(n_keys)}
+
+
+def bits(neighbors):
+    """(key, exact float bits) pairs: tells -0.0 from 0.0 and any last-bit change."""
+    return [(key, float(sim).hex()) for key, sim in neighbors]
+
+
+def nonzero_vectors(dim):
+    # small integer entries make many exact cosine ties, within and across words
+    return arrays(np.float64, dim, elements=st.integers(-2, 2).map(float)).filter(np.any)
+
+
+@st.composite
+def word_level_spaces(draw):
+    """Original and compressed spaces over the same words, 1-3 composite keys a word."""
+    vector = nonzero_vectors(draw(st.integers(2, 4)))
+    words = [f"w{i}" for i in range(draw(st.integers(2, 9)))]
+    original = {word: draw(vector) for word in words}
+    compressed, key_to_word, drawn = {}, {}, []
+    for word in words:
+        tags = draw(st.lists(st.sampled_from(["JJ", "NN", "VB"]), min_size=1, unique=True))
+        for tag in tags:
+            # reuse an earlier vector now and then: exact ties of identical vectors
+            if drawn and draw(st.booleans()):
+                vec = draw(st.sampled_from(drawn)).copy()
+            else:
+                vec = draw(vector)
+            drawn.append(vec)
+            compressed[word + tag] = vec
+            key_to_word[word + tag] = word
+    cores = draw(st.lists(st.sampled_from(words), min_size=1, max_size=3))
+    k = draw(st.integers(1, len(words)))
+    return original, compressed, key_to_word, cores, k
+
+
+@st.composite
+def plain_spaces(draw):
+    vector = nonzero_vectors(draw(st.integers(2, 4)))
+    n_keys = draw(st.integers(1, 12))
+    return {f"k{i:02d}": draw(vector) for i in range(n_keys)}
+
+
+class TestVectorSpace:
+    def test_is_a_sorted_read_only_mapping_of_references(self):
+        vectors = {"b": np.array([0.0, 2.0]), "a": np.array([3.0, 4.0])}
+        space = VectorSpace(vectors)
+        assert list(space) == ["a", "b"] and len(space) == 2
+        assert space["a"] is vectors["a"]
+        assert "a" in space and "z" not in space
+        assert dict(space) == {"a": vectors["a"], "b": vectors["b"]}
+        assert space.index == {"a": 0, "b": 1}
+        np.testing.assert_array_equal(space.unit, [[0.6, 0.8], [0.0, 1.0]])
+        assert space.unit is space.unit
+        assert not space.unit.flags.writeable
+        with pytest.raises(TypeError):
+            space["c"] = np.ones(2)
+
+    def test_of_passes_a_space_through_and_wraps_the_rest(self):
+        space = VectorSpace({"a": np.ones(2)})
+        assert VectorSpace.of(space) is space
+        assert isinstance(VectorSpace.of({"a": np.ones(2)}), VectorSpace)
+
+    def test_vocabulary_as_space_is_a_snapshot(self):
+        entries = {
+            key: VocabEntry(np.full(3, float(i + 1)), 3, "exact", key, "NN", None)
+            for i, key in enumerate(["zNN", "aNN"])
+        }
+        vocab = CompressedVocabulary(dimension=3, entries=entries)
+        space = vocab.as_space()
+        assert isinstance(space, VectorSpace)
+        assert list(space) == ["aNN", "zNN"]
+        assert space["zNN"] is entries["zNN"].vector
+        assert vocab.as_space() is not space
+
+    def test_zero_norm_raises_in_the_analysis_not_in_as_space(self):
+        entries = {
+            key: VocabEntry(vec, 3, "exact", key, "NN", None)
+            for key, vec in (("aNN", np.ones(3)), ("bNN", np.zeros(3)), ("cNN", np.arange(3.0)))
+        }
+        space = CompressedVocabulary(dimension=3, entries=entries).as_space()
+        plain = {key: e.vector for key, e in entries.items()}
+        calls = [
+            (lambda s: k_nearest(s, "aNN", k=1), "vector 'bNN' has zero norm"),
+            (lambda s: k_nearest(s, "bNN", k=1), "core 'bNN' has zero norm"),
+            (lambda s: sample_orthogonality(s, sample_size=1), "vector 'bNN' has zero norm"),
+            (lambda s: pairwise_cosine_stats(s), "vector 'bNN' has zero norm"),
+            (lambda s: classify_neighborhoods(s, s, ["aNN"], k=1), "vector 'bNN' has zero norm"),
+        ]
+        for call, message in calls:
+            for target in (space, plain, space):  # a failed build is not cached
+                with pytest.raises(ValueError, match=message):
+                    call(target)
 
 
 class TestSampleOrthogonality:
@@ -148,6 +245,24 @@ class TestKNearest:
     def test_absent_core_rejected(self):
         with pytest.raises(UnknownKeyError, match="nope"):
             k_nearest(random_space(5, 4, seed=20), "nope", k=1)
+        with pytest.raises(UnknownKeyError, match="nope"):
+            k_nearest(VectorSpace(random_space(5, 4, seed=20)), "nope", k=1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(plain_spaces(), st.integers(1, 12))
+    def test_vector_space_gives_the_plain_dict_result_bit_for_bit(self, space, k):
+        shared = VectorSpace(space)
+        for core in space:
+            assert bits(k_nearest(shared, core, k)) == bits(k_nearest(space, core, k))
+
+    def test_one_space_serves_many_queries(self):
+        space = random_space(300, 24, seed=37)
+        shared = VectorSpace(space)
+        for core in list(space)[::10]:
+            fast = k_nearest(shared, core, k=10)
+            slow = brute_force_neighbors(space, core, 10)
+            assert [key for key, _ in fast] == [key for key, _ in slow]
+            np.testing.assert_allclose([s for _, s in fast], [s for _, s in slow], atol=1e-12)
 
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError):
@@ -341,3 +456,41 @@ class TestWordLevelProjection:
         for core in report.cores:
             assert len(core.compressed_neighbors) == 5
             assert all(" " not in key for key, _ in core.compressed_neighbors)
+
+    @settings(max_examples=200, deadline=None)
+    @given(word_level_spaces())
+    def test_matches_the_per_word_loop(self, drawn):
+        original, compressed, key_to_word, cores, k = drawn
+        report = classify_neighborhoods(
+            original, compressed, cores, k=k, compressed_key_to_word=key_to_word
+        )
+        assert report.core_tokens == sorted(set(cores))
+        for core in report.cores:
+            orig_nbrs, comp_nbrs, reps = reference_neighborhoods(
+                original, compressed, core.core, k, key_to_word
+            )
+            assert bits(core.original_neighbors) == bits(orig_nbrs)
+            assert bits(core.compressed_neighbors) == bits(comp_nbrs)
+            # the matrix tells which composite represents each word, not only its cosine
+            rows = [compressed[reps[word]] for word in [core.core] + [w for w, _ in comp_nbrs]]
+            units = np.array([row / np.linalg.norm(row) for row in rows])
+            np.testing.assert_allclose(core.compressed_cosine_matrix, units @ units.T, atol=1e-12)
+
+    def test_ties_between_and_within_words_go_to_the_smaller_key(self):
+        core_vec = np.array([1.0, 0.0])
+        original = {"a": core_vec, "b": np.array([0.0, 1.0]), "c": np.array([0.0, 1.0])}
+        compressed = {
+            "aNN": core_vec,
+            "bNN": np.array([1.0, 1.0]),  # ties bVB: represents b, as the smaller key
+            "bVB": np.array([1.0, -1.0]),
+            "cJJ": np.array([2.0, 2.0]),  # ties b's representative: c ranks after b
+        }
+        mapping = {key: key[0] for key in compressed}
+        report = classify_neighborhoods(
+            original, compressed, ["a"], k=2, compressed_key_to_word=mapping
+        )
+        core = report.cores[0]
+        assert [key for key, _ in core.compressed_neighbors] == ["b", "c"]
+        assert core.compressed_neighbors[0][1] == core.compressed_neighbors[1][1]
+        # b's row is bNN, parallel to cJJ, not bVB, which is orthogonal to it
+        assert core.compressed_cosine_matrix[1][2] == pytest.approx(1.0)

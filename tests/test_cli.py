@@ -180,6 +180,41 @@ class TestCompress:
         assert "line 2" in err and "BOGUS" in err
 
 
+    def test_surface_with_a_space_exits_one_before_output(self, tmp_path, capsys):
+        rng = np.random.default_rng(46)
+        write_vector_file(tmp_path / "emb.txt", {"york": rng.normal(size=16)})
+        (tmp_path / "ann.tsv").write_text("york\tNNP\tGPE\nnew york\tNNP\tGPE\n")
+        assert main(["build-codebook", str(tmp_path / "cb.json"), "--dim", "16"]) == 0
+        capsys.readouterr()
+        code, out, err = run(
+            capsys,
+            "compress",
+            str(tmp_path / "cb.json"),
+            str(tmp_path / "emb.txt"),
+            str(tmp_path / "ann.tsv"),
+            str(tmp_path / "vocab.txt"),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {tmp_path / 'ann.tsv'}:2: surface 'new york' contains a space\n"
+        assert not (tmp_path / "vocab.txt").exists()
+        assert not (tmp_path / "vocab.txt.meta.json").exists()
+
+    def test_utf8_bom_inputs_read_as_their_text(self, tmp_path, capsys):
+        rng = np.random.default_rng(47)
+        values = " ".join(repr(v) for v in rng.normal(size=16).tolist())
+        (tmp_path / "emb.txt").write_text(f"\ufeffnew {values}\n", encoding="utf-8")
+        (tmp_path / "ann.tsv").write_text("\ufeffnew\tNNP\t-\n", encoding="utf-8")
+        assert main(["build-codebook", str(tmp_path / "cb.json"), "--dim", "16"]) == 0
+        args = [str(tmp_path / name) for name in ("cb.json", "emb.txt", "ann.tsv", "vocab.txt")]
+        assert main(["compress", *args]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "vocab.txt").read_text(encoding="utf-8").startswith("newNNP ")
+        sidecar = json.loads((tmp_path / "vocab.txt.meta.json").read_text())
+        assert list(sidecar["entries"]) == ["newNNP"]
+        assert sidecar["entries"]["newNNP"]["filler_source"] == "exact"
+
+
 class TestDecode:
     def test_with_sidecar_reports_accuracy(self, pipeline_setup, capsys):
         tmp = pipeline_setup

@@ -380,6 +380,15 @@ class TestVectorFiles:
         assert dimension == 1
         assert list(loaded) == ["7", "8"]
 
+    def test_utf8_bom_is_not_part_of_the_first_key(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("\ufeffnew 1.0 2.0\nyork 3.0 4.0\n", encoding="utf-8")
+        dimension, loaded = read_vectors(path)
+        assert dimension == 2
+        assert list(loaded) == ["new", "york"]
+        path.write_text("\ufeff2 2\nnew 1.0 2.0\nyork 3.0 4.0\n", encoding="utf-8")
+        assert list(read_vectors(path)[1]) == ["new", "york"]
+
     def test_read_embeddings_wraps_read_vectors(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("cat 1.0 0.0\ndog 0.0 1.0\n")
@@ -401,6 +410,19 @@ class TestAnnotationFiles:
         path = tmp_path / "ann.tsv"
         path.write_text("fish\tVB\t-\nfish\tVB\n")
         with pytest.raises(ParseError, match=":2"):
+            read_annotations(path)
+
+    def test_utf8_bom_is_not_part_of_the_first_surface(self, tmp_path):
+        path = tmp_path / "ann.tsv"
+        path.write_text("\ufeffnew\tNNP\t-\nyork\tNNP\tGPE\n", encoding="utf-8")
+        tokens = read_annotations(path)
+        assert [t.surface for t in tokens] == ["new", "york"]
+        assert tokens[0].line == 1
+
+    def test_surface_with_a_space_names_the_line(self, tmp_path):
+        path = tmp_path / "ann.tsv"
+        path.write_text("york\tNNP\tGPE\nnew york\tNNP\tGPE\n")
+        with pytest.raises(ParseError, match=r":2: surface 'new york' contains a space"):
             read_annotations(path)
 
     def test_empty_surface_names_the_line(self, tmp_path):
