@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .analysis import (
     NeighborhoodReport,
     OrthogonalityReport,
-    VectorSpace,
     classify_neighborhoods,
     k_nearest,
     pairwise_cosine_stats,
@@ -21,6 +20,7 @@ from .codebook import (
     DEFAULT_DIMENSION,
     DEFAULT_SEED,
     Codebook,
+    VectorSpace,
     build_codebook,
     cleanup,
     default_ner_types,

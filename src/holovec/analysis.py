@@ -5,8 +5,8 @@ statistics (how close to orthogonal a vocabulary is), and top-k neighborhood
 comparison between an original and a compressed space (how well semantic
 neighborhoods survive compression).
 
-Every analysis reads a `VectorSpace`: the keys in sorted order plus one
-matrix of unit-norm rows, built once on first use. Scans are exact
+Every analysis reads a `codebook.VectorSpace`: the keys in sorted order
+plus one matrix of unit-norm rows, built once on first use. Scans are exact
 matrix-vector products over that matrix; vocabularies at desk scale do not
 need approximate indexing. Building the space once and reusing it makes
 repeated `k_nearest` queries cost one product each.
@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from ._fileio import atomic_write_text
-from .codebook import DEFAULT_SEED
+from .codebook import DEFAULT_SEED, VectorSpace
 from .errors import UnknownKeyError
 
 __all__ = [
@@ -51,50 +50,6 @@ HISTOGRAM_BUCKET_WIDTH = 0.05
 SAME_POSITION = "same_position"
 SHIFTED = "shifted"
 DISJOINT = "disjoint"
-
-
-class VectorSpace(Mapping[str, np.ndarray]):
-    """Read-only snapshot of a key -> vector mapping, iterated in sorted key order.
-
-    Holds references to the given vectors, not copies. `unit` stacks them
-    into rows of unit L2 norm on first use, so a zero-norm vector raises
-    there, in the analysis that needs it, not when the space is built.
-    """
-
-    def __init__(self, vectors: Mapping[str, np.ndarray]):
-        self.sorted_keys = sorted(vectors)
-        self.index = {key: row for row, key in enumerate(self.sorted_keys)}
-        self._vectors = [vectors[key] for key in self.sorted_keys]
-
-    @classmethod
-    def of(cls, space) -> VectorSpace:
-        """``space`` itself, a vocabulary's ``as_space()``, or a snapshot of a mapping."""
-        if isinstance(space, VectorSpace):
-            return space
-        if hasattr(space, "as_space"):
-            return space.as_space()
-        return cls(space)
-
-    def __getitem__(self, key: str) -> np.ndarray:
-        return self._vectors[self.index[key]]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.sorted_keys)
-
-    def __len__(self) -> int:
-        return len(self.sorted_keys)
-
-    @cached_property
-    def unit(self) -> np.ndarray:
-        """float64 rows of unit L2 norm, one per key in sorted order."""
-        matrix = np.stack(self._vectors, dtype=np.float64)
-        norms = np.linalg.norm(matrix, axis=1)
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise ValueError(f"vector {self.sorted_keys[zero[0]]!r} has zero norm")
-        matrix /= norms[:, None]
-        matrix.flags.writeable = False
-        return matrix
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import __version__
 from ._fileio import atomic_write_text
@@ -29,7 +28,7 @@ from .codebook import (
     read_tag_list,
     save_codebook,
 )
-from .decoder import decode_vocabulary
+from .decoder import decode_and_score, decode_vocabulary
 from .encoder import (
     build_vocabulary,
     load_vocabulary,
@@ -41,14 +40,6 @@ from .encoder import (
 )
 from .errors import DimensionMismatchError, HolovecError, UnknownKeyError
 from .selftest import run_self_test
-
-
-def _read_word_list(path: str) -> list[str]:
-    words = [line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines()]
-    words = [w for w in words if w]
-    if not words:
-        raise HolovecError(f"{path}: word list is empty")
-    return words
 
 
 def cmd_build_codebook(args) -> int:
@@ -91,7 +82,6 @@ def cmd_compress(args) -> int:
 def cmd_decode(args) -> int:
     cb = load_codebook(args.codebook)
     lines = ["#key\tm\tpos\tpos_similarity\tner\tner_similarity\n"]
-    pos_ok = pos_total = ner_ok = ner_total = 0
     have_truth = args.sidecar is not None
     if have_truth:
         vocab = load_vocabulary(args.vocabulary, args.sidecar)
@@ -101,15 +91,8 @@ def cmd_decode(args) -> int:
                 f"codebook dimension {cb.dimension}"
             )
         keys = list(vocab.entries)
-        entries = list(vocab.entries.values())
-        counts = [e.component_count for e in entries]
-        decoded_all = decode_vocabulary([e.vector for e in entries], counts, cb)
-        for entry, decoded in zip(entries, decoded_all):
-            pos_total += 1
-            pos_ok += int(decoded.pos_tag == entry.pos_tag)
-            if entry.component_count == 4:
-                ner_total += 1
-                ner_ok += int(decoded.ner_type == entry.ner_type)
+        counts = [e.component_count for e in vocab.entries.values()]
+        decoded_all, (pos_ok, pos_total, ner_ok, ner_total) = decode_and_score(vocab, cb)
     else:
         # without the sidecar the component count is unknown, so unbind
         # without the frame subtraction (cosine cleanup is scale-invariant)
@@ -156,7 +139,7 @@ def cmd_analyze_orthogonality(args) -> int:
 def cmd_analyze_neighborhoods(args) -> int:
     table = read_embeddings(args.embeddings)
     vocab = load_vocabulary(args.vocabulary, args.sidecar)
-    cores = _read_word_list(args.cores)
+    cores = read_tag_list(args.cores)
     key_to_word = {key: e.word_type for key, e in vocab.entries.items()}
     vocab_words = set(key_to_word.values())
     for word in cores:

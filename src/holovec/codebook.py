@@ -5,6 +5,11 @@ label, three slot labels (token, pos, ner), one filler per POS tag, one
 filler per NER type, and the unknown-token vector. All of them are drawn
 from a single seeded generator in a fixed order, so (seed, dimension, tag
 lists) reproduce the codebook bit for bit.
+
+`VectorSpace` is the one cleanup memory of the package: keys in sorted
+order and a matrix of unit-norm rows. Each tag set's `FillerTable` is one,
+so cleanup of a decoded estimate is one product with its ``unit`` matrix;
+the analyses search the compressed space through the same structure.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -30,6 +35,7 @@ __all__ = [
     "SLOT_NER",
     "SLOT_POS",
     "SLOT_TOKEN",
+    "VectorSpace",
     "build_codebook",
     "cleanup",
     "cleanup_rows",
@@ -56,10 +62,10 @@ def _read_tag_lines(text: str) -> list[str]:
 
 
 def read_tag_list(path: str | Path) -> list[str]:
-    """Read one tag per line; blank lines and surrounding whitespace ignored."""
-    tags = _read_tag_lines(Path(path).read_text(encoding="utf-8"))
+    """Read one entry per line; blank lines, surrounding whitespace and a BOM ignored."""
+    tags = _read_tag_lines(Path(path).read_text(encoding="utf-8-sig"))
     if not tags:
-        raise ParseError(f"{path}: tag list is empty")
+        raise ParseError(f"{path}: list is empty")
     return tags
 
 
@@ -75,30 +81,68 @@ def default_ner_types() -> list[str]:
     return _read_tag_lines(data.read_text(encoding="utf-8"))
 
 
-class FillerTable:
-    """One tag set's fillers, with the tables the batched encoder and decoder use.
+class VectorSpace(Mapping[str, np.ndarray]):
+    """Read-only snapshot of a key -> vector mapping, iterated in sorted key order.
 
-    ``index`` maps each tag to its position in list order, the row order of
-    ``bound`` (slot ⊛ filler per tag). ``keys`` are the tags sorted, the row
-    order of ``unit`` (the unit-normalised fillers), which is the order
-    cleanup scans: the first maximum of a row of cosines against ``unit`` is
-    the lexicographically smallest tied tag. Each table is computed on first
-    use.
+    Holds references to the given vectors, not copies. `unit` stacks them
+    into rows of unit L2 norm on first use, so a zero-norm vector raises
+    there, in the search that needs it, not when the space is built. Rows
+    follow the sorted keys, so the first of several equal maxima over a row
+    of cosines is the lexicographically smallest key: every search breaks
+    exact ties that way.
     """
 
-    def __init__(self, slot_label: np.ndarray, fillers: dict[str, np.ndarray]) -> None:
-        self.slot_label = slot_label
-        self.fillers = fillers
-        self.index = {tag: i for i, tag in enumerate(fillers)}
-        self.keys = sorted(fillers)
+    def __init__(self, vectors: Mapping[str, np.ndarray]):
+        self.sorted_keys = sorted(vectors)
+        self.index = {key: row for row, key in enumerate(self.sorted_keys)}
+        self._vectors = [vectors[key] for key in self.sorted_keys]
 
-    @cached_property
-    def bound(self) -> np.ndarray:
-        return hrr.circular_convolve_fft(self.slot_label, np.stack(list(self.fillers.values())))
+    @classmethod
+    def of(cls, space) -> VectorSpace:
+        """``space`` itself, a vocabulary's ``as_space()``, or a snapshot of a mapping."""
+        if isinstance(space, VectorSpace):
+            return space
+        if hasattr(space, "as_space"):
+            return space.as_space()
+        return cls(space)
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        return self._vectors[self.index[key]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.sorted_keys)
+
+    def __len__(self) -> int:
+        return len(self.sorted_keys)
 
     @cached_property
     def unit(self) -> np.ndarray:
-        return _unit_rows(self.keys, self.fillers)
+        """float64 rows of unit L2 norm, one per key in sorted order."""
+        matrix = np.stack(self._vectors, dtype=np.float64)
+        norms = np.linalg.norm(matrix, axis=1)
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            raise ValueError(f"vector {self.sorted_keys[zero[0]]!r} has zero norm")
+        matrix /= norms[:, None]
+        matrix.flags.writeable = False
+        return matrix
+
+
+class FillerTable(VectorSpace):
+    """One tag set's fillers as a cleanup memory, plus their bound terms.
+
+    ``bound`` holds slot ⊛ filler per tag, computed on first use, in the
+    row order of ``unit``, so ``index`` locates a tag in both: the encoder
+    gathers bound terms with it and the decoder cleans up against ``unit``.
+    """
+
+    def __init__(self, slot_label: np.ndarray, fillers: Mapping[str, np.ndarray]) -> None:
+        super().__init__(fillers)
+        self.slot_label = slot_label
+
+    @cached_property
+    def bound(self) -> np.ndarray:
+        return hrr.circular_convolve_fft(self.slot_label, np.stack(self._vectors))
 
 
 @dataclass(eq=False)
@@ -166,6 +210,8 @@ def _check_tags(tags: list[str], kind: str) -> None:
     for tag in tags:
         if not tag:
             raise ValueError(f"{kind} list contains an empty tag")
+        if any(ch.isspace() for ch in tag):
+            raise ValueError(f"{kind} {tag!r} contains whitespace")
         if tag in seen:
             raise ValueError(f"duplicate {kind}: {tag!r}")
         seen.add(tag)
@@ -299,46 +345,29 @@ def load_codebook(source: str | Path) -> Codebook:
     )
 
 
-def _unit_rows(keys: list[str], candidates: Mapping[str, np.ndarray]) -> np.ndarray:
-    """The candidates' vectors in ``keys`` order, each scaled to unit norm."""
-    matrix = np.stack([np.asarray(candidates[k], dtype=np.float64) for k in keys])
-    norms = np.linalg.norm(matrix, axis=1)
-    zero = np.nonzero(norms == 0.0)[0]
-    if zero.size:
-        raise ValueError(f"cleanup() candidate {keys[zero[0]]!r} has zero norm")
-    return matrix / norms[:, None]
-
-
-def cleanup_rows(
-    queries: np.ndarray, keys: list[str], unit: np.ndarray
-) -> tuple[list[str], np.ndarray]:
-    """For each query row, the nearest of ``keys`` by cosine, and that cosine.
-
-    ``unit`` holds the candidates' unit vectors in the order of ``keys``,
-    which are sorted, so the first maximum is the smallest key among ties.
-    """
+def cleanup_rows(queries: np.ndarray, space: VectorSpace) -> tuple[list[str], np.ndarray]:
+    """For each query row, the nearest key of ``space`` by cosine, and that cosine."""
     norms = np.linalg.norm(queries, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("cleanup() query has zero norm")
-    sims = (queries @ unit.T) / norms[:, None]
+    sims = (queries @ space.unit.T) / norms[:, None]
     best = np.argmax(sims, axis=1)
-    return [keys[i] for i in best], sims[np.arange(len(best)), best]
+    return [space.sorted_keys[i] for i in best], sims[np.arange(len(best)), best]
 
 
 def cleanup(query, candidates: Mapping[str, np.ndarray]) -> tuple[str, float]:
-    """Nearest candidate by cosine; ties go to the lexicographically smallest key.
+    """Nearest candidate by cosine, independent of the candidates' insertion order.
 
-    Iteration is over sorted keys, so the result is independent of the
-    candidates' insertion order.
+    Pass a `VectorSpace` built once to clean up many queries against one
+    normalised matrix.
     """
-    if not candidates:
+    space = VectorSpace.of(candidates)
+    if not space:
         raise ValueError("cleanup() requires a non-empty candidate set")
     q = np.asarray(query, dtype=np.float64)
-    keys = sorted(candidates)
-    unit = _unit_rows(keys, candidates)
-    if unit.shape[1] != q.shape[0]:
+    if space.unit.shape[1] != q.shape[0]:
         raise DimensionMismatchError(
-            f"candidate length {unit.shape[1]} differs from query length {q.shape[0]}"
+            f"candidate length {space.unit.shape[1]} differs from query length {q.shape[0]}"
         )
-    found, sims = cleanup_rows(q[None, :], keys, unit)
+    found, sims = cleanup_rows(q[None, :], space)
     return found[0], float(sims[0])

@@ -17,11 +17,12 @@ import numpy as np
 
 from . import hrr
 from .codebook import SLOT_TOKEN, Codebook, cleanup, cleanup_rows
-from .encoder import BLOCK_ROWS, EmbeddingTable
+from .encoder import BLOCK_ROWS, CompressedVocabulary, EmbeddingTable
 from .errors import DimensionMismatchError
 
 __all__ = [
     "DecodedToken",
+    "decode_and_score",
     "decode_attributes",
     "decode_token_identity",
     "decode_vocabulary",
@@ -101,14 +102,12 @@ def decode_vocabulary(
             counts = m[start : start + BLOCK_ROWS]
             residual = counts[:, None] * rows - cb.frame_label
             tagged = np.flatnonzero(counts == 4)
-        pos_tags, pos_sims = cleanup_rows(
-            hrr.circular_correlate_fft(pos.slot_label, residual), pos.keys, pos.unit
-        )
+        pos_tags, pos_sims = cleanup_rows(hrr.circular_correlate_fft(pos.slot_label, residual), pos)
         ner_types: list[str | None] = [None] * len(rows)
         ner_sims: list[float | None] = [None] * len(rows)
         if tagged.size:
             found, sims = cleanup_rows(
-                hrr.circular_correlate_fft(ner.slot_label, residual[tagged]), ner.keys, ner.unit
+                hrr.circular_correlate_fft(ner.slot_label, residual[tagged]), ner
             )
             for i, tag, sim in zip(tagged, found, sims):
                 ner_types[i], ner_sims[i] = tag, float(sim)
@@ -117,6 +116,26 @@ def decode_vocabulary(
             for fields in zip(pos_tags, map(float, pos_sims), ner_types, ner_sims)
         ]
     return decoded
+
+
+def decode_and_score(
+    vocab: CompressedVocabulary, cb: Codebook
+) -> tuple[list[DecodedToken], tuple[int, int, int, int]]:
+    """Decode every entry with its own m, and score it against its own tags.
+
+    Returns the decoded entries in vocabulary order, and the hit counts
+    (POS hits, entries, NER hits, m=4 entries): POS is scored on every
+    entry, NER only where one was bound.
+    """
+    entries = list(vocab.entries.values())
+    decoded = decode_vocabulary(
+        [e.vector for e in entries], [e.component_count for e in entries], cb
+    )
+    pairs = list(zip(entries, decoded))
+    tagged = [(e, d) for e, d in pairs if e.component_count == 4]
+    pos_ok = sum(d.pos_tag == e.pos_tag for e, d in pairs)
+    ner_ok = sum(d.ner_type == e.ner_type for e, d in tagged)
+    return decoded, (pos_ok, len(pairs), ner_ok, len(tagged))
 
 
 def decode_attributes(compressed: np.ndarray, m: int, cb: Codebook) -> DecodedToken:

@@ -23,8 +23,7 @@ import numpy as np
 
 from . import hrr
 from ._fileio import atomic_write_text
-from .analysis import VectorSpace
-from .codebook import SLOT_TOKEN, Codebook
+from .codebook import SLOT_TOKEN, Codebook, VectorSpace
 from .errors import (
     DimensionMismatchError,
     IntegrityError,
@@ -78,6 +77,14 @@ class AnnotatedToken:
     def __post_init__(self):
         if not self.surface:
             raise ValueError("token surface must be non-empty")
+        # the vector format ends a key at a space and a record at a line
+        # break, and a reader drops a byte-order mark that starts the file
+        if " " in self.surface:
+            raise ValueError(f"surface {self.surface!r} contains a space")
+        if "\n" in self.surface or "\r" in self.surface:
+            raise ValueError(f"surface {self.surface!r} contains a line break")
+        if self.surface.startswith("\ufeff"):
+            raise ValueError(f"surface {self.surface!r} starts with a byte-order mark")
         if not self.pos_tag:
             raise ValueError(f"token {self.surface!r} has an empty POS tag")
         if self.ner_type == "":
@@ -354,9 +361,8 @@ def read_annotations(path: str | Path) -> list[AnnotatedToken]:
     """Read tab-separated annotations: surface, POS tag, NER type or ``-``.
 
     Blank lines and a leading UTF-8 byte-order mark are ignored; every token
-    keeps its 1-based line number. A surface may not contain a space: the
-    vector format separates a key from its values by spaces, so its
-    composite key could not be read back.
+    keeps its 1-based line number, and a line `AnnotatedToken` rejects is
+    reported with it.
     """
     path = Path(path)
     tokens: list[AnnotatedToken] = []
@@ -371,8 +377,6 @@ def read_annotations(path: str | Path) -> list[AnnotatedToken]:
                     f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
                 )
             surface, pos_tag, ner = fields
-            if " " in surface:
-                raise ParseError(f"{path}:{lineno}: surface {surface!r} contains a space")
             try:
                 tokens.append(
                     AnnotatedToken(

@@ -14,7 +14,7 @@ import numpy as np
 from . import hrr
 from .analysis import pairwise_cosine_stats, sample_orthogonality
 from .codebook import DEFAULT_DIMENSION, DEFAULT_SEED, Codebook, build_codebook
-from .decoder import decode_vocabulary
+from .decoder import decode_and_score
 from .encoder import (
     AnnotatedToken,
     CompressedVocabulary,
@@ -98,17 +98,7 @@ def decode_accuracy(
     vocab: CompressedVocabulary, cb: Codebook
 ) -> tuple[float, float | None]:
     """Fraction of entries whose POS (and NER, over m=4 entries) decodes correctly."""
-    entries = list(vocab.entries.values())
-    decoded_all = decode_vocabulary(
-        [e.vector for e in entries], [e.component_count for e in entries], cb
-    )
-    pos_ok = pos_total = ner_ok = ner_total = 0
-    for entry, decoded in zip(entries, decoded_all):
-        pos_total += 1
-        pos_ok += int(decoded.pos_tag == entry.pos_tag)
-        if entry.component_count == 4:
-            ner_total += 1
-            ner_ok += int(decoded.ner_type == entry.ner_type)
+    _, (pos_ok, pos_total, ner_ok, ner_total) = decode_and_score(vocab, cb)
     pos_acc = pos_ok / pos_total if pos_total else 0.0
     ner_acc = ner_ok / ner_total if ner_total else None
     return pos_acc, ner_acc

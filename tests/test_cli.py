@@ -13,6 +13,7 @@ from conftest import (
 )
 from holovec.cli import main
 from holovec.codebook import load_codebook
+from holovec.decoder import decode_vocabulary
 
 
 def run(capsys, *argv):
@@ -81,6 +82,36 @@ class TestBuildCodebook:
         )
         assert code == 0
         assert "vectors: 12" in out  # 1 + 3 + 5 + 2 + 1
+
+    def test_bom_prefixed_tag_lists_read_as_their_tags(self, tmp_path, capsys):
+        (tmp_path / "pos.txt").write_text("\ufeffNN\nVB\n", encoding="utf-8")
+        (tmp_path / "ner.txt").write_text("\ufeffORG\n", encoding="utf-8")
+        out_path = tmp_path / "cb.json"
+        code, _, _ = run(
+            capsys,
+            "build-codebook",
+            str(out_path),
+            "--dim",
+            "16",
+            "--pos-tags",
+            str(tmp_path / "pos.txt"),
+            "--ner-types",
+            str(tmp_path / "ner.txt"),
+        )
+        assert code == 0
+        cb = load_codebook(out_path)
+        assert (cb.pos_tags, cb.ner_types) == (["NN", "VB"], ["ORG"])
+
+    def test_tag_with_whitespace_exits_one(self, tmp_path, capsys):
+        (tmp_path / "pos.txt").write_text("NN\nNN P\n")
+        out_path = tmp_path / "cb.json"
+        code, out, err = run(
+            capsys, "build-codebook", str(out_path), "--pos-tags", str(tmp_path / "pos.txt")
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: POS tag 'NN P' contains whitespace\n"
+        assert not out_path.exists()
 
     def test_unreadable_tag_file_exits_one_naming_the_path(self, tmp_path, capsys):
         missing = tmp_path / "no_such_tags.txt"
@@ -236,6 +267,44 @@ class TestDecode:
         assert rows[0].startswith("#key")
         assert len(rows) - 1 == len((tmp / "vocab.txt").read_text().splitlines())
 
+    def test_accuracy_counts_the_written_rows_decoding_once(
+        self, pipeline_setup, capsys, monkeypatch
+    ):
+        from holovec import cli, decoder
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return decode_vocabulary(*args, **kwargs)
+
+        monkeypatch.setattr(decoder, "decode_vocabulary", counted)
+        monkeypatch.setattr(cli, "decode_vocabulary", counted)
+        tmp = pipeline_setup
+        capsys.readouterr()
+        meta = tmp / "vocab.txt.meta.json"
+        code, out, _ = run(
+            capsys,
+            "decode",
+            str(tmp / "cb.json"),
+            str(tmp / "vocab.txt"),
+            "--sidecar",
+            str(meta),
+            "--out",
+            str(tmp / "decoded.tsv"),
+        )
+        assert code == 0
+        truth = json.loads(meta.read_text())["entries"]
+        assert calls == [len(truth)]
+        rows = [line.split("\t") for line in (tmp / "decoded.tsv").read_text().splitlines()[1:]]
+        pos_ok = sum(row[2] == truth[row[0]]["pos_tag"] for row in rows)
+        tagged = [row for row in rows if row[1] == "4"]
+        ner_ok = sum(row[4] == truth[row[0]]["ner_type"] for row in tagged)
+        assert out.splitlines()[1:] == [
+            f"POS accuracy: {pos_ok / len(rows):.4f} ({pos_ok}/{len(rows)})",
+            f"NER accuracy: {ner_ok / len(tagged):.4f} ({ner_ok}/{len(tagged)})",
+        ]
+
     def test_without_sidecar_no_accuracy(self, pipeline_setup, capsys):
         tmp = pipeline_setup
         capsys.readouterr()
@@ -307,6 +376,46 @@ class TestAnalyze:
             labels = core["original_cosine_matrix"]["labels"]
             matrix = core["original_cosine_matrix"]["matrix"]
             assert len(labels) == len(matrix) == 11
+
+    def test_bom_prefixed_cores_file_reads_as_its_words(self, pipeline_setup, capsys):
+        tmp = pipeline_setup
+        words = (tmp / "cores.txt").read_text().split()
+        (tmp / "cores.txt").write_text("\ufeff" + "\r\n".join(words) + "\r\n", encoding="utf-8")
+        capsys.readouterr()
+        code, _, err = run(
+            capsys,
+            "analyze",
+            "neighborhoods",
+            str(tmp / "emb.txt"),
+            str(tmp / "vocab.txt"),
+            str(tmp / "vocab.txt.meta.json"),
+            "--cores",
+            str(tmp / "cores.txt"),
+            "--out",
+            str(tmp / "nbr.json"),
+        )
+        assert (code, err) == (0, "")
+        assert json.loads((tmp / "nbr.json").read_text())["core_tokens"] == sorted(words)
+
+    def test_empty_cores_file_exits_one(self, pipeline_setup, capsys):
+        tmp = pipeline_setup
+        (tmp / "cores.txt").write_text("\n  \n")
+        capsys.readouterr()
+        code, _, err = run(
+            capsys,
+            "analyze",
+            "neighborhoods",
+            str(tmp / "emb.txt"),
+            str(tmp / "vocab.txt"),
+            str(tmp / "vocab.txt.meta.json"),
+            "--cores",
+            str(tmp / "cores.txt"),
+            "--out",
+            str(tmp / "nbr.json"),
+        )
+        assert code == 1
+        assert err == f"error: {tmp / 'cores.txt'}: list is empty\n"
+        assert not (tmp / "nbr.json").exists()
 
     def test_absent_core_word_exits_one_naming_it(self, pipeline_setup, capsys):
         tmp = pipeline_setup

@@ -7,6 +7,8 @@ import pytest
 
 from holovec import hrr
 from holovec.codebook import (
+    FillerTable,
+    VectorSpace,
     build_codebook,
     cleanup,
     default_ner_types,
@@ -58,6 +60,12 @@ class TestBuild:
         with pytest.raises(ValueError, match="duplicate"):
             build_codebook(["NN"], ["ORG", "ORG"], dimension=16)
 
+    def test_tag_with_whitespace_rejected(self):
+        with pytest.raises(ValueError, match=r"^POS tag 'NN P' contains whitespace$"):
+            build_codebook(["NN", "NN P"], ["ORG"], dimension=16)
+        with pytest.raises(ValueError, match=r"^NER type 'OR\\tG' contains whitespace$"):
+            build_codebook(["NN"], ["OR\tG"], dimension=16)
+
     def test_small_dimension_rejected(self):
         with pytest.raises(ValueError):
             build_codebook(["NN"], ["ORG"], dimension=1)
@@ -91,6 +99,17 @@ class TestPersistence:
         assert loaded.seed == 1234
         assert loaded.pos_tags == ["VB", "NN", "DT"]
         assert loaded.ner_types == ["GPE", "ORG"]
+
+    def test_tag_with_whitespace_is_integrity_error(self, tmp_path):
+        cb = build_codebook(["NN", "VB"], ["ORG"], dimension=16, seed=7)
+        path = tmp_path / "cb.json"
+        save_codebook(cb, path)
+        doc = json.loads(path.read_text())
+        doc["pos_tags"] = ["NN P", "VB"]
+        doc["vectors"]["pos:NN P"] = doc["vectors"].pop("pos:NN")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(IntegrityError, match=r"cb\.json: POS tag 'NN P' contains whitespace"):
+            load_codebook(path)
 
     def test_truncated_vector_is_integrity_error(self, tmp_path):
         cb = build_codebook(["NN"], ["ORG"], dimension=16, seed=7)
@@ -157,6 +176,38 @@ class TestPersistence:
         with pytest.raises(ParseError):
             read_tag_list(empty)
 
+    def test_read_tag_list_skips_a_bom(self, tmp_path):
+        path = tmp_path / "tags.txt"
+        path.write_text("\ufeffNN\r\nVB\r\n", encoding="utf-8")
+        assert read_tag_list(path) == ["NN", "VB"]
+
+
+class TestFillerTable:
+    def test_is_the_cleanup_memory_of_its_fillers(self, small_codebook):
+        table = small_codebook.pos_table
+        assert isinstance(table, VectorSpace)
+        assert table.sorted_keys == sorted(small_codebook.pos_tags)
+        assert table.slot_label is small_codebook.slot_labels["pos"]
+        for tag, filler in small_codebook.pos_fillers.items():
+            assert table[tag] is filler
+            np.testing.assert_allclose(
+                table.unit[table.index[tag]], filler / np.linalg.norm(filler), rtol=0, atol=1e-15
+            )
+
+    def test_bound_rows_follow_the_index_bit_for_bit(self, default_codebook):
+        for table, fillers in (
+            (default_codebook.pos_table, default_codebook.pos_fillers),
+            (default_codebook.ner_table, default_codebook.ner_fillers),
+        ):
+            assert table.bound is table.bound
+            for tag, filler in fillers.items():
+                alone = hrr.circular_convolve_fft(table.slot_label, filler)
+                assert table.bound[table.index[tag]].tobytes() == alone.tobytes()
+
+    def test_adds_only_its_slot_label_and_bound_terms(self):
+        assert "__init__" in vars(FillerTable)
+        assert {name for name in vars(FillerTable) if not name.startswith("_")} == {"bound"}
+
 
 class TestCleanup:
     def test_exact_member_is_returned(self, small_codebook):
@@ -191,6 +242,15 @@ class TestCleanup:
         forward = cleanup(query, dict(sorted(vecs.items())))
         backward = cleanup(query, dict(sorted(vecs.items(), reverse=True)))
         assert forward == backward
+
+    def test_a_space_built_once_gives_the_mapping_result(self, default_codebook):
+        rng = np.random.default_rng(11)
+        fillers = default_codebook.ner_fillers
+        space = VectorSpace(fillers)
+        for _ in range(20):
+            query = rng.normal(size=default_codebook.dimension)
+            assert cleanup(query, space) == cleanup(query, fillers)
+            assert cleanup(query, default_codebook.ner_table) == cleanup(query, fillers)
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from holovec import hrr
 from holovec.codebook import build_codebook, cleanup
 from holovec.decoder import (
+    decode_and_score,
     decode_attributes,
     decode_token_identity,
     decode_vocabulary,
@@ -16,6 +17,7 @@ from holovec.decoder import (
 from holovec.encoder import (
     BLOCK_ROWS,
     AnnotatedToken,
+    CompressedVocabulary,
     EmbeddingTable,
     build_vocabulary,
     compress_token,
@@ -216,6 +218,35 @@ class TestDecodeVocabulary:
         vec, m = compress_token(AnnotatedToken("x", "NN"), EmbeddingTable(16, {}), cb)
         with pytest.raises(ValueError, match="'VB' has zero norm"):
             decode_attributes(vec, m, cb)
+
+
+class TestDecodeAndScore:
+    def test_counts_match_a_per_entry_loop(self):
+        cb = build_codebook(dimension=64, seed=9)
+        rng = np.random.default_rng(10)
+        table = synthetic_embeddings(150, 64, rng, norm_scale=5.0)
+        corpus = synthetic_corpus(sorted(table.entries), cb, 400, rng)
+        vocab = build_vocabulary(corpus, table, cb)
+        decoded, hits = decode_and_score(vocab, cb)
+        entries = list(vocab.entries.values())
+        assert decoded == decode_vocabulary(
+            [e.vector for e in entries], [e.component_count for e in entries], cb
+        )
+        pos_ok = ner_ok = ner_total = 0
+        for entry, got in zip(entries, decoded):
+            pos_ok += got.pos_tag == entry.pos_tag
+            if entry.component_count == 4:
+                ner_total += 1
+                ner_ok += got.ner_type == entry.ner_type
+        assert hits == (pos_ok, len(entries), ner_ok, ner_total)
+        assert 0 < pos_ok < len(entries) and 0 < ner_ok < ner_total  # misses are counted
+
+    def test_no_entity_entries_give_no_ner_total(self, small_codebook):
+        tokens = [AnnotatedToken("a", "NN"), AnnotatedToken("b", "VB")]
+        vocab = build_vocabulary(tokens, EmbeddingTable(16, {}), small_codebook)
+        _, hits = decode_and_score(vocab, small_codebook)
+        assert hits[1:] == (2, 0, 0)
+        assert decode_and_score(CompressedVocabulary(16), small_codebook) == ([], (0, 0, 0, 0))
 
 
 class TestDecodeTokenIdentity:

@@ -1,10 +1,13 @@
 """Encoder tests: composite keys, filler lookup, compression, vocabulary builds, file I/O."""
 
 import json
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -65,6 +68,24 @@ class TestAnnotatedToken:
     def test_empty_ner_rejected(self):
         with pytest.raises(ValueError):
             AnnotatedToken("fish", "NN", "")
+
+    @pytest.mark.parametrize(
+        "surface, message",
+        [
+            ("new york", "surface 'new york' contains a space"),
+            ("new\nyork", "surface 'new\\nyork' contains a line break"),
+            ("york\r", "surface 'york\\r' contains a line break"),
+            ("\ufeffnew", "surface '\\ufeffnew' starts with a byte-order mark"),
+        ],
+    )
+    def test_surface_the_vector_format_cannot_hold_is_rejected(self, surface, message):
+        with pytest.raises(ValueError) as info:
+            AnnotatedToken(surface, "NNP", "GPE")
+        assert str(info.value) == message
+
+    def test_other_whitespace_and_a_later_bom_are_kept(self):
+        for surface in ("a\tb", "a\u00a0b", "a\u2028b", "a\ufeff"):
+            assert AnnotatedToken(surface, "NN").surface == surface
 
 
 class TestLookupFiller:
@@ -451,6 +472,44 @@ class TestVocabularyPersistence:
             assert got.pos_tag == entry.pos_tag
             assert got.ner_type == entry.ner_type
         assert loaded.stats.growth_ratio == pytest.approx(3.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.text(min_size=1, max_size=8),
+                st.sampled_from(["NN", "VB", "NNP", "JJ", "DT"]),
+                st.sampled_from([None, "PERSON", "ORG"]),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_whatever_build_vocabulary_accepts_round_trips(self, small_codebook, rows, seed):
+        tokens = []
+        for line, (surface, pos, ner, _) in enumerate(rows, 1):
+            try:
+                tokens.append(AnnotatedToken(surface, pos, ner, line=line))
+            except ValueError:
+                continue
+        assume(tokens)  # an empty vocabulary writes an empty file, which no reader accepts
+        rng = np.random.default_rng(seed)
+        embedded = {row[0] for row in rows if row[3]}
+        table = EmbeddingTable(16, {s: rng.normal(size=16) for s in sorted(embedded)})
+        vocab = build_vocabulary(tokens, table, small_codebook)
+        with tempfile.TemporaryDirectory() as tmp:
+            vec_path, meta_path = Path(tmp) / "vocab.txt", Path(tmp) / "vocab.meta.json"
+            write_vocabulary(vec_path, vocab)
+            write_sidecar(meta_path, vocab)
+            loaded = load_vocabulary(vec_path, meta_path)
+        assert list(loaded.entries) == list(vocab.entries)
+        for key, entry in vocab.entries.items():
+            got = loaded.entries[key]
+            assert got.vector.tobytes() == entry.vector.tobytes()
+            assert replace(got, vector=None) == replace(entry, vector=None)
+        assert loaded.stats == vocab.stats
 
     def test_sidecar_for_missing_key_is_integrity_error(self, tmp_path, default_codebook):
         vocab = build_vocabulary(FISH_ANNOTATIONS, fish_table(300), default_codebook)
