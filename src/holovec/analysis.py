@@ -14,14 +14,13 @@ repeated `k_nearest` queries cost one product each.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._fileio import atomic_write_text
+from ._fileio import write_document
 from .codebook import DEFAULT_SEED, VectorSpace
 from .errors import UnknownKeyError
 
@@ -70,8 +69,6 @@ class OrthogonalityReport:
     def to_json_dict(self) -> dict:
         edges = [round(i * HISTOGRAM_BUCKET_WIDTH, 2) for i in range(len(self.histogram_counts) + 1)]
         return {
-            "format": "holovec-orthogonality-report",
-            "format_version": 1,
             "sample_pairs": self.sample_pairs,
             "requested_sample_size": self.requested_sample_size,
             "clamped": self.clamped,
@@ -86,7 +83,7 @@ class OrthogonalityReport:
         }
 
     def write(self, path: str | Path) -> None:
-        atomic_write_text(path, json.dumps(self.to_json_dict(), separators=(",", ":")) + "\n")
+        write_document(path, "holovec-orthogonality-report", self.to_json_dict())
 
 
 def sample_orthogonality(
@@ -227,8 +224,6 @@ class NeighborhoodReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "format": "holovec-neighborhood-report",
-            "format_version": 1,
             "k": self.k,
             "core_tokens": self.core_tokens,
             "fractions": {
@@ -274,7 +269,7 @@ class NeighborhoodReport:
         }
 
     def write(self, path: str | Path) -> None:
-        atomic_write_text(path, json.dumps(self.to_json_dict(), separators=(",", ":")) + "\n")
+        write_document(path, "holovec-neighborhood-report", self.to_json_dict())
 
 
 def _cosine_matrix(rows: np.ndarray) -> list[list[float]]:

@@ -14,7 +14,6 @@ the analyses search the compressed space through the same structure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -24,7 +23,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from . import hrr
-from ._fileio import atomic_write_text
+from ._fileio import read_document, write_document
 from .errors import DimensionMismatchError, IntegrityError, ParseError
 
 __all__ = [
@@ -54,7 +53,7 @@ SLOT_POS = "pos"
 SLOT_NER = "ner"
 
 _FORMAT_NAME = "holovec-codebook"
-_FORMAT_VERSION = 1
+_SLOTS = (SLOT_TOKEN, SLOT_POS, SLOT_NER)
 
 
 def _read_tag_lines(text: str) -> list[str]:
@@ -167,7 +166,7 @@ class Codebook:
 
     @property
     def vector_count(self) -> int:
-        return 2 + len(self.slot_labels) + len(self.pos_fillers) + len(self.ner_fillers)
+        return len(self.all_vectors())
 
     @cached_property
     def pos_table(self) -> FillerTable:
@@ -179,31 +178,55 @@ class Codebook:
 
     def all_vectors(self) -> dict[str, np.ndarray]:
         """Every vector under its persistent name, in draw order."""
-        out: dict[str, np.ndarray] = {"frame": self.frame_label}
-        for slot in (SLOT_TOKEN, SLOT_POS, SLOT_NER):
-            out[f"slot:{slot}"] = self.slot_labels[slot]
-        for tag, vec in self.pos_fillers.items():
-            out[f"pos:{tag}"] = vec
-        for typ, vec in self.ner_fillers.items():
-            out[f"ner:{typ}"] = vec
-        out["unknown"] = self.unknown_token
-        return out
+        fields = [
+            self.frame_label,
+            *(self.slot_labels[slot] for slot in _SLOTS),
+            *self.pos_fillers.values(),
+            *self.ner_fillers.values(),
+            self.unknown_token,
+        ]
+        return dict(zip(_layout(self.pos_tags, self.ner_types), fields))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Codebook):
             return NotImplemented
-        if (self.dimension, self.seed, self.pos_tags, self.ner_types) != (
-            other.dimension,
-            other.seed,
-            other.pos_tags,
-            other.ner_types,
-        ):
-            return False
         mine, theirs = self.all_vectors(), other.all_vectors()
+        if (self.dimension, self.seed, list(mine)) != (other.dimension, other.seed, list(theirs)):
+            return False
         return all(np.array_equal(mine[name], theirs[name]) for name in mine)
 
 
+def _layout(pos_tags: list[str], ner_types: list[str]) -> list[str]:
+    """The persistent name of every codebook vector, in draw order."""
+    return [
+        "frame",
+        *(f"slot:{slot}" for slot in _SLOTS),
+        *(f"pos:{tag}" for tag in pos_tags),
+        *(f"ner:{typ}" for typ in ner_types),
+        "unknown",
+    ]
+
+
+def _assemble(dimension: int, seed: int, named: dict[str, np.ndarray]) -> Codebook:
+    """The codebook whose vectors ``named`` holds under their names, in layout order."""
+
+    def group(prefix: str) -> dict[str, np.ndarray]:
+        return {name[len(prefix) :]: vec for name, vec in named.items() if name.startswith(prefix)}
+
+    return Codebook(
+        dimension=dimension,
+        seed=seed,
+        frame_label=named["frame"],
+        slot_labels=group("slot:"),
+        pos_fillers=group("pos:"),
+        ner_fillers=group("ner:"),
+        unknown_token=named["unknown"],
+    )
+
+
 def _check_tags(tags: list[str], kind: str) -> None:
+    if not isinstance(tags, list) or not all(isinstance(tag, str) for tag in tags):
+        raise ValueError(f"{kind} list is not a list of strings")
     if not tags:
         raise ValueError(f"{kind} list must not be empty")
     seen = set()
@@ -227,7 +250,7 @@ def build_codebook(
 
     Draw order is fixed and part of the reproducibility contract: frame,
     token slot, pos slot, ner slot, POS fillers in list order, NER fillers
-    in list order, unknown-token vector last.
+    in list order, unknown-token vector last (`_layout`).
     """
     if dimension < 2:
         raise ValueError(f"dimension must be >= 2, got {dimension}")
@@ -237,20 +260,8 @@ def build_codebook(
     _check_tags(ner_types, "NER type")
 
     rng = np.random.default_rng(seed)
-    frame = hrr.random_vector(rng, dimension)
-    slots = {name: hrr.random_vector(rng, dimension) for name in (SLOT_TOKEN, SLOT_POS, SLOT_NER)}
-    pos_fillers = {tag: hrr.random_vector(rng, dimension) for tag in pos_tags}
-    ner_fillers = {typ: hrr.random_vector(rng, dimension) for typ in ner_types}
-    unknown = hrr.random_vector(rng, dimension)
-    return Codebook(
-        dimension=dimension,
-        seed=seed,
-        frame_label=frame,
-        slot_labels=slots,
-        pos_fillers=pos_fillers,
-        ner_fillers=ner_fillers,
-        unknown_token=unknown,
-    )
+    named = {name: hrr.random_vector(rng, dimension) for name in _layout(pos_tags, ner_types)}
+    return _assemble(dimension, seed, named)
 
 
 def save_codebook(cb: Codebook, destination: str | Path) -> None:
@@ -259,22 +270,14 @@ def save_codebook(cb: Codebook, destination: str | Path) -> None:
     Python renders each float as the shortest decimal string that parses
     back to the identical bits, so load(save(cb)) == cb exactly.
     """
-    doc = {
-        "format": _FORMAT_NAME,
-        "format_version": _FORMAT_VERSION,
+    body = {
         "dimension": cb.dimension,
         "seed": cb.seed,
         "pos_tags": cb.pos_tags,
         "ner_types": cb.ner_types,
         "vectors": {name: vec.tolist() for name, vec in cb.all_vectors().items()},
     }
-    atomic_write_text(destination, json.dumps(doc, separators=(",", ":")) + "\n")
-
-
-def _require(doc: dict, field: str, source: str):
-    if field not in doc:
-        raise ParseError(f"{source}: missing field {field!r}")
-    return doc[field]
+    write_document(destination, _FORMAT_NAME, body)
 
 
 def _vector_from_doc(vectors: dict, name: str, dimension: int, source: str) -> np.ndarray:
@@ -296,22 +299,9 @@ def _vector_from_doc(vectors: dict, name: str, dimension: int, source: str) -> n
 
 def load_codebook(source: str | Path) -> Codebook:
     """Parse and validate a codebook document written by `save_codebook`."""
-    source = Path(source)
-    try:
-        doc = json.loads(source.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{source}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{source}: top-level value is not an object")
-    name = _require(doc, "format", str(source))
-    if name != _FORMAT_NAME:
-        raise ParseError(f"{source}: format is {name!r}, expected {_FORMAT_NAME!r}")
-
-    dimension = _require(doc, "dimension", str(source))
-    seed = _require(doc, "seed", str(source))
-    pos_tags = _require(doc, "pos_tags", str(source))
-    ner_types = _require(doc, "ner_types", str(source))
-    vectors = _require(doc, "vectors", str(source))
+    fields = ("dimension", "seed", "pos_tags", "ner_types", "vectors")
+    doc = read_document(source, _FORMAT_NAME, fields)
+    dimension, seed, pos_tags, ner_types, vectors = (doc[field] for field in fields)
     if not isinstance(dimension, int) or dimension < 2:
         raise IntegrityError(f"{source}: dimension must be an integer >= 2")
     if not isinstance(seed, int):
@@ -321,28 +311,15 @@ def load_codebook(source: str | Path) -> Codebook:
         _check_tags(ner_types, "NER type")
     except ValueError as exc:
         raise IntegrityError(f"{source}: {exc}") from exc
+    if not isinstance(vectors, dict):
+        raise IntegrityError(f"{source}: vectors is not an object")
 
-    expected = (
-        ["frame"]
-        + [f"slot:{s}" for s in (SLOT_TOKEN, SLOT_POS, SLOT_NER)]
-        + [f"pos:{t}" for t in pos_tags]
-        + [f"ner:{t}" for t in ner_types]
-        + ["unknown"]
-    )
-    extras = set(vectors) - set(expected)
+    layout = _layout(pos_tags, ner_types)
+    extras = set(vectors) - set(layout)
     if extras:
         raise IntegrityError(f"{source}: unexpected vectors {sorted(extras)}")
-    named = {n: _vector_from_doc(vectors, n, dimension, str(source)) for n in expected}
-
-    return Codebook(
-        dimension=dimension,
-        seed=seed,
-        frame_label=named["frame"],
-        slot_labels={s: named[f"slot:{s}"] for s in (SLOT_TOKEN, SLOT_POS, SLOT_NER)},
-        pos_fillers={t: named[f"pos:{t}"] for t in pos_tags},
-        ner_fillers={t: named[f"ner:{t}"] for t in ner_types},
-        unknown_token=named["unknown"],
-    )
+    named = {name: _vector_from_doc(vectors, name, dimension, str(source)) for name in layout}
+    return _assemble(dimension, seed, named)
 
 
 def cleanup_rows(queries: np.ndarray, space: VectorSpace) -> tuple[list[str], np.ndarray]:

@@ -14,15 +14,15 @@ bound terms.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
 from . import hrr
-from ._fileio import atomic_write_text
+from ._fileio import atomic_write_text, read_document, write_document
 from .codebook import SLOT_TOKEN, Codebook, VectorSpace
 from .errors import (
     DimensionMismatchError,
@@ -62,7 +62,18 @@ FILLER_UNKNOWN = "unknown"
 BLOCK_ROWS = 128
 
 _SIDECAR_FORMAT = "holovec-vocabulary-meta"
-_SIDECAR_VERSION = 1
+# the JSON types each sidecar record field may take
+_ENTRY_FIELDS = {
+    "component_count": (int,),
+    "filler_source": (str,),
+    "word_type": (str,),
+    "pos_tag": (str,),
+    "ner_type": (str, type(None)),
+}
+_STATS_FIELDS = dict.fromkeys(
+    ("input_tokens", "distinct_word_types", "distinct_keys", "unknown_filler_entries"), (int,)
+)
+_TYPE_NAMES = {int: "an integer", str: "a string", type(None): "null"}
 
 
 @dataclass(frozen=True)
@@ -95,6 +106,15 @@ class AnnotatedToken:
 class EmbeddingTable:
     dimension: int
     entries: dict[str, np.ndarray]
+
+    @cached_property
+    def space(self) -> VectorSpace:
+        """The entries as a `VectorSpace`, built on first use and kept.
+
+        It is a snapshot: entries added or replaced after the first use are
+        not in it.
+        """
+        return VectorSpace(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -398,9 +418,7 @@ def write_vocabulary(path: str | Path, vocab: CompressedVocabulary) -> None:
 
 def write_sidecar(path: str | Path, vocab: CompressedVocabulary) -> None:
     """Write the vocabulary metadata document (per-key facts plus build stats)."""
-    doc = {
-        "format": _SIDECAR_FORMAT,
-        "format_version": _SIDECAR_VERSION,
+    body = {
         "dimension": vocab.dimension,
         "stats": {
             "input_tokens": vocab.stats.input_tokens,
@@ -420,35 +438,55 @@ def write_sidecar(path: str | Path, vocab: CompressedVocabulary) -> None:
             for key, e in vocab.entries.items()
         },
     }
-    atomic_write_text(path, json.dumps(doc, separators=(",", ":")) + "\n")
+    write_document(path, _SIDECAR_FORMAT, body)
 
 
-def _read_sidecar(path: str | Path) -> dict:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or doc.get("format") != _SIDECAR_FORMAT:
-        raise ParseError(f"{path}: not a vocabulary metadata document")
-    for fieldname in ("dimension", "stats", "entries"):
-        if fieldname not in doc:
-            raise ParseError(f"{path}: missing field {fieldname!r}")
-    return doc
+def _check_record(record, fields: dict[str, tuple[type, ...]], where: str) -> None:
+    """Raise `IntegrityError` unless ``record`` is an object with every field, of its types."""
+    if type(record) is not dict:
+        raise IntegrityError(f"{where}: must be an object")
+    for name, types in fields.items():
+        if name not in record:
+            raise IntegrityError(f"{where}: missing field {name!r}")
+        if type(record[name]) not in types:
+            expected = " or ".join(_TYPE_NAMES[t] for t in types)
+            raise IntegrityError(f"{where}: {name} must be {expected}")
+
+
+def _check_entry(entry, where: str) -> None:
+    """Check an entry's fields and types, and that m is 3 without an NER type and 4 with one."""
+    _check_record(entry, _ENTRY_FIELDS, where)
+    m, ner_type = entry["component_count"], entry["ner_type"]
+    expected = 3 if ner_type is None else 4
+    if m != expected:
+        bound = "no NER type" if ner_type is None else f"NER type {ner_type!r}"
+        raise IntegrityError(f"{where}: component_count must be {expected} with {bound}, got {m}")
+    if entry["filler_source"] not in (FILLER_EXACT, FILLER_LOWERCASED, FILLER_UNKNOWN):
+        raise IntegrityError(f"{where}: unknown filler_source {entry['filler_source']!r}")
 
 
 def load_vocabulary(
     vectors_path: str | Path, sidecar_path: str | Path
 ) -> CompressedVocabulary:
-    """Rebuild a CompressedVocabulary from its vector file and sidecar."""
-    dimension, vectors = read_vectors(vectors_path)
-    doc = _read_sidecar(sidecar_path)
-    if doc["dimension"] != dimension:
+    """Rebuild a CompressedVocabulary from its vector file and sidecar.
+
+    The sidecar is read and checked first. When it lists no entries, an
+    empty vector file reads as the empty vocabulary of the sidecar's dimension.
+    """
+    doc = read_document(sidecar_path, _SIDECAR_FORMAT, ("dimension", "stats", "entries"))
+    declared, meta, st = doc["dimension"], doc["entries"], doc["stats"]
+    if type(declared) is not int or declared < 1:
+        raise IntegrityError(f"{sidecar_path}: dimension must be a positive integer")
+    _check_record(st, _STATS_FIELDS, f"{sidecar_path}: stats")
+    _check_record(meta, {}, f"{sidecar_path}: entries")
+    for key, entry in meta.items():
+        _check_entry(entry, f"{sidecar_path}: entry {key!r}")
+
+    dimension, vectors = read_vectors(vectors_path, None if meta else declared)
+    if declared != dimension:
         raise IntegrityError(
-            f"{sidecar_path}: declares dimension {doc['dimension']}, "
-            f"vector file has {dimension}"
+            f"{sidecar_path}: declares dimension {declared}, vector file has {dimension}"
         )
-    meta = doc["entries"]
     missing = set(vectors) - set(meta)
     if missing:
         raise IntegrityError(
@@ -459,22 +497,9 @@ def load_vocabulary(
         raise IntegrityError(
             f"{sidecar_path}: metadata for absent key {sorted(extra)[0]!r}"
         )
-    entries = {}
-    for key, vec in vectors.items():
-        m = meta[key]
-        entries[key] = VocabEntry(
-            vector=vec,
-            component_count=int(m["component_count"]),
-            filler_source=str(m["filler_source"]),
-            word_type=str(m["word_type"]),
-            pos_tag=str(m["pos_tag"]),
-            ner_type=None if m["ner_type"] is None else str(m["ner_type"]),
-        )
-    st = doc["stats"]
-    stats = BuildStats(
-        input_tokens=int(st.get("input_tokens", 0)),
-        distinct_word_types=int(st.get("distinct_word_types", 0)),
-        distinct_keys=int(st.get("distinct_keys", len(entries))),
-        unknown_filler_entries=int(st.get("unknown_filler_entries", 0)),
-    )
+    entries = {
+        key: VocabEntry(vector=vec, **{name: meta[key][name] for name in _ENTRY_FIELDS})
+        for key, vec in vectors.items()
+    }
+    stats = BuildStats(**{name: st[name] for name in _STATS_FIELDS})
     return CompressedVocabulary(dimension=dimension, entries=entries, stats=stats)

@@ -513,3 +513,111 @@ class TestReproducibility:
     def test_no_temp_files_left_behind(self, pipeline_setup):
         leftovers = [p.name for p in pipeline_setup.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
+
+
+def _edit_json(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+class TestMalformedDocuments:
+    """A codebook or sidecar the readers reject exits 1 with one line naming the file."""
+
+    @pytest.fixture()
+    def compressed(self, fish_setup, capsys):
+        tmp = fish_setup
+        assert main(["build-codebook", str(tmp / "cb.json"), "--dim", "32"]) == 0
+        args = [str(tmp / name) for name in ("cb.json", "emb.txt", "ann.tsv", "vocab.txt")]
+        assert main(["compress", *args]) == 0
+        capsys.readouterr()
+        return tmp
+
+    def _decode_error(self, capsys, tmp, edit):
+        meta = tmp / "vocab.txt.meta.json"
+        _edit_json(meta, edit)
+        args = [str(tmp / "cb.json"), str(tmp / "vocab.txt"), "--sidecar", str(meta)]
+        code, _, err = run(capsys, "decode", *args)
+        assert code == 1
+        return err
+
+    def test_entry_without_component_count(self, compressed, capsys):
+        err = self._decode_error(
+            capsys, compressed, lambda doc: doc["entries"]["fishNN"].pop("component_count")
+        )
+        meta = compressed / "vocab.txt.meta.json"
+        assert err == f"error: {meta}: entry 'fishNN': missing field 'component_count'\n"
+
+    def test_entry_that_is_a_list(self, compressed, capsys):
+        err = self._decode_error(
+            capsys, compressed, lambda doc: doc["entries"].__setitem__("fishNN", [3, "exact"])
+        )
+        meta = compressed / "vocab.txt.meta.json"
+        assert err == f"error: {meta}: entry 'fishNN': must be an object\n"
+
+    def test_stats_that_is_a_list(self, compressed, capsys):
+        err = self._decode_error(capsys, compressed, lambda doc: doc.__setitem__("stats", [3, 1]))
+        assert err == f"error: {compressed / 'vocab.txt.meta.json'}: stats: must be an object\n"
+
+    def test_four_components_without_an_ner_type(self, compressed, capsys):
+        err = self._decode_error(
+            capsys,
+            compressed,
+            lambda doc: doc["entries"]["fishNN"].__setitem__("component_count", 4),
+        )
+        meta = compressed / "vocab.txt.meta.json"
+        assert err == (
+            f"error: {meta}: entry 'fishNN': component_count must be 3 with no NER type, got 4\n"
+        )
+
+    def test_five_components(self, compressed, capsys):
+        err = self._decode_error(
+            capsys,
+            compressed,
+            lambda doc: doc["entries"]["fishNNPPERSON"].__setitem__("component_count", 5),
+        )
+        meta = compressed / "vocab.txt.meta.json"
+        assert err == (
+            f"error: {meta}: entry 'fishNNPPERSON': component_count must be 4 "
+            "with NER type 'PERSON', got 5\n"
+        )
+
+    def test_sidecar_of_another_version(self, compressed, capsys):
+        err = self._decode_error(
+            capsys, compressed, lambda doc: doc.__setitem__("format_version", 2)
+        )
+        meta = compressed / "vocab.txt.meta.json"
+        assert err == f"error: {meta}: format_version is 2, expected 1\n"
+
+    def test_codebook_of_another_version(self, compressed, capsys):
+        tmp = compressed
+        _edit_json(tmp / "cb.json", lambda doc: doc.__setitem__("format_version", 2))
+        args = [str(tmp / name) for name in ("cb.json", "emb.txt", "ann.tsv", "out.txt")]
+        code, _, err = run(capsys, "compress", *args)
+        assert code == 1
+        assert err == f"error: {tmp / 'cb.json'}: format_version is 2, expected 1\n"
+        assert not (tmp / "out.txt").exists()
+
+    def test_an_empty_vocabulary_decodes(self, tmp_path, capsys):
+        write_vector_file(tmp_path / "emb.txt", {"a": np.ones(16)})
+        (tmp_path / "ann.tsv").write_text("")
+        assert main(["build-codebook", str(tmp_path / "cb.json"), "--dim", "16"]) == 0
+        args = [str(tmp_path / name) for name in ("cb.json", "emb.txt", "ann.tsv", "vocab.txt")]
+        assert main(["compress", *args]) == 0
+        assert (tmp_path / "vocab.txt").read_text() == ""
+        capsys.readouterr()
+        code, out, err = run(
+            capsys,
+            "decode",
+            str(tmp_path / "cb.json"),
+            str(tmp_path / "vocab.txt"),
+            "--sidecar",
+            str(tmp_path / "vocab.txt.meta.json"),
+            "--out",
+            str(tmp_path / "decoded.tsv"),
+        )
+        assert (code, err) == (0, "")
+        assert (tmp_path / "decoded.tsv").read_text().splitlines() == [
+            "#key\tm\tpos\tpos_similarity\tner\tner_similarity"
+        ]
+        assert "(0/0)" in out

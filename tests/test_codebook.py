@@ -167,6 +167,43 @@ class TestPersistence:
         with pytest.raises(IntegrityError, match="seed"):
             load_codebook(path)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("pos_tags", [1, 2], r"cb\.json: POS tag list is not a list of strings"),
+            ("pos_tags", "NN", r"cb\.json: POS tag list is not a list of strings"),
+            ("ner_types", {"ORG": 1}, r"cb\.json: NER type list is not a list of strings"),
+            ("vectors", [], r"cb\.json: vectors is not an object"),
+            ("vectors", 5, r"cb\.json: vectors is not an object"),
+        ],
+    )
+    def test_mistyped_field_is_integrity_error(self, tmp_path, field, value, message):
+        path = tmp_path / "cb.json"
+        save_codebook(build_codebook(["NN"], ["ORG"], dimension=16, seed=7), path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(IntegrityError, match=message):
+            load_codebook(path)
+
+    def test_vectors_follow_one_layout(self):
+        cb = build_codebook(["VB", "NN"], ["ORG"], dimension=16, seed=3)
+        names = ["frame", "slot:token", "slot:pos", "slot:ner", "pos:VB", "pos:NN", "ner:ORG", "unknown"]
+        assert list(cb.all_vectors()) == names
+        rng = np.random.default_rng(3)
+        for name, vec in cb.all_vectors().items():  # one draw per name, in that order
+            assert vec.tobytes() == hrr.random_vector(rng, 16).tobytes(), name
+        assert cb.vector_count == len(names)
+
+    def test_tag_order_is_part_of_equality(self):
+        cb = build_codebook(["VB", "NN"], ["ORG"], dimension=16, seed=3)
+        reordered = build_codebook(["NN", "VB"], ["ORG"], dimension=16, seed=3)
+        reordered.pos_fillers = {tag: cb.pos_fillers[tag] for tag in ("NN", "VB")}
+        # the same vector under every name, but the POS tags in another order
+        assert reordered.all_vectors().keys() == cb.all_vectors().keys()
+        assert reordered != cb
+        assert build_codebook(["VB", "NN"], ["ORG"], dimension=16, seed=3) == cb
+
     def test_read_tag_list(self, tmp_path):
         path = tmp_path / "tags.txt"
         path.write_text("NN\n\n  VB  \nDT\n")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holovec import hrr
-from holovec.codebook import build_codebook, cleanup
+from holovec.codebook import VectorSpace, build_codebook, cleanup
 from holovec.decoder import (
     decode_and_score,
     decode_attributes,
@@ -286,6 +286,29 @@ class TestDecodeTokenIdentity:
     def test_empty_table_rejected(self, default_codebook):
         with pytest.raises(ValueError):
             decode_token_identity(np.ones(300), 3, default_codebook, EmbeddingTable(300, {}))
+
+    def test_the_table_is_normalised_once_across_calls(self, default_codebook, monkeypatch):
+        cb = default_codebook
+        table = synthetic_embeddings(50, 300, np.random.default_rng(68))
+        surfaces = ["w00001", "w00002"]
+        compressed = [compress_token(AnnotatedToken(s, "NN"), table, cb) for s in surfaces]
+        expected = [
+            cleanup(unbind_slot(vec, cb.slot_labels["token"], m, cb.frame_label), table.entries)
+            for vec, m in compressed
+        ]
+        built = []
+        init = VectorSpace.__init__
+
+        def counted(self, vectors):
+            built.append(type(self))
+            init(self, vectors)
+
+        monkeypatch.setattr(VectorSpace, "__init__", counted)
+        found = [decode_token_identity(vec, m, cb, table) for vec, m in compressed]
+        assert built == [VectorSpace]
+        assert table.space is table.space
+        assert found == expected
+        assert [key for key, _ in found] == surfaces
 
     def test_full_record_combines_attributes_and_identity(self, default_codebook):
         cb = default_codebook

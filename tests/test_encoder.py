@@ -41,6 +41,9 @@ from holovec.errors import (
 )
 
 
+DROP = object()  # a sidecar edit that deletes the field
+
+
 class TestCompositeKey:
     def test_verb_use(self):
         assert composite_key(AnnotatedToken("fish", "VB")) == "fishVB"
@@ -533,4 +536,82 @@ class TestVocabularyPersistence:
         doc["dimension"] = 299
         meta_path.write_text(json.dumps(doc))
         with pytest.raises(IntegrityError, match="dimension"):
+            load_vocabulary(vec_path, meta_path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            (("entries", "fishNN", "word_type"), DROP, "entry 'fishNN': missing field 'word_type'"),
+            (("entries", "fishNN"), None, "entry 'fishNN': must be an object"),
+            (
+                ("entries", "fishNN", "component_count"),
+                "3",
+                "entry 'fishNN': component_count must be an integer",
+            ),
+            (
+                ("entries", "fishNN", "component_count"),
+                True,
+                "entry 'fishNN': component_count must be an integer",
+            ),
+            (("entries", "fishNN", "pos_tag"), 7, "entry 'fishNN': pos_tag must be a string"),
+            (
+                ("entries", "fishNN", "ner_type"),
+                0,
+                "entry 'fishNN': ner_type must be a string or null",
+            ),
+            (
+                ("entries", "fishNN", "ner_type"),
+                "ORG",
+                "entry 'fishNN': component_count must be 4 with NER type 'ORG', got 3",
+            ),
+            (
+                ("entries", "fishNN", "filler_source"),
+                "guessed",
+                "entry 'fishNN': unknown filler_source 'guessed'",
+            ),
+            (("stats", "input_tokens"), DROP, "stats: missing field 'input_tokens'"),
+            (("stats", "distinct_keys"), 3.0, "stats: distinct_keys must be an integer"),
+            (("stats",), [], "stats: must be an object"),
+            (("entries",), [], "entries: must be an object"),
+            (("dimension",), "300", "dimension must be a positive integer"),
+        ],
+    )
+    def test_malformed_sidecar_is_one_integrity_error(
+        self, tmp_path, default_codebook, field, value, message
+    ):
+        vocab = build_vocabulary(FISH_ANNOTATIONS, fish_table(300), default_codebook)
+        vec_path, meta_path = tmp_path / "vocab.txt", tmp_path / "vocab.meta.json"
+        write_vocabulary(vec_path, vocab)
+        write_sidecar(meta_path, vocab)
+        doc = json.loads(meta_path.read_text())
+        *parents, last = field
+        record = doc
+        for name in parents:
+            record = record[name]
+        if value is DROP:
+            del record[last]
+        else:
+            record[last] = value
+        meta_path.write_text(json.dumps(doc))
+        with pytest.raises(IntegrityError) as info:
+            load_vocabulary(vec_path, meta_path)
+        assert str(info.value) == f"{meta_path}: {message}"
+
+    def test_empty_vocabulary_round_trips(self, tmp_path, small_codebook):
+        vocab = build_vocabulary([], EmbeddingTable(16, {}), small_codebook)
+        vec_path, meta_path = tmp_path / "vocab.txt", tmp_path / "vocab.meta.json"
+        write_vocabulary(vec_path, vocab)
+        write_sidecar(meta_path, vocab)
+        assert vec_path.read_text() == ""
+        loaded = load_vocabulary(vec_path, meta_path)
+        assert (loaded.dimension, loaded.entries, loaded.stats) == (16, {}, vocab.stats)
+
+    def test_empty_sidecar_still_checks_the_vector_file(self, tmp_path, small_codebook):
+        vec_path, meta_path = tmp_path / "vocab.txt", tmp_path / "vocab.meta.json"
+        write_sidecar(meta_path, build_vocabulary([], EmbeddingTable(16, {}), small_codebook))
+        vec_path.write_text("fishNN " + " ".join(["0.5"] * 16) + "\n")
+        with pytest.raises(IntegrityError, match="no metadata for key 'fishNN'"):
+            load_vocabulary(vec_path, meta_path)
+        vec_path.write_text("fishNN 0.5 0.5\n")
+        with pytest.raises(ParseError, match=r"vocab\.txt:1: expected 16 values, got 2"):
             load_vocabulary(vec_path, meta_path)
