@@ -63,9 +63,7 @@ from .hrr import (
     circular_convolve_fft,
     circular_correlate,
     circular_correlate_fft,
-    cosine_similarity,
     random_vector,
-    superpose,
 )
 
 __all__ = [
@@ -96,7 +94,6 @@ __all__ = [
     "cleanup",
     "composite_key",
     "compress_token",
-    "cosine_similarity",
     "decode_attributes",
     "decode_token_identity",
     "decode_vocabulary",
@@ -112,7 +109,6 @@ __all__ = [
     "read_embeddings",
     "sample_orthogonality",
     "save_codebook",
-    "superpose",
     "unbind_slot",
     "write_sidecar",
     "write_vocabulary",

@@ -58,11 +58,6 @@ def cmd_build_codebook(args) -> int:
 def cmd_compress(args) -> int:
     cb = load_codebook(args.codebook)
     table = read_embeddings(args.embeddings)
-    if table.dimension != cb.dimension:
-        raise DimensionMismatchError(
-            f"embedding file dimension {table.dimension} differs from "
-            f"codebook dimension {cb.dimension}"
-        )
     tokens = read_annotations(args.annotations)
     vocab = build_vocabulary(tokens, table, cb)
     sidecar = args.sidecar or args.output + ".meta.json"
@@ -114,8 +109,10 @@ def cmd_decode(args) -> int:
     else:
         sys.stdout.write(text)
     if have_truth:
-        pos_acc = pos_ok / pos_total if pos_total else float("nan")
-        print(f"POS accuracy: {pos_acc:.4f} ({pos_ok}/{pos_total})")
+        if pos_total:
+            print(f"POS accuracy: {pos_ok / pos_total:.4f} ({pos_ok}/{pos_total})")
+        else:
+            print("POS accuracy: n/a (0/0)")
         if ner_total:
             print(f"NER accuracy: {ner_ok / ner_total:.4f} ({ner_ok}/{ner_total})")
         else:

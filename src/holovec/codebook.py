@@ -240,6 +240,37 @@ def _check_tags(tags: list[str], kind: str) -> None:
         seen.add(tag)
 
 
+def _tagging(pos_tag: str, ner_type: str | None) -> str:
+    return f"POS tag {pos_tag!r}" + (f" with NER type {ner_type!r}" if ner_type else "")
+
+
+def _check_key_suffixes(pos_tags: list[str], ner_types: list[str]) -> None:
+    """Raise ValueError if two differently tagged tokens can share a composite key.
+
+    A key is the lowercased word, then the POS tag, then the NER type or
+    nothing. Two keys coincide when two (POS, NER) pairs spell one suffix, or
+    when one suffix is another with a prefix that a lowercased word can end in.
+    """
+    suffixes: dict[str, tuple[str, str | None]] = {}
+    for pos_tag in pos_tags:
+        for ner_type in (None, *ner_types):
+            suffix = pos_tag + (ner_type or "")
+            first = suffixes.setdefault(suffix, (pos_tag, ner_type))
+            if first != (pos_tag, ner_type):
+                raise ValueError(
+                    f"{_tagging(*first)} and {_tagging(pos_tag, ner_type)} "
+                    f"both end composite keys in {suffix!r}"
+                )
+    for suffix, tagging in suffixes.items():
+        for cut in range(1, len(suffix)):
+            rest = suffix[cut:]
+            if rest in suffixes and suffix[:cut] == suffix[:cut].lower():
+                raise ValueError(
+                    f"a word ending in {suffix[:cut]!r} with {_tagging(*suffixes[rest])} has "
+                    f"the composite key of the word without it with {_tagging(*tagging)}"
+                )
+
+
 def build_codebook(
     pos_tags: list[str] | None = None,
     ner_types: list[str] | None = None,
@@ -258,6 +289,7 @@ def build_codebook(
     ner_types = default_ner_types() if ner_types is None else list(ner_types)
     _check_tags(pos_tags, "POS tag")
     _check_tags(ner_types, "NER type")
+    _check_key_suffixes(pos_tags, ner_types)
 
     rng = np.random.default_rng(seed)
     named = {name: hrr.random_vector(rng, dimension) for name in _layout(pos_tags, ner_types)}
@@ -309,6 +341,7 @@ def load_codebook(source: str | Path) -> Codebook:
     try:
         _check_tags(pos_tags, "POS tag")
         _check_tags(ner_types, "NER type")
+        _check_key_suffixes(pos_tags, ner_types)
     except ValueError as exc:
         raise IntegrityError(f"{source}: {exc}") from exc
     if not isinstance(vectors, dict):

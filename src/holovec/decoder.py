@@ -36,19 +36,6 @@ class DecodedToken:
     pos_similarity: float
     ner_type: str | None = None
     ner_similarity: float | None = None
-    token_key: str | None = None
-    token_similarity: float | None = None
-
-    def with_token(self, key: str, similarity: float) -> "DecodedToken":
-        """Attach a token-identity result from `decode_token_identity`."""
-        return DecodedToken(
-            pos_tag=self.pos_tag,
-            pos_similarity=self.pos_similarity,
-            ner_type=self.ner_type,
-            ner_similarity=self.ner_similarity,
-            token_key=key,
-            token_similarity=similarity,
-        )
 
 
 def unbind_slot(

@@ -207,8 +207,8 @@ def _bind_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Compress a block: per row, (frame + T⊛filler + P⊛pos [+ N⊛ner]) / m.
 
-    The terms are summed in that order, as `hrr.superpose` sums them, so a
-    row comes out bit-identical whatever block it is bound in.
+    The terms are summed left to right, so a row comes out bit-identical
+    whatever block it is bound in.
     """
     pos_rows = [pos for pos, _ in tag_rows]
     tagged = [i for i, (_, ner) in enumerate(tag_rows) if ner is not None]
@@ -228,15 +228,11 @@ def compress_token(
     """Compress one token into (vector, component count m).
 
     m is 4 when the token carries an NER type (frame + three bindings),
-    otherwise 3; the sum is divided by m.
+    otherwise 3; the sum is divided by m. This is a one-token
+    `build_vocabulary`.
     """
-    if table.dimension != cb.dimension:
-        raise DimensionMismatchError(
-            f"embedding dimension {table.dimension} differs from codebook dimension {cb.dimension}"
-        )
-    filler, _ = lookup_filler(token.surface, table, cb)
-    vectors, counts = _bind_rows(np.stack([filler]), [_tag_rows(token, cb)], cb)
-    return vectors[0], int(counts[0])
+    entry = build_vocabulary([token], table, cb).entries[composite_key(token)]
+    return entry.vector, entry.component_count
 
 
 def build_vocabulary(
@@ -248,7 +244,7 @@ def build_vocabulary(
 
     Vectors are computed once per key, in blocks of `BLOCK_ROWS` keys, so
     the result is independent of stream order beyond which occurrence is
-    first. Each vector equals `compress_token` of that occurrence exactly.
+    first.
     """
     if table.dimension != cb.dimension:
         raise DimensionMismatchError(
@@ -361,10 +357,8 @@ def read_vectors(
     return dimension, entries
 
 
-def read_embeddings(
-    path: str | Path, expected_dimension: int | None = None
-) -> EmbeddingTable:
-    dimension, entries = read_vectors(path, expected_dimension)
+def read_embeddings(path: str | Path) -> EmbeddingTable:
+    dimension, entries = read_vectors(path)
     return EmbeddingTable(dimension=dimension, entries=entries)
 
 
@@ -453,8 +447,12 @@ def _check_record(record, fields: dict[str, tuple[type, ...]], where: str) -> No
             raise IntegrityError(f"{where}: {name} must be {expected}")
 
 
-def _check_entry(entry, where: str) -> None:
-    """Check an entry's fields and types, and that m is 3 without an NER type and 4 with one."""
+def _check_entry(key: str, entry, where: str) -> None:
+    """Check an entry's fields and types, its component count, and its key.
+
+    m must be 3 without an NER type and 4 with one, and ``key`` must be
+    ``word_type + pos_tag + (ner_type or "")``.
+    """
     _check_record(entry, _ENTRY_FIELDS, where)
     m, ner_type = entry["component_count"], entry["ner_type"]
     expected = 3 if ner_type is None else 4
@@ -463,6 +461,9 @@ def _check_entry(entry, where: str) -> None:
         raise IntegrityError(f"{where}: component_count must be {expected} with {bound}, got {m}")
     if entry["filler_source"] not in (FILLER_EXACT, FILLER_LOWERCASED, FILLER_UNKNOWN):
         raise IntegrityError(f"{where}: unknown filler_source {entry['filler_source']!r}")
+    spelled = entry["word_type"] + entry["pos_tag"] + (ner_type or "")
+    if key != spelled:
+        raise IntegrityError(f"{where}: word_type + pos_tag + ner_type spell {spelled!r}")
 
 
 def load_vocabulary(
@@ -480,7 +481,7 @@ def load_vocabulary(
     _check_record(st, _STATS_FIELDS, f"{sidecar_path}: stats")
     _check_record(meta, {}, f"{sidecar_path}: entries")
     for key, entry in meta.items():
-        _check_entry(entry, f"{sidecar_path}: entry {key!r}")
+        _check_entry(key, entry, f"{sidecar_path}: entry {key!r}")
 
     dimension, vectors = read_vectors(vectors_path, None if meta else declared)
     if declared != dimension:

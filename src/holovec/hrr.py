@@ -1,9 +1,9 @@
 """Dense-vector algebra for holographic reduced representations.
 
-Binding is circular convolution, unbinding is circular correlation, and
-composition is an element-wise sum scaled by the number of summands. All
-operations are pure functions over float64 arrays and never mutate their
-inputs.
+Binding is circular convolution and unbinding is circular correlation
+(the encoder composes bound terms by an element-wise sum scaled by the
+number of summands). All operations are pure functions over float64 arrays
+and never mutate their inputs.
 
 Two implementations of each transform-based operation exist: a
 direct-summation form over 1-D vectors that follows the defining sums term
@@ -25,26 +25,8 @@ __all__ = [
     "circular_convolve_fft",
     "circular_correlate",
     "circular_correlate_fft",
-    "cosine_similarity",
     "random_vector",
-    "superpose",
 ]
-
-
-def _as_vector(x) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] == 0:
-        raise ValueError(f"expected a non-empty 1-D vector, got shape {v.shape}")
-    return v
-
-
-def _paired(a, b) -> tuple[np.ndarray, np.ndarray]:
-    va, vb = _as_vector(a), _as_vector(b)
-    if va.shape[0] != vb.shape[0]:
-        raise DimensionMismatchError(
-            f"vector lengths differ: {va.shape[0]} vs {vb.shape[0]}"
-        )
-    return va, vb
 
 
 def _paired_rows(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -57,6 +39,14 @@ def _paired_rows(a, b) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatchError(
             f"vector lengths differ: {va.shape[-1]} vs {vb.shape[-1]}"
         )
+    return va, vb
+
+
+def _paired(a, b) -> tuple[np.ndarray, np.ndarray]:
+    va, vb = _paired_rows(a, b)
+    for v in (va, vb):
+        if v.ndim != 1:
+            raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     return va, vb
 
 
@@ -102,33 +92,6 @@ def circular_correlate_fft(a, t) -> np.ndarray:
     """
     a, t = _paired_rows(a, t)
     return np.fft.irfft(np.conj(np.fft.rfft(a)) * np.fft.rfft(t), n=a.shape[-1])
-
-
-def superpose(vectors, divisor: int) -> np.ndarray:
-    """Element-wise sum of equal-length vectors divided by ``divisor``."""
-    vecs = [_as_vector(v) for v in vectors]
-    if not vecs:
-        raise ValueError("superpose() requires at least one vector")
-    if divisor < 1:
-        raise ValueError(f"divisor must be a positive integer, got {divisor}")
-    lengths = {v.shape[0] for v in vecs}
-    if len(lengths) != 1:
-        raise DimensionMismatchError(f"vector lengths differ: {sorted(lengths)}")
-    return np.sum(vecs, axis=0) / divisor
-
-
-def cosine_similarity(a, b) -> float:
-    """dot(a, b) / (||a|| * ||b||), in [-1, 1].
-
-    A zero-norm input is rejected rather than silently scored 0: it signals
-    a degenerate vector upstream.
-    """
-    a, b = _paired(a, b)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity is undefined for a zero-norm vector")
-    return float(np.dot(a, b) / (na * nb))
 
 
 def random_vector(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -38,6 +38,9 @@ NER_ACCURACY_FLOOR = 0.95
 # corpora over realistic (correlated, large-norm) embeddings keep less margin
 FIXTURE_ORTHOGONALITY_FLOOR = 0.90
 CODEBOOK_ORTHOGONALITY_FLOOR = 0.95
+# size of the synthetic corpus the round-trip checks run on
+_WORDS = 500
+_TOKENS = 1000
 
 
 @dataclass
@@ -107,8 +110,6 @@ def decode_accuracy(
 def run_self_test(
     dimension: int = DEFAULT_DIMENSION,
     seed: int = DEFAULT_SEED,
-    n_words: int = 500,
-    n_tokens: int = 1000,
 ) -> list[CheckResult]:
     """Codebook -> synthetic corpus -> compress -> decode -> analyze."""
     results: list[CheckResult] = []
@@ -141,8 +142,8 @@ def run_self_test(
         )
     )
 
-    table = synthetic_embeddings(n_words, dimension, rng)
-    corpus = synthetic_corpus(sorted(table.entries), cb, n_tokens, rng)
+    table = synthetic_embeddings(_WORDS, dimension, rng)
+    corpus = synthetic_corpus(sorted(table.entries), cb, _TOKENS, rng)
     vocab = build_vocabulary(corpus, table, cb)
     pos_acc, ner_acc = decode_accuracy(vocab, cb)
     results.append(

@@ -7,6 +7,39 @@ import pytest
 
 from holovec.codebook import build_codebook
 from holovec.encoder import AnnotatedToken, EmbeddingTable
+from holovec.errors import DimensionMismatchError
+
+
+def _as_vector(x) -> np.ndarray:
+    v = np.asarray(x, dtype=np.float64)
+    if v.ndim != 1 or v.shape[0] == 0:
+        raise ValueError(f"expected a non-empty 1-D vector, got shape {v.shape}")
+    return v
+
+
+def superpose(vectors, divisor: int) -> np.ndarray:
+    """Oracle for composition: element-wise sum of equal-length vectors divided by ``divisor``."""
+    vecs = [_as_vector(v) for v in vectors]
+    if not vecs:
+        raise ValueError("superpose() requires at least one vector")
+    if divisor < 1:
+        raise ValueError(f"divisor must be a positive integer, got {divisor}")
+    lengths = {v.shape[0] for v in vecs}
+    if len(lengths) != 1:
+        raise DimensionMismatchError(f"vector lengths differ: {sorted(lengths)}")
+    return np.sum(vecs, axis=0) / divisor
+
+
+def cosine_similarity(a, b) -> float:
+    """Oracle: dot(a, b) / (||a|| * ||b||); a zero-norm input raises ValueError."""
+    a, b = _as_vector(a), _as_vector(b)
+    if a.shape != b.shape:
+        raise DimensionMismatchError(f"vector lengths differ: {a.shape[0]} vs {b.shape[0]}")
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        raise ValueError("cosine similarity is undefined for a zero-norm vector")
+    return float(np.dot(a, b) / (na * nb))
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import brute_force_classify, brute_force_neighbors, reference_neighborhoods
+from conftest import (
+    brute_force_classify,
+    brute_force_neighbors,
+    cosine_similarity,
+    reference_neighborhoods,
+)
 from holovec import hrr
 from holovec.analysis import (
     VectorSpace,
@@ -141,7 +146,7 @@ class TestSampleOrthogonality:
         first, second = picked[:20], picked[20:]
         assert not set(first) & set(second)
         cosines = [
-            abs(hrr.cosine_similarity(space[keys[i]], space[keys[j]]))
+            abs(cosine_similarity(space[keys[i]], space[keys[j]]))
             for i, j in zip(first, second)
         ]
         expected = np.mean([c < 0.3 for c in cosines])
@@ -192,7 +197,7 @@ class TestPairwiseStats:
         stats = pairwise_cosine_stats(space, threshold=0.4)
         keys = sorted(space)
         cosines = [
-            abs(hrr.cosine_similarity(space[a], space[b]))
+            abs(cosine_similarity(space[a], space[b]))
             for i, a in enumerate(keys)
             for b in keys[i + 1 :]
         ]

@@ -193,6 +193,15 @@ class TestCompress:
         assert not (tmp_path / "vocab.txt").exists()
         assert not (tmp_path / "vocab.txt.meta.json").exists()
 
+    def test_dimension_mismatch_is_the_library_message(self, tmp_path, capsys):
+        write_vector_file(tmp_path / "emb.txt", {"a": np.ones(8)})
+        (tmp_path / "ann.tsv").write_text("a\tNN\t-\n")
+        assert main(["build-codebook", str(tmp_path / "cb.json"), "--dim", "16"]) == 0
+        args = [str(tmp_path / name) for name in ("cb.json", "emb.txt", "ann.tsv", "vocab.txt")]
+        capsys.readouterr()
+        code, _, err = run(capsys, "compress", *args)
+        assert (code, err) == (1, "error: embedding dimension 8 differs from codebook dimension 16\n")
+
     def test_unknown_tag_exits_one_with_line_number(self, tmp_path, capsys):
         rng = np.random.default_rng(45)
         write_vector_file(tmp_path / "emb.txt", {"a": rng.normal(size=16)})
@@ -582,6 +591,17 @@ class TestMalformedDocuments:
             "with NER type 'PERSON', got 5\n"
         )
 
+    def test_entry_whose_tags_spell_another_key(self, compressed, capsys):
+        err = self._decode_error(
+            capsys,
+            compressed,
+            lambda doc: doc["entries"]["fishNN"].update(word_type="york", pos_tag="VB"),
+        )
+        meta = compressed / "vocab.txt.meta.json"
+        assert err == (
+            f"error: {meta}: entry 'fishNN': word_type + pos_tag + ner_type spell 'yorkVB'\n"
+        )
+
     def test_sidecar_of_another_version(self, compressed, capsys):
         err = self._decode_error(
             capsys, compressed, lambda doc: doc.__setitem__("format_version", 2)
@@ -621,3 +641,4 @@ class TestMalformedDocuments:
             "#key\tm\tpos\tpos_similarity\tner\tner_similarity"
         ]
         assert "(0/0)" in out
+        assert "POS accuracy: n/a (0/0)" in out.splitlines()

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import cosine_similarity, superpose
 from holovec import hrr
 from holovec.codebook import (
     FillerTable,
@@ -17,6 +18,7 @@ from holovec.codebook import (
     read_tag_list,
     save_codebook,
 )
+from holovec.encoder import AnnotatedToken, composite_key
 from holovec.errors import DimensionMismatchError, IntegrityError, ParseError
 
 
@@ -66,6 +68,47 @@ class TestBuild:
         with pytest.raises(ValueError, match=r"^NER type 'OR\\tG' contains whitespace$"):
             build_codebook(["NN"], ["OR\tG"], dimension=16)
 
+    @pytest.mark.parametrize(
+        "pos_tags, ner_types, token_a, token_b, message",
+        [
+            (
+                ["NN", "NNP"],
+                ["PERSON", "PPERSON"],
+                AnnotatedToken("Fish", "NN", "PPERSON"),
+                AnnotatedToken("fish", "NNP", "PERSON"),
+                "POS tag 'NN' with NER type 'PPERSON' and POS tag 'NNP' with NER type 'PERSON' "
+                "both end composite keys in 'NNPPERSON'",
+            ),
+            (
+                ["NN", "xNN"],
+                ["ORG"],
+                AnnotatedToken("Box", "NN"),
+                AnnotatedToken("bo", "xNN"),
+                "a word ending in 'x' with POS tag 'NN' has the composite key of the word "
+                "without it with POS tag 'xNN'",
+            ),
+            (
+                ["NN", "-NN"],
+                ["ORG"],
+                AnnotatedToken("A-", "NN"),
+                AnnotatedToken("a", "-NN"),
+                "a word ending in '-' with POS tag 'NN' has the composite key of the word "
+                "without it with POS tag '-NN'",
+            ),
+        ],
+    )
+    def test_tags_that_let_two_tokens_share_a_key_rejected(
+        self, pos_tags, ner_types, token_a, token_b, message
+    ):
+        assert composite_key(token_a) == composite_key(token_b)
+        with pytest.raises(ValueError) as info:
+            build_codebook(pos_tags, ner_types, dimension=16)
+        assert str(info.value) == message
+
+    def test_a_prefix_no_lowercased_word_ends_in_is_allowed(self):
+        cb = build_codebook(["NN", "XNN"], ["ORG"], dimension=16)
+        assert cb.pos_tags == ["NN", "XNN"]
+
     def test_small_dimension_rejected(self):
         with pytest.raises(ValueError):
             build_codebook(["NN"], ["ORG"], dimension=1)
@@ -80,7 +123,7 @@ class TestBuild:
         for i in range(len(vectors)):
             for j in range(i + 1, len(vectors)):
                 total += 1
-                below += int(abs(hrr.cosine_similarity(vectors[i], vectors[j])) < 0.25)
+                below += int(abs(cosine_similarity(vectors[i], vectors[j])) < 0.25)
         assert total == 74 * 73 // 2
         assert below / total >= 0.95
 
@@ -110,6 +153,21 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(IntegrityError, match=r"cb\.json: POS tag 'NN P' contains whitespace"):
             load_codebook(path)
+
+    def test_tags_that_let_two_tokens_share_a_key_are_integrity_error(self, tmp_path):
+        cb = build_codebook(["NN", "NNP"], ["PERSON", "QPERSON"], dimension=16, seed=7)
+        path = tmp_path / "cb.json"
+        save_codebook(cb, path)
+        doc = json.loads(path.read_text())
+        doc["ner_types"] = ["PERSON", "PPERSON"]
+        doc["vectors"]["ner:PPERSON"] = doc["vectors"].pop("ner:QPERSON")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(IntegrityError) as info:
+            load_codebook(path)
+        assert str(info.value) == (
+            f"{path}: POS tag 'NN' with NER type 'PPERSON' and POS tag 'NNP' "
+            "with NER type 'PERSON' both end composite keys in 'NNPPERSON'"
+        )
 
     def test_truncated_vector_is_integrity_error(self, tmp_path):
         cb = build_codebook(["NN"], ["ORG"], dimension=16, seed=7)
@@ -311,7 +369,7 @@ class TestCleanup:
         for _ in range(trials):
             tag = tags[int(rng.integers(len(tags)))]
             filler = hrr.random_vector(rng, cb.dimension)
-            compressed = hrr.superpose(
+            compressed = superpose(
                 [
                     cb.frame_label,
                     hrr.circular_convolve_fft(cb.slot_labels["token"], filler),

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import FISH_ANNOTATIONS, fish_table, make_annotated_corpus
+from conftest import FISH_ANNOTATIONS, fish_table, make_annotated_corpus, superpose
 from holovec import hrr
 from holovec.codebook import build_codebook
 from holovec.encoder import (
@@ -328,7 +328,7 @@ class TestBatchedBuild:
                 )
                 if vec is not None
             ]
-            np.testing.assert_array_equal(entry.vector, hrr.superpose(fast, len(fast)))
+            np.testing.assert_array_equal(entry.vector, superpose(fast, len(fast)))
             vec, _ = compress_token(token, table, cb)
             np.testing.assert_array_equal(entry.vector, vec)
 
