@@ -1,7 +1,8 @@
 """File writing shared by the persistence layers, and the one JSON document format.
 
-A document is one compact JSON object whose first fields are its ``format``
-name and ``format_version``, followed by a newline.
+Every output file is written through `atomic_write_lines`. A document is one
+compact JSON object whose first fields are its ``format`` name and
+``format_version``, followed by a newline.
 """
 
 from __future__ import annotations
@@ -10,17 +11,28 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from typing import Iterable
 
 from .errors import ParseError
+
+__all__ = [
+    "FORMAT_VERSION",
+    "atomic_write_lines",
+    "atomic_write_text",
+    "read_document",
+    "write_document",
+]
 
 FORMAT_VERSION = 1
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file in the same directory.
+def atomic_write_lines(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` to ``path`` in order, via a temp file in the same directory.
 
-    The rename happens only after a successful write, so a failure never
-    leaves a partial file behind.
+    Each chunk is written as it is produced, so a file of many records never
+    exists whole in memory. The rename happens only after every chunk is
+    written: if writing or producing a chunk fails, the temp file is removed
+    and an existing ``path`` is left untouched.
     """
     target = Path(path)
     fd, tmp_name = tempfile.mkstemp(
@@ -28,7 +40,7 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     )
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp_name, target)
     except BaseException:
         try:
@@ -36,6 +48,11 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` atomically, as `atomic_write_lines` does."""
+    atomic_write_lines(path, (text,))
 
 
 def write_document(path: str | Path, format_name: str, body: dict) -> None:

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._fileio import write_document
-from .codebook import DEFAULT_SEED, VectorSpace
+from .codebook import BLOCK_ROWS, DEFAULT_SEED, VectorSpace
 from .errors import UnknownKeyError
 
 __all__ = [
@@ -111,8 +111,11 @@ def sample_orthogonality(
     first, second = picked[:size], picked[size:]
 
     unit = space.unit
-    cosines = np.abs(np.sum(unit[first] * unit[second], axis=1))
-    cosines = np.clip(cosines, 0.0, 1.0)
+    cosines = np.empty(size)
+    for start in range(0, size, BLOCK_ROWS):
+        pairs = slice(start, start + BLOCK_ROWS)
+        cosines[pairs] = np.sum(unit[first[pairs]] * unit[second[pairs]], axis=1)
+    cosines = np.clip(np.abs(cosines), 0.0, 1.0)
     counts, _ = np.histogram(cosines, bins=np.linspace(0.0, 1.0, 21))
     return OrthogonalityReport(
         sample_pairs=size,

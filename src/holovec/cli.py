@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import __version__
-from ._fileio import atomic_write_text
+from ._fileio import atomic_write_lines
 from .analysis import (
     DEFAULT_K,
     DEFAULT_SAMPLE_SIZE,
@@ -76,7 +76,6 @@ def cmd_compress(args) -> int:
 
 def cmd_decode(args) -> int:
     cb = load_codebook(args.codebook)
-    lines = ["#key\tm\tpos\tpos_similarity\tner\tner_similarity\n"]
     have_truth = args.sidecar is not None
     if have_truth:
         vocab = load_vocabulary(args.vocabulary, args.sidecar)
@@ -95,19 +94,19 @@ def cmd_decode(args) -> int:
         keys = list(vectors)
         counts = ["-"] * len(keys)
         decoded_all = decode_vocabulary(list(vectors.values()), None, cb)
-    for key, m, decoded in zip(keys, counts, decoded_all):
-        ner = decoded.ner_type or "-"
-        ner_sim = "-" if decoded.ner_similarity is None else f"{decoded.ner_similarity:.6f}"
-        lines.append(
-            f"{key}\t{m}\t{decoded.pos_tag}\t{decoded.pos_similarity:.6f}\t{ner}\t{ner_sim}\n"
-        )
 
-    text = "".join(lines)
+    def rows():
+        yield "#key\tm\tpos\tpos_similarity\tner\tner_similarity\n"
+        for key, m, decoded in zip(keys, counts, decoded_all):
+            ner = decoded.ner_type or "-"
+            ner_sim = "-" if decoded.ner_similarity is None else f"{decoded.ner_similarity:.6f}"
+            yield f"{key}\t{m}\t{decoded.pos_tag}\t{decoded.pos_similarity:.6f}\t{ner}\t{ner_sim}\n"
+
     if args.out:
-        atomic_write_text(args.out, text)
+        atomic_write_lines(args.out, rows())
         print(f"decoded attributes written to {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(rows())
     if have_truth:
         if pos_total:
             print(f"POS accuracy: {pos_ok / pos_total:.4f} ({pos_ok}/{pos_total})")

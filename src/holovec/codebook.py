@@ -27,6 +27,7 @@ from ._fileio import read_document, write_document
 from .errors import DimensionMismatchError, IntegrityError, ParseError
 
 __all__ = [
+    "BLOCK_ROWS",
     "Codebook",
     "DEFAULT_DIMENSION",
     "DEFAULT_SEED",
@@ -51,6 +52,9 @@ DEFAULT_SEED = 42
 SLOT_TOKEN = "token"
 SLOT_POS = "pos"
 SLOT_NER = "ner"
+
+# rows per batched bind, unbind or row reduction: bounds the size of the temporaries
+BLOCK_ROWS = 128
 
 _FORMAT_NAME = "holovec-codebook"
 _SLOTS = (SLOT_TOKEN, SLOT_POS, SLOT_NER)
@@ -118,7 +122,11 @@ class VectorSpace(Mapping[str, np.ndarray]):
     def unit(self) -> np.ndarray:
         """float64 rows of unit L2 norm, one per key in sorted order."""
         matrix = np.stack(self._vectors, dtype=np.float64)
-        norms = np.linalg.norm(matrix, axis=1)
+        norms = np.empty(len(matrix))
+        for start in range(0, len(matrix), BLOCK_ROWS):
+            norms[start : start + BLOCK_ROWS] = np.linalg.norm(
+                matrix[start : start + BLOCK_ROWS], axis=1
+            )
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:
             raise ValueError(f"vector {self.sorted_keys[zero[0]]!r} has zero norm")

@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from . import hrr
-from .codebook import SLOT_TOKEN, Codebook, cleanup, cleanup_rows
-from .encoder import BLOCK_ROWS, CompressedVocabulary, EmbeddingTable
+from .codebook import BLOCK_ROWS, SLOT_TOKEN, Codebook, cleanup, cleanup_rows
+from .encoder import CompressedVocabulary, EmbeddingTable
 from .errors import DimensionMismatchError
 
 __all__ = [

@@ -22,8 +22,8 @@ from typing import Iterable
 import numpy as np
 
 from . import hrr
-from ._fileio import atomic_write_text, read_document, write_document
-from .codebook import SLOT_TOKEN, Codebook, VectorSpace
+from ._fileio import atomic_write_lines, read_document, write_document
+from .codebook import BLOCK_ROWS, SLOT_TOKEN, Codebook, VectorSpace
 from .errors import (
     DimensionMismatchError,
     IntegrityError,
@@ -57,9 +57,6 @@ __all__ = [
 FILLER_EXACT = "exact"
 FILLER_LOWERCASED = "lowercased"
 FILLER_UNKNOWN = "unknown"
-
-# rows per batched bind or unbind: bounds the size of the transform temporaries
-BLOCK_ROWS = 128
 
 _SIDECAR_FORMAT = "holovec-vocabulary-meta"
 # the JSON types each sidecar record field may take
@@ -301,6 +298,14 @@ def build_vocabulary(
 # ---------------------------------------------------------------------------
 
 
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def read_vectors(
     path: str | Path, expected_dimension: int | None = None
 ) -> tuple[int, dict[str, np.ndarray]]:
@@ -309,8 +314,12 @@ def read_vectors(
     A first line of exactly two non-negative integers is a word2vec text
     header, ``count dimension``: the dimension is taken from it and the
     record count checked against it. Otherwise the dimension is inferred
-    from the first record unless ``expected_dimension`` pins it. Malformed
-    lines are reported by number. A leading UTF-8 byte-order mark is skipped.
+    from the first record unless ``expected_dimension`` pins it. Once the
+    dimension n is known, a record's values are its last n fields and its
+    key is the fields before them joined by single spaces, unless one of
+    those after the first reads as a number: such a record has too many
+    values. Malformed lines are reported by number. A leading UTF-8
+    byte-order mark is skipped.
     """
     path = Path(path)
     dimension = expected_dimension
@@ -332,17 +341,20 @@ def read_vectors(
                 continue
             if len(fields) < 2:
                 raise ParseError(f"{path}:{lineno}: expected 'key value...' fields")
-            key = fields[0]
-            if not key:
+            if not fields[0]:
                 raise ParseError(f"{path}:{lineno}: empty key")
             if dimension is None:
                 dimension = len(fields) - 1
-            elif len(fields) - 1 != dimension:
+            # GloVe 840B has keys with spaces, so the key is every field before
+            # the last n; a number among its words marks too many values instead
+            split = len(fields) - dimension
+            if split < 1 or dimension < 1 or any(map(_is_number, fields[1:split])):
                 raise ParseError(
                     f"{path}:{lineno}: expected {dimension} values, got {len(fields) - 1}"
                 )
+            key = " ".join(fields[:split])
             try:
-                vec = np.asarray(fields[1:], dtype=np.float64)
+                vec = np.asarray(fields[split:], dtype=np.float64)
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
             if not np.all(np.isfinite(vec)):
@@ -363,12 +375,10 @@ def read_embeddings(path: str | Path) -> EmbeddingTable:
 
 
 def write_vectors(path: str | Path, entries: dict[str, np.ndarray]) -> None:
-    """Write the text vector format with full-precision decimal values."""
-    lines = []
-    for key, vec in entries.items():
-        values = " ".join(repr(v) for v in vec.tolist())
-        lines.append(f"{key} {values}\n")
-    atomic_write_text(path, "".join(lines))
+    """Write the text vector format with full-precision decimal values, one record at a time."""
+    atomic_write_lines(
+        path, (f"{key} {' '.join(map(repr, vec.tolist()))}\n" for key, vec in entries.items())
+    )
 
 
 def read_annotations(path: str | Path) -> list[AnnotatedToken]:

@@ -203,6 +203,15 @@ def reference_neighborhoods(original, compressed, core, k, key_to_word):
     return orig_nbrs, top(words, rep_sims), reps
 
 
+def vector_text(entries: dict[str, np.ndarray]) -> str:
+    """Oracle for the text vector format: every record built, then joined into one string."""
+    lines = []
+    for key, vec in entries.items():
+        values = " ".join(repr(v) for v in vec.tolist())
+        lines.append(f"{key} {values}\n")
+    return "".join(lines)
+
+
 def write_vector_file(path, entries: dict[str, np.ndarray]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for key, vec in entries.items():

@@ -4,6 +4,8 @@ Every ranking result is cross-checked against a brute-force reimplementation
 that shares no code with the library path.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,24 @@ class TestVectorSpace:
         with pytest.raises(TypeError):
             space["c"] = np.ones(2)
 
+    @pytest.mark.parametrize("rows", [127, 128, 129])
+    def test_unit_rows_equal_the_one_shot_formula(self, rows):
+        space = VectorSpace(random_space(rows, 300, seed=rows))
+        matrix = np.stack([space[key] for key in space])
+        expected = matrix / np.linalg.norm(matrix, axis=1)[:, None]
+        assert space.unit.tobytes() == expected.tobytes()
+
+    def test_unit_is_built_without_full_size_temporaries(self):
+        space = VectorSpace(random_space(2000, 300, seed=13))
+        tracemalloc.start()
+        try:
+            unit = space.unit
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the matrix itself, plus norms and one block's temporaries
+        assert peak < 1.25 * unit.nbytes
+
     def test_of_passes_a_space_through_and_wraps_the_rest(self):
         space = VectorSpace({"a": np.ones(2)})
         assert VectorSpace.of(space) is space
@@ -151,6 +171,20 @@ class TestSampleOrthogonality:
         ]
         expected = np.mean([c < 0.3 for c in cosines])
         assert report.fraction_below == pytest.approx(expected)
+
+    @pytest.mark.parametrize("size", [127, 128, 129, 257])
+    def test_blocked_cosines_equal_the_one_shot_formula(self, size):
+        space = VectorSpace(random_space(600, 16, seed=11))
+        picked = np.random.default_rng(12).choice(600, size=2 * size, replace=False)
+        unit = space.unit
+        cosines = np.clip(np.abs(np.sum(unit[picked[:size]] * unit[picked[size:]], axis=1)), 0, 1)
+        # a cosine one bit off lands on the other side of c or of the next float above c
+        for c in cosines[:: max(1, size // 16)]:
+            for threshold in (c, np.nextafter(c, 2.0)):
+                report = sample_orthogonality(space, sample_size=size, threshold=threshold, seed=12)
+                assert report.fraction_below == float(np.mean(cosines < threshold))
+        counts, _ = np.histogram(cosines, bins=np.linspace(0.0, 1.0, 21))
+        assert report.histogram_counts == counts.tolist()
 
     def test_histogram_is_consistent_with_fraction(self):
         space = random_space(2000, 64, seed=6)

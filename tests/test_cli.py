@@ -322,6 +322,23 @@ class TestDecode:
         assert "accuracy" not in out.lower()
         assert out.startswith("#key")
 
+    @pytest.mark.parametrize("sidecar", [False, True])
+    def test_stdout_and_out_get_the_same_rows(self, pipeline_setup, capsys, sidecar):
+        tmp = pipeline_setup
+        argv = ["decode", str(tmp / "cb.json"), str(tmp / "vocab.txt")]
+        if sidecar:
+            argv += ["--sidecar", str(tmp / "vocab.txt.meta.json")]
+        capsys.readouterr()
+        code, to_stdout, _ = run(capsys, *argv)
+        assert code == 0
+        code, to_file, _ = run(capsys, *argv, "--out", str(tmp / "decoded.tsv"))
+        assert code == 0
+        table = (tmp / "decoded.tsv").read_bytes().decode("utf-8")
+        assert to_file.startswith(f"decoded attributes written to {tmp / 'decoded.tsv'}\n")
+        accuracy = to_file.split("\n", 1)[1]
+        assert (accuracy != "") == sidecar
+        assert to_stdout == table + accuracy
+
     def test_corrupt_vector_length_names_the_line(self, pipeline_setup, capsys):
         tmp = pipeline_setup
         lines = (tmp / "vocab.txt").read_text().splitlines()

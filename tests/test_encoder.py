@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +12,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import FISH_ANNOTATIONS, fish_table, make_annotated_corpus, superpose
+from conftest import (
+    FISH_ANNOTATIONS,
+    fish_table,
+    make_annotated_corpus,
+    make_surrogate_table,
+    superpose,
+    vector_text,
+)
 from holovec import hrr
 from holovec.codebook import build_codebook
 from holovec.encoder import (
@@ -413,12 +421,78 @@ class TestVectorFiles:
         path.write_text("\ufeff2 2\nnew 1.0 2.0\nyork 3.0 4.0\n", encoding="utf-8")
         assert list(read_vectors(path)[1]) == ["new", "york"]
 
+    @pytest.mark.parametrize(
+        "header, expected_dimension",
+        [("", None), ("5 3\n", None), ("", 3)],
+        ids=["earlier-record", "header", "expected-dimension"],
+    )
+    def test_keys_with_spaces_take_the_last_n_fields_as_values(
+        self, tmp_path, header, expected_dimension
+    ):
+        # GloVe 840B has keys such as ". . ." and "at name@domain.com"
+        records = {
+            ". . .": "4.0 5.0 6.0",
+            "at name@domain.com": "7.0 8.0 9.0",
+            "x  y": "1.5 -2.5 3.5",
+            "inf .": "0.0 0.0 1.0",
+            "a": "1.0 2.0 3.0",
+        }
+        keys = list(records)
+        if not header and expected_dimension is None:
+            keys = keys[-1:] + keys[:-1]  # the dimension comes from a plain first record
+        path = tmp_path / "vecs.txt"
+        path.write_text(header + "".join(f"{key} {records[key]}\n" for key in keys))
+        dimension, loaded = read_vectors(path, expected_dimension)
+        assert dimension == 3
+        assert list(loaded) == keys
+        for key, values in records.items():
+            np.testing.assert_array_equal(loaded[key], [float(v) for v in values.split(" ")])
+
+    @pytest.mark.parametrize(
+        "record, got",
+        [("b 1.0 2.0", 2), ("b c 1.0", 2), ("b 9 1.0 2.0 3.0", 4), ("b c nan 1.0 2.0 3.0", 5)],
+    )
+    def test_a_record_of_the_wrong_length_still_names_the_line(self, tmp_path, record, got):
+        path = tmp_path / "vecs.txt"
+        path.write_text(f"a 1.0 2.0 3.0\n{record}\n")
+        with pytest.raises(ParseError, match=f":2: expected 3 values, got {got}$"):
+            read_vectors(path)
+
     def test_read_embeddings_wraps_read_vectors(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("cat 1.0 0.0\ndog 0.0 1.0\n")
         table = read_embeddings(path)
         assert table.dimension == 2
         assert "cat" in table and "dog" in table
+
+
+class TestStreamedVocabularyWrite:
+    @pytest.fixture(scope="class")
+    def vocab(self, default_codebook):
+        table = make_surrogate_table(1000, 300, seed=23, n_clusters=50)
+        corpus = make_annotated_corpus(
+            sorted(table.entries), ["NN", "VB", "NNP", "JJ"], ["ORG", "PERSON"], seed=24
+        )
+        vocab = build_vocabulary(corpus, table, default_codebook)
+        assert len(vocab) >= 2000 and vocab.dimension == 300
+        return vocab
+
+    def test_writes_the_bytes_of_the_whole_text_formatter(self, tmp_path, vocab):
+        path = tmp_path / "vocab.txt"
+        write_vocabulary(path, vocab)
+        vectors = {key: entry.vector for key, entry in vocab.entries.items()}
+        assert path.read_bytes() == vector_text(vectors).encode("utf-8")
+
+    def test_peak_memory_is_a_sliver_of_the_file(self, tmp_path, vocab):
+        path = tmp_path / "vocab.txt"
+        tracemalloc.start()
+        try:
+            write_vocabulary(path, vocab)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # building the file whole held it three times over: lines, joined text, bytes
+        assert peak < 0.05 * path.stat().st_size
 
 
 class TestAnnotationFiles:

@@ -17,7 +17,7 @@ EXPORTING = [module for module in MODULES if hasattr(module, "__all__")]
 
 
 def test_the_library_modules_define_all():
-    library = ["analysis", "codebook", "decoder", "encoder", "hrr", "selftest"]
+    library = ["_fileio", "analysis", "codebook", "decoder", "encoder", "hrr", "selftest"]
     exporting = {module.__name__ for module in EXPORTING}
     assert [name for name in library if f"holovec.{name}" not in exporting] == []
 

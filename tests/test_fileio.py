@@ -5,7 +5,13 @@ import json
 import pytest
 
 from conftest import FISH_ANNOTATIONS, fish_table, make_surrogate_table
-from holovec._fileio import FORMAT_VERSION, read_document, write_document
+from holovec._fileio import (
+    FORMAT_VERSION,
+    atomic_write_lines,
+    atomic_write_text,
+    read_document,
+    write_document,
+)
 from holovec.analysis import classify_neighborhoods, sample_orthogonality
 from holovec.codebook import build_codebook, load_codebook, save_codebook
 from holovec.encoder import build_vocabulary, load_vocabulary, write_sidecar, write_vocabulary
@@ -131,3 +137,24 @@ def test_the_loaders_reject_another_version(tmp_path, small_codebook):
         load_codebook(cb_path)
     with pytest.raises(ParseError, match=r"vocab\.meta\.json: format_version is 2, expected 1"):
         load_vocabulary(vec_path, meta_path)
+
+
+def test_atomic_write_lines_writes_the_chunks_in_order(tmp_path):
+    lines, text = tmp_path / "lines.txt", tmp_path / "text.txt"
+    atomic_write_lines(lines, (f"{i} \u00e9\n" for i in range(3)))
+    atomic_write_text(text, "0 \u00e9\n1 \u00e9\n2 \u00e9\n")
+    assert lines.read_bytes() == text.read_bytes() == "0 é\n1 é\n2 é\n".encode("utf-8")
+
+
+def test_a_chunk_that_raises_leaves_the_target_and_no_temp_file(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(b"old contents\n")
+
+    def chunks():
+        yield "a 1.0\n" * 5000  # past the write buffer, so the temp file holds bytes
+        raise RuntimeError("record 2 failed")
+
+    with pytest.raises(RuntimeError, match="record 2 failed"):
+        atomic_write_lines(path, chunks())
+    assert path.read_bytes() == b"old contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["vocab.txt"]
