@@ -9,7 +9,11 @@ Every analysis reads a `codebook.VectorSpace`: the keys in sorted order
 plus one matrix of unit-norm rows, built once on first use. Scans are exact
 matrix-vector products over that matrix; vocabularies at desk scale do not
 need approximate indexing. Building the space once and reusing it makes
-repeated `k_nearest` queries cost one product each.
+repeated `k_nearest` queries cost one product each, plus an exact re-score of
+the few rows at the top-k boundary: a partition, not a sort, finds the
+boundary, and rows within the product's rounding error of it are scored again
+by a per-row product whose summation order is fixed, so identical vectors tie
+exactly and ties go to the smaller key.
 """
 
 from __future__ import annotations
@@ -161,13 +165,47 @@ def pairwise_cosine_stats(
 # ---------------------------------------------------------------------------
 
 
-def _top_rows(sims: np.ndarray, exclude: int, k: int) -> np.ndarray:
-    """Rows of the k largest ``sims``, leaving out row ``exclude``.
+def _top_rows(
+    sims: np.ndarray,
+    exclude: int,
+    k: int,
+    unit: np.ndarray,
+    query: np.ndarray,
+    rows: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the k largest cosines to ``query``, leaving out ``exclude``,
+    and those cosines.
 
-    Rows follow sorted keys, so a stable sort breaks exact ties by key.
+    ``sims`` screens: it is one BLAS product of ``query`` with the rows of
+    ``unit`` (row ``rows[i]`` at position i, or row i when ``rows`` is None).
+    BLAS sums a row in an order that depends on where the row sits, so two
+    identical rows can screen one bit apart. Only the positions near the
+    top-k boundary are re-scored, with a per-row product whose order is
+    fixed, and the k are picked by those scores. Positions follow sorted
+    keys, so the stable sort breaks exact ties by key.
+
+    Any computed dot product of two n-vectors of norm 1 lies within
+    gamma_n = n*u/(1 - n*u) of the exact one, u = eps/2, whatever the order
+    of summation (Higham, Accuracy and Stability of Numerical Algorithms,
+    sec. 3.1), so a screened and a re-scored cosine differ by at most
+    2*gamma_n. At least k positions besides ``exclude`` screen at or above
+    the (k+1)-th largest screened cosine, so each winner re-scores at most
+    2*gamma_n and screens at most 4*gamma_n below it. 4*n*eps bounds
+    4*gamma_n with a factor of 2 to spare, which covers rows whose norms are
+    a few ulps off 1.
     """
-    order = np.argsort(-sims, kind="stable")
-    return order[order != exclude][:k]
+    count = len(sims)
+    if k + 1 < count:
+        cut = count - k - 1
+        boundary = np.partition(sims, cut)[cut]
+        slack = 4 * len(query) * np.finfo(np.float64).eps
+        picked = np.flatnonzero(sims >= boundary - slack)
+    else:
+        picked = np.arange(count)
+    picked = picked[picked != exclude]
+    exact = np.einsum("ij,j->i", unit[picked if rows is None else rows[picked]], query)
+    order = np.argsort(-exact, kind="stable")[:k]
+    return picked[order], exact[order]
 
 
 def k_nearest(space, core: str, k: int = DEFAULT_K) -> list[tuple[str, float]]:
@@ -190,8 +228,9 @@ def k_nearest(space, core: str, k: int = DEFAULT_K) -> list[tuple[str, float]]:
     qnorm = float(np.linalg.norm(query))
     if qnorm == 0.0:
         raise ValueError(f"core {core!r} has zero norm")
-    sims = space.unit @ (query / qnorm)
-    return [(space.sorted_keys[i], float(sims[i])) for i in _top_rows(sims, row, k)]
+    query = query / qnorm
+    rows, cosines = _top_rows(space.unit @ query, row, k, space.unit, query)
+    return list(zip([space.sorted_keys[i] for i in rows], cosines.tolist()))
 
 
 @dataclass
@@ -289,21 +328,21 @@ def _classify_core(
 ) -> CoreNeighborhood:
     words = orig.sorted_keys  # word i owns segment i
     seg_rows, starts, seg_word = segments
-    sims = orig.unit @ orig.unit[core_row]
-    orig_rows = _top_rows(sims, core_row, k)
-    orig_nbrs = [(words[i], float(sims[i])) for i in orig_rows]
+    query = orig.unit[core_row]
+    orig_rows, cosines = _top_rows(orig.unit @ query, core_row, k, orig.unit, query)
+    orig_nbrs = list(zip([words[i] for i in orig_rows], cosines.tolist()))
 
     # compressed-space neighborhood: each word is represented by its composite
     # vector most similar to the core's own (lexicographically first) vector;
     # of equally similar composites, the first in the segment (smallest key)
     anchor = seg_rows[starts[core_row]]
-    seg_sims = (comp.unit @ comp.unit[anchor])[seg_rows]
+    query = comp.unit[anchor]
+    seg_sims = (comp.unit @ query)[seg_rows]
     best = np.maximum.reduceat(seg_sims, starts)
     at_best = np.flatnonzero(seg_sims == best[seg_word])
-    first = at_best[np.searchsorted(at_best, starts)]
-    rep_sims = seg_sims[first]
-    comp_words = _top_rows(rep_sims, core_row, k)
-    comp_nbrs = [(words[i], float(rep_sims[i])) for i in comp_words]
+    reps = seg_rows[at_best[np.searchsorted(at_best, starts)]]
+    comp_words, cosines = _top_rows(best, core_row, k, comp.unit, query, reps)
+    comp_nbrs = list(zip([words[i] for i in comp_words], cosines.tolist()))
 
     rank_orig = {key: rank for rank, (key, _) in enumerate(orig_nbrs, 1)}
     rank_comp = {key: rank for rank, (key, _) in enumerate(comp_nbrs, 1)}
@@ -328,7 +367,7 @@ def _classify_core(
         compressed_neighbors=comp_nbrs,
         original_cosine_matrix=_cosine_matrix(orig.unit[np.r_[core_row, orig_rows]]),
         compressed_cosine_matrix=_cosine_matrix(
-            comp.unit[np.r_[anchor, seg_rows[first[comp_words]]]]
+            comp.unit[np.r_[anchor, reps[comp_words]]]
         ),
         same_position=same,
         shifted=shifted,

@@ -238,7 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
     an.set_defaults(func=cmd_analyze_neighborhoods)
 
     s = sub.add_parser("self-test", help="synthetic round-trip against frozen floors")
-    s.add_argument("--dim", type=_dim, default=DEFAULT_DIMENSION)
+    s.add_argument(
+        "--dim",
+        type=_dim,
+        default=DEFAULT_DIMENSION,
+        help="vector dimension; the floors are calibrated at 300, and at much smaller "
+        "dimensions (64, say) the orthogonality checks can fail",
+    )
     s.add_argument("--seed", type=int, default=DEFAULT_SEED)
     s.set_defaults(func=cmd_self_test)
     return parser

@@ -162,13 +162,27 @@ def brute_force_classify(original, compressed, cores, k):
     return same / denom, shifted / denom, disjoint / denom
 
 
+def sorted_top_rows(sims: np.ndarray, exclude: int, k: int) -> np.ndarray:
+    """Oracle for top-k selection: rows of the k largest ``sims`` but ``exclude``,
+    by a stable sort of every row, so exact ties go to the smaller row."""
+    order = np.argsort(-sims, kind="stable")
+    return order[order != exclude][:k]
+
+
+def row_cosines(unit: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Every row's cosine to ``query`` by the fixed-order per-row product that
+    `analysis` scores neighbors with, so a row's bits do not depend on where it sits."""
+    return np.einsum("ij,j->i", unit, query)
+
+
 def reference_neighborhoods(original, compressed, core, k, key_to_word):
     """Oracle: one core's top-k in both spaces, by a loop over the words.
 
     Returns (original neighbors, word-level compressed neighbors, the
     composite key representing each word). Each word is represented by the
-    first of its sorted composite keys with the highest cosine to the core
-    word's first composite key.
+    first of its sorted composite keys with the highest cosine (as one
+    matrix-vector product screens it) to the core word's first composite
+    key. Neighbors are ranked by their `row_cosines`.
     """
 
     def unit_rows(space, keys):
@@ -182,7 +196,7 @@ def reference_neighborhoods(original, compressed, core, k, key_to_word):
     orig_keys = sorted(original)
     orig_unit = unit_rows(original, orig_keys)
     row = orig_keys.index(core)
-    sims = orig_unit @ orig_unit[row]
+    sims = row_cosines(orig_unit, orig_unit[row])
     orig_nbrs = top([key for key in orig_keys if key != core], np.delete(sims, row))
 
     comp_keys = sorted(compressed)
@@ -194,12 +208,12 @@ def reference_neighborhoods(original, compressed, core, k, key_to_word):
     reps = {core: word_to_keys[core][0]}
     sims_all = comp_unit @ comp_unit[comp_index[reps[core]]]
     words = [w for w in sorted(word_to_keys) if w != core]
-    rep_sims = np.empty(len(words))
-    for i, word in enumerate(words):
+    for word in words:
         local = sims_all[[comp_index[key] for key in word_to_keys[word]]]
         best = int(np.argmax(local))  # first max == lexicographically first key
-        rep_sims[i] = local[best]
         reps[word] = word_to_keys[word][best]
+    rep_rows = comp_unit[[comp_index[reps[word]] for word in words]]
+    rep_sims = row_cosines(rep_rows, comp_unit[comp_index[reps[core]]])
     return orig_nbrs, top(words, rep_sims), reps
 
 

@@ -17,10 +17,13 @@ from conftest import (
     brute_force_neighbors,
     cosine_similarity,
     reference_neighborhoods,
+    row_cosines,
+    sorted_top_rows,
 )
 from holovec import hrr
 from holovec.analysis import (
     VectorSpace,
+    _top_rows,
     classify_neighborhoods,
     k_nearest,
     pairwise_cosine_stats,
@@ -73,6 +76,49 @@ def plain_spaces(draw):
     vector = nonzero_vectors(draw(st.integers(2, 4)))
     n_keys = draw(st.integers(1, 12))
     return {f"k{i:02d}": draw(vector) for i in range(n_keys)}
+
+
+@st.composite
+def selections(draw):
+    """Unit rows, many of them exact duplicates, a query, k and the row to leave out.
+
+    k runs past the row count, where no partition is possible, and the left-out
+    row is drawn by its rank, often next to the top-k boundary.
+    """
+    distinct = draw(st.lists(nonzero_vectors(draw(st.integers(2, 6))), min_size=1, max_size=12))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=40))
+    matrix = np.stack([distinct[i] for i in picks])
+    unit = matrix / np.linalg.norm(matrix, axis=1)[:, None]
+    n = len(unit)
+    k = draw(st.integers(1, n + 1))
+    query = unit[draw(st.integers(0, n - 1))]
+    rank = draw(st.integers(0, n - 1) | st.integers(max(k - 2, 0), min(k + 1, n - 1)))
+    return unit, query, k, rank
+
+
+def space_with_twins(rng, n_keys, dimension=300):
+    """Random unit rows whose last 2-5 keys hold one vector close to the first key's.
+
+    The twins sit where a BLAS matrix-vector product may sum some of them with
+    another kernel than the rest.
+    """
+    matrix = rng.normal(size=(n_keys, dimension))
+    matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+    twin = matrix[0] + 0.5 * rng.normal(size=dimension) / np.sqrt(dimension)
+    group = int(rng.integers(2, 6))
+    matrix[n_keys - group :] = twin / np.linalg.norm(twin)
+    keys = [f"k{i:04d}" for i in range(n_keys)]
+    return dict(zip(keys, matrix)), keys[n_keys - group :]
+
+
+def twins_in_key_order(neighbors, twins) -> int:
+    """How many of ``twins`` are among ``neighbors``, having checked that they
+    are the first twins by key, adjacent, and share one cosine."""
+    keys = [key for key, _ in neighbors]
+    at = [i for i, key in enumerate(keys) if key in twins]
+    assert at and keys[at[0] : at[-1] + 1] == twins[: len(at)]
+    assert len({neighbors[i][1].hex() for i in at}) == 1
+    return len(at)
 
 
 class TestVectorSpace:
@@ -307,8 +353,66 @@ class TestKNearest:
         with pytest.raises(ValueError):
             k_nearest(random_space(5, 4, seed=21), "k0000", k=0)
 
+    def test_identical_vectors_tie_in_key_order(self):
+        rng = np.random.default_rng(40)
+        for _ in range(60):
+            space, twins = space_with_twins(rng, int(rng.integers(1000, 2201)))
+            assert twins_in_key_order(k_nearest(space, "k0000", k=10), twins) == len(twins)
+            # the top-k boundary splits the group: the smaller keys stay
+            assert twins_in_key_order(k_nearest(space, "k0000", k=len(twins) - 1), twins)
+
+
+class TestTopRows:
+    @settings(max_examples=300, deadline=None)
+    @given(selections())
+    def test_picks_what_a_full_sort_of_the_exact_cosines_picks(self, drawn):
+        unit, query, k, rank = drawn
+        exact = row_cosines(unit, query)
+        exclude = int(np.argsort(-exact, kind="stable")[rank])
+        sims = unit @ query
+        rows, cosines = _top_rows(sims, exclude, k, unit, query)
+        want = sorted_top_rows(exact, exclude, k)
+        assert rows.tolist() == want.tolist()
+        assert [c.hex() for c in cosines.tolist()] == [c.hex() for c in exact[want].tolist()]
+        if np.all(np.diff(np.sort(sims)) > 1e-9):  # no near-ties: the screen alone agrees
+            assert rows.tolist() == sorted_top_rows(sims, exclude, k).tolist()
+
+    @pytest.mark.parametrize("k", [4, 5, 9])
+    def test_k_past_the_boundary_ranks_every_other_row(self, k):
+        unit = VectorSpace(random_space(4, 8, seed=41)).unit[[0, 1, 2, 1, 3]]
+        rows, cosines = _top_rows(unit @ unit[4], 4, k, unit, unit[4])
+        assert rows.tolist() == sorted_top_rows(row_cosines(unit, unit[4]), 4, k).tolist()
+        at = rows.tolist().index(1)  # row 3 repeats row 1: equal, and after it
+        assert len(rows) == 4 and rows[at + 1] == 3 and cosines[at] == cosines[at + 1]
+
+    @pytest.mark.parametrize("dimension", [7, 64, 300, 301])
+    def test_a_rows_cosine_does_not_depend_on_where_it_sits(self, dimension):
+        rng = np.random.default_rng(dimension)
+        for _ in range(20):
+            others = VectorSpace(random_space(14, dimension, seed=int(rng.integers(1 << 30)))).unit
+            row, query = others[0], others[13]
+            alone = row_cosines(row[None, :], query)[0].hex()
+            for at in range(13):
+                unit = others.copy()
+                unit[at] = row
+                rows, cosines = _top_rows(unit @ query, 13, 13, unit, query)
+                assert cosines[rows.tolist().index(at)].hex() == alone
+
 
 class TestClassifyNeighborhoods:
+    def test_identical_vectors_tie_in_key_order_on_both_sides(self):
+        rng = np.random.default_rng(42)
+        for k in [10, 1] * 30:  # k = 1 splits every group at the boundary
+            n_keys = int(rng.integers(1000, 2201))
+            original, original_twins = space_with_twins(rng, n_keys)
+            compressed, compressed_twins = space_with_twins(rng, n_keys)
+            [core] = classify_neighborhoods(original, compressed, ["k0000"], k=k).cores
+            for side, twins in (
+                (core.original_neighbors, original_twins),
+                (core.compressed_neighbors, compressed_twins),
+            ):
+                assert twins_in_key_order(side, twins) == min(k, len(twins))
+
     def test_identical_spaces_are_all_same_position(self):
         space = random_space(100, 16, seed=22)
         cores = ["k0001", "k0050", "k0099"]
