@@ -222,15 +222,18 @@ def k_nearest(space, core: str, k: int = DEFAULT_K) -> list[tuple[str, float]]:
         raise UnknownKeyError(f"core {core!r} is not in the space")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if len(space) == 1:
-        return []
-    query = np.asarray(space[core], dtype=np.float64)
-    qnorm = float(np.linalg.norm(query))
-    if qnorm == 0.0:
-        raise ValueError(f"core {core!r} has zero norm")
-    query = query / qnorm
+    return _nearest(space, row, k)[1]
+
+
+def _nearest(space: VectorSpace, row: int, k: int) -> tuple[np.ndarray, list[tuple[str, float]]]:
+    """Rows of the k keys nearest to key ``row``, and those keys with their cosines.
+
+    The query is the key's own unit row, so `k_nearest` and the original side
+    of `classify_neighborhoods` score a key the same, bit for bit.
+    """
+    query = space.unit[row]
     rows, cosines = _top_rows(space.unit @ query, row, k, space.unit, query)
-    return list(zip([space.sorted_keys[i] for i in rows], cosines.tolist()))
+    return rows, list(zip([space.sorted_keys[i] for i in rows], cosines.tolist()))
 
 
 @dataclass
@@ -328,9 +331,7 @@ def _classify_core(
 ) -> CoreNeighborhood:
     words = orig.sorted_keys  # word i owns segment i
     seg_rows, starts, seg_word = segments
-    query = orig.unit[core_row]
-    orig_rows, cosines = _top_rows(orig.unit @ query, core_row, k, orig.unit, query)
-    orig_nbrs = list(zip([words[i] for i in orig_rows], cosines.tolist()))
+    orig_rows, orig_nbrs = _nearest(orig, core_row, k)
 
     # compressed-space neighborhood: each word is represented by its composite
     # vector most similar to the core's own (lexicographically first) vector;

@@ -175,13 +175,6 @@ def cmd_self_test(args) -> int:
     return 1 if failed else 0
 
 
-def _dim(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"dimension must be >= 2, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="holovec",
@@ -196,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("build-codebook", help="generate and save the label-vector codebook")
     b.add_argument("output", help="codebook JSON path")
-    b.add_argument("--dim", type=_dim, default=DEFAULT_DIMENSION, help="vector dimension")
+    b.add_argument("--dim", type=int, default=DEFAULT_DIMENSION, help="vector dimension")
     b.add_argument("--seed", type=int, default=DEFAULT_SEED, help="generator seed")
     b.add_argument("--pos-tags", metavar="FILE", help="POS tag list, one per line")
     b.add_argument("--ner-types", metavar="FILE", help="NER type list, one per line")
@@ -240,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("self-test", help="synthetic round-trip against frozen floors")
     s.add_argument(
         "--dim",
-        type=_dim,
+        type=int,
         default=DEFAULT_DIMENSION,
         help="vector dimension; the floors are calibrated at 300, and at much smaller "
         "dimensions (64, say) the orthogonality checks can fail",

@@ -154,27 +154,30 @@ class FillerTable(VectorSpace):
 
 @dataclass(eq=False)
 class Codebook:
-    """Immutable after construction; the filler tables are derived on first use."""
+    """Immutable after construction; the filler tables are derived on first use.
 
-    dimension: int
+    ``vectors`` holds one row per name of `_layout`, in draw order. The
+    vector attributes set on construction are views of those rows.
+    """
+
     seed: int
-    frame_label: np.ndarray
-    slot_labels: dict[str, np.ndarray]
-    pos_fillers: dict[str, np.ndarray]
-    ner_fillers: dict[str, np.ndarray]
-    unknown_token: np.ndarray
+    pos_tags: list[str]
+    ner_types: list[str]
+    vectors: np.ndarray
 
-    @property
-    def pos_tags(self) -> list[str]:
-        return list(self.pos_fillers)
+    def __post_init__(self) -> None:
+        named = self.all_vectors()
+        self.dimension = self.vectors.shape[1]
+        self.vector_count = len(self.vectors)
+        self.frame_label = named["frame"]
+        self.slot_labels = {slot: named[f"slot:{slot}"] for slot in _SLOTS}
+        self.pos_fillers = {tag: named[f"pos:{tag}"] for tag in self.pos_tags}
+        self.ner_fillers = {typ: named[f"ner:{typ}"] for typ in self.ner_types}
+        self.unknown_token = named["unknown"]
 
-    @property
-    def ner_types(self) -> list[str]:
-        return list(self.ner_fillers)
-
-    @property
-    def vector_count(self) -> int:
-        return len(self.all_vectors())
+    def all_vectors(self) -> dict[str, np.ndarray]:
+        """Every vector under its persistent name, in draw order."""
+        return dict(zip(_layout(self.pos_tags, self.ner_types), self.vectors))
 
     @cached_property
     def pos_table(self) -> FillerTable:
@@ -184,24 +187,13 @@ class Codebook:
     def ner_table(self) -> FillerTable:
         return FillerTable(self.slot_labels[SLOT_NER], self.ner_fillers)
 
-    def all_vectors(self) -> dict[str, np.ndarray]:
-        """Every vector under its persistent name, in draw order."""
-        fields = [
-            self.frame_label,
-            *(self.slot_labels[slot] for slot in _SLOTS),
-            *self.pos_fillers.values(),
-            *self.ner_fillers.values(),
-            self.unknown_token,
-        ]
-        return dict(zip(_layout(self.pos_tags, self.ner_types), fields))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Codebook):
             return NotImplemented
-        mine, theirs = self.all_vectors(), other.all_vectors()
-        if (self.dimension, self.seed, list(mine)) != (other.dimension, other.seed, list(theirs)):
-            return False
-        return all(np.array_equal(mine[name], theirs[name]) for name in mine)
+        tags = (self.seed, self.pos_tags, self.ner_types)
+        return tags == (other.seed, other.pos_tags, other.ner_types) and np.array_equal(
+            self.vectors, other.vectors
+        )
 
 
 def _layout(pos_tags: list[str], ner_types: list[str]) -> list[str]:
@@ -213,23 +205,6 @@ def _layout(pos_tags: list[str], ner_types: list[str]) -> list[str]:
         *(f"ner:{typ}" for typ in ner_types),
         "unknown",
     ]
-
-
-def _assemble(dimension: int, seed: int, named: dict[str, np.ndarray]) -> Codebook:
-    """The codebook whose vectors ``named`` holds under their names, in layout order."""
-
-    def group(prefix: str) -> dict[str, np.ndarray]:
-        return {name[len(prefix) :]: vec for name, vec in named.items() if name.startswith(prefix)}
-
-    return Codebook(
-        dimension=dimension,
-        seed=seed,
-        frame_label=named["frame"],
-        slot_labels=group("slot:"),
-        pos_fillers=group("pos:"),
-        ner_fillers=group("ner:"),
-        unknown_token=named["unknown"],
-    )
 
 
 def _check_tags(tags: list[str], kind: str) -> None:
@@ -300,8 +275,8 @@ def build_codebook(
     _check_key_suffixes(pos_tags, ner_types)
 
     rng = np.random.default_rng(seed)
-    named = {name: hrr.random_vector(rng, dimension) for name in _layout(pos_tags, ner_types)}
-    return _assemble(dimension, seed, named)
+    vectors = np.stack([hrr.random_vector(rng, dimension) for _ in _layout(pos_tags, ner_types)])
+    return Codebook(seed, pos_tags, ner_types, vectors)
 
 
 def save_codebook(cb: Codebook, destination: str | Path) -> None:
@@ -359,8 +334,8 @@ def load_codebook(source: str | Path) -> Codebook:
     extras = set(vectors) - set(layout)
     if extras:
         raise IntegrityError(f"{source}: unexpected vectors {sorted(extras)}")
-    named = {name: _vector_from_doc(vectors, name, dimension, str(source)) for name in layout}
-    return _assemble(dimension, seed, named)
+    rows = np.stack([_vector_from_doc(vectors, name, dimension, str(source)) for name in layout])
+    return Codebook(seed, pos_tags, ner_types, rows)
 
 
 def cleanup_rows(queries: np.ndarray, space: VectorSpace) -> tuple[list[str], np.ndarray]:

@@ -140,7 +140,5 @@ def decode_token_identity(
     so identity decoding is noisier than attribute decoding. Cleanup runs
     over ``table.space``, normalised on the first call and then reused.
     """
-    if not table.entries:
-        raise ValueError("decode_token_identity() requires a non-empty table")
     query = unbind_slot(compressed, cb.slot_labels[SLOT_TOKEN], m, cb.frame_label)
     return cleanup(query, table.space)

@@ -249,48 +249,37 @@ def build_vocabulary(
         )
 
     firsts: dict[str, tuple[AnnotatedToken, tuple[int, int | None]]] = {}
-    word_types: set[str] = set()
     total = 0
     for token in tokens:
         total += 1
-        word_types.add(token.surface.lower())
         tag_rows = _tag_rows(token, cb)  # validate tags eagerly, with line diagnostics
         key = composite_key(token)
         if key not in firsts:
             firsts[key] = (token, tag_rows)
 
-    keys = list(firsts)
-    vectors = np.empty((len(keys), cb.dimension))
-    counts = np.empty(len(keys), dtype=int)
-    sources: list[str] = []
-    for start in range(0, len(keys), BLOCK_ROWS):
-        block = [firsts[key] for key in keys[start : start + BLOCK_ROWS]]
-        found = [lookup_filler(token.surface, table, cb) for token, _ in block]
-        sources += [source for _, source in found]
-        stop = start + len(block)
-        vectors[start:stop], counts[start:stop] = _bind_rows(
-            np.stack([filler for filler, _ in found]), [rows for _, rows in block], cb
-        )
-
+    items = list(firsts.items())
     entries: dict[str, VocabEntry] = {}
-    for i, key in enumerate(keys):
-        token = firsts[key][0]
-        entries[key] = VocabEntry(
-            vector=vectors[i],
-            component_count=int(counts[i]),
-            filler_source=sources[i],
-            word_type=token.surface.lower(),
-            pos_tag=token.pos_tag,
-            ner_type=token.ner_type,
+    for start in range(0, len(items), BLOCK_ROWS):
+        block = items[start : start + BLOCK_ROWS]
+        found = [lookup_filler(token.surface, table, cb) for _, (token, _) in block]
+        vectors, counts = _bind_rows(
+            np.stack([filler for filler, _ in found]), [rows for _, (_, rows) in block], cb
         )
-
-    stats = BuildStats(
-        input_tokens=total,
-        distinct_word_types=len(word_types),
-        distinct_keys=len(entries),
-        unknown_filler_entries=sources.count(FILLER_UNKNOWN),
-    )
+        for (key, (token, _)), (_, source), vector, m in zip(block, found, vectors, counts):
+            entries[key] = VocabEntry(
+                vector, int(m), source, token.surface.lower(), token.pos_tag, token.ner_type
+            )
+    stats = BuildStats(input_tokens=total, **_entry_counts(entries))
     return CompressedVocabulary(dimension=cb.dimension, entries=entries, stats=stats)
+
+
+def _entry_counts(entries: dict[str, VocabEntry]) -> dict[str, int]:
+    """The build stats that follow from the entries: all of them but ``input_tokens``."""
+    return {
+        "distinct_word_types": len({e.word_type for e in entries.values()}),
+        "distinct_keys": len(entries),
+        "unknown_filler_entries": sum(e.filler_source == FILLER_UNKNOWN for e in entries.values()),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -512,5 +501,11 @@ def load_vocabulary(
         key: VocabEntry(vector=vec, **{name: meta[key][name] for name in _ENTRY_FIELDS})
         for key, vec in vectors.items()
     }
-    stats = BuildStats(**{name: st[name] for name in _STATS_FIELDS})
+    counts = _entry_counts(entries)
+    for name, count in counts.items():
+        if st[name] != count:
+            raise IntegrityError(
+                f"{sidecar_path}: stats: {name} is {st[name]}, entries give {count}"
+            )
+    stats = BuildStats(input_tokens=st["input_tokens"], **counts)
     return CompressedVocabulary(dimension=dimension, entries=entries, stats=stats)

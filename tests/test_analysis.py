@@ -29,8 +29,10 @@ from holovec.analysis import (
     pairwise_cosine_stats,
     sample_orthogonality,
 )
-from holovec.encoder import CompressedVocabulary, VocabEntry
+from holovec.codebook import build_codebook
+from holovec.encoder import CompressedVocabulary, VocabEntry, build_vocabulary
 from holovec.errors import UnknownKeyError
+from holovec.selftest import synthetic_corpus, synthetic_embeddings
 
 
 def random_space(n_keys, dimension, seed):
@@ -180,7 +182,7 @@ class TestVectorSpace:
         plain = {key: e.vector for key, e in entries.items()}
         calls = [
             (lambda s: k_nearest(s, "aNN", k=1), "vector 'bNN' has zero norm"),
-            (lambda s: k_nearest(s, "bNN", k=1), "core 'bNN' has zero norm"),
+            (lambda s: k_nearest(s, "bNN", k=1), "vector 'bNN' has zero norm"),
             (lambda s: sample_orthogonality(s, sample_size=1), "vector 'bNN' has zero norm"),
             (lambda s: pairwise_cosine_stats(s), "vector 'bNN' has zero norm"),
             (lambda s: classify_neighborhoods(s, s, ["aNN"], k=1), "vector 'bNN' has zero norm"),
@@ -258,6 +260,10 @@ class TestSampleOrthogonality:
         with pytest.raises(ValueError):
             sample_orthogonality({"a": np.ones(4)}, sample_size=1)
 
+    def test_zero_sample_size_rejected(self):
+        with pytest.raises(ValueError, match=r"^sample_size must be >= 1, got 0$"):
+            sample_orthogonality(random_space(10, 4, seed=11), sample_size=0)
+
     def test_report_round_trips_to_json(self, tmp_path):
         import json
 
@@ -284,6 +290,10 @@ class TestPairwiseStats:
         assert stats.pairs == len(cosines) == 30 * 29 // 2
         assert stats.max_abs_cosine == pytest.approx(max(cosines))
         assert stats.fraction_below == pytest.approx(np.mean([c < 0.4 for c in cosines]))
+
+    def test_one_vector_rejected(self):
+        with pytest.raises(ValueError, match=r"^pairwise scan needs >= 2 vectors, got 1$"):
+            pairwise_cosine_stats(random_space(1, 4, seed=15))
 
     def test_refuses_oversized_spaces(self):
         space = random_space(30, 4, seed=16)
@@ -352,6 +362,20 @@ class TestKNearest:
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError):
             k_nearest(random_space(5, 4, seed=21), "k0000", k=0)
+
+    def test_equals_the_original_side_of_classify_neighborhoods_bit_for_bit(self):
+        cb = build_codebook(dimension=64, seed=5)
+        rng = np.random.default_rng(6)
+        table = synthetic_embeddings(150, 64, rng, norm_scale=5.0)
+        vocab = build_vocabulary(synthetic_corpus(sorted(table.entries), cb, 400, rng), table, cb)
+        spaces = [random_space(200, 24, seed=7), random_space(150, 300, seed=8), vocab.as_space()]
+        for space in map(VectorSpace.of, spaces):
+            for k in (1, 10):
+                for core in space:
+                    report = classify_neighborhoods(space, space, [core], k=k)
+                    assert bits(k_nearest(space, core, k)) == bits(
+                        report.cores[0].original_neighbors
+                    )
 
     def test_identical_vectors_tie_in_key_order(self):
         rng = np.random.default_rng(40)
@@ -508,6 +532,20 @@ class TestClassifyNeighborhoods:
             + report.fraction_disjoint
         )
         assert abs(total - 1.0) < 1e-9
+
+    def test_bad_k_and_no_cores_rejected(self):
+        space = random_space(5, 4, seed=34)
+        with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
+            classify_neighborhoods(space, space, ["k0000"], k=0)
+        message = r"^classify_neighborhoods\(\) requires at least one core$"
+        with pytest.raises(ValueError, match=message):
+            classify_neighborhoods(space, space, [], k=1)
+
+    def test_a_one_word_space_has_empty_neighborhoods(self):
+        space = random_space(1, 4, seed=34)
+        message = r"^neighborhoods are empty: the spaces have no candidates$"
+        with pytest.raises(ValueError, match=message):
+            classify_neighborhoods(space, space, ["k0000"], k=1)
 
     def test_mismatched_universes_rejected(self):
         original = random_space(10, 4, seed=32)

@@ -113,6 +113,14 @@ class TestBuildCodebook:
         assert err == "error: POS tag 'NN P' contains whitespace\n"
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("command", [["build-codebook", "cb.json"], ["self-test"]])
+    @pytest.mark.parametrize("dim", ["1", "0", "-3"])
+    def test_dimension_below_two_exits_one_with_one_line(self, tmp_path, capsys, command, dim):
+        argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in command]
+        code, out, err = run(capsys, *argv, "--dim", dim)
+        assert (code, out, err) == (1, "", f"error: dimension must be >= 2, got {dim}\n")
+        assert not (tmp_path / "cb.json").exists()
+
     def test_unreadable_tag_file_exits_one_naming_the_path(self, tmp_path, capsys):
         missing = tmp_path / "no_such_tags.txt"
         out_path = tmp_path / "cb.json"
@@ -339,6 +347,24 @@ class TestDecode:
         assert (accuracy != "") == sidecar
         assert to_stdout == table + accuracy
 
+    def test_codebook_of_another_dimension_exits_one(self, pipeline_setup, capsys):
+        tmp = pipeline_setup
+        assert main(["build-codebook", str(tmp / "cb16.json"), "--dim", "16"]) == 0
+        capsys.readouterr()
+        code, out, err = run(
+            capsys,
+            "decode",
+            str(tmp / "cb16.json"),
+            str(tmp / "vocab.txt"),
+            "--sidecar",
+            str(tmp / "vocab.txt.meta.json"),
+            "--out",
+            str(tmp / "decoded.tsv"),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: vocabulary dimension 32 differs from codebook dimension 16\n"
+        assert not (tmp / "decoded.tsv").exists()
+
     def test_corrupt_vector_length_names_the_line(self, pipeline_setup, capsys):
         tmp = pipeline_setup
         lines = (tmp / "vocab.txt").read_text().splitlines()
@@ -461,6 +487,29 @@ class TestAnalyze:
         )
         assert code == 1
         assert "definitelymissing" in err
+        assert not (tmp / "nbr.json").exists()
+
+
+    def test_core_word_outside_the_vocabulary_exits_one_naming_it(self, pipeline_setup, capsys):
+        tmp = pipeline_setup
+        with open(tmp / "emb.txt", "a", encoding="utf-8") as fh:
+            fh.write("unannotated " + " ".join(["0.5"] * 32) + "\n")
+        (tmp / "cores.txt").write_text("unannotated\n")
+        capsys.readouterr()
+        code, _, err = run(
+            capsys,
+            "analyze",
+            "neighborhoods",
+            str(tmp / "emb.txt"),
+            str(tmp / "vocab.txt"),
+            str(tmp / "vocab.txt.meta.json"),
+            "--cores",
+            str(tmp / "cores.txt"),
+            "--out",
+            str(tmp / "nbr.json"),
+        )
+        assert code == 1
+        assert err == "error: core word 'unannotated' is not in the compressed vocabulary\n"
         assert not (tmp / "nbr.json").exists()
 
 

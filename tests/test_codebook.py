@@ -233,6 +233,8 @@ class TestPersistence:
             ("ner_types", {"ORG": 1}, r"cb\.json: NER type list is not a list of strings"),
             ("vectors", [], r"cb\.json: vectors is not an object"),
             ("vectors", 5, r"cb\.json: vectors is not an object"),
+            ("dimension", 1, r"cb\.json: dimension must be an integer >= 2$"),
+            ("pos_tags", ["NN", ""], r"cb\.json: POS tag list contains an empty tag$"),
         ],
     )
     def test_mistyped_field_is_integrity_error(self, tmp_path, field, value, message):
@@ -243,6 +245,29 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(IntegrityError, match=message):
             load_codebook(path)
+
+    @pytest.mark.parametrize(
+        "name, value, error, message",
+        [
+            ("pos:NN", {"0": 1.0}, ParseError, "vector 'pos:NN' is not an array"),
+            (
+                "pos:NN",
+                [1.0] * 15 + [float("nan")],
+                IntegrityError,
+                "vector 'pos:NN' contains non-finite values",
+            ),
+            ("pos:VB", [1.0] * 16, IntegrityError, "unexpected vectors ['pos:VB']"),
+        ],
+    )
+    def test_bad_vector_is_one_error_naming_it(self, tmp_path, name, value, error, message):
+        path = tmp_path / "cb.json"
+        save_codebook(build_codebook(["NN"], ["ORG"], dimension=16, seed=7), path)
+        doc = json.loads(path.read_text())
+        doc["vectors"][name] = value
+        path.write_text(json.dumps(doc))  # a float NaN is written as the JSON extension NaN
+        with pytest.raises(error) as info:
+            load_codebook(path)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_vectors_follow_one_layout(self):
         cb = build_codebook(["VB", "NN"], ["ORG"], dimension=16, seed=3)

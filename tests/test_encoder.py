@@ -458,6 +458,33 @@ class TestVectorFiles:
         with pytest.raises(ParseError, match=f":2: expected 3 values, got {got}$"):
             read_vectors(path)
 
+    def test_blank_lines_are_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("\na 1.0 2.0\n\r\n\nb 3.0 4.0\n\n")
+        dimension, loaded = read_vectors(path)
+        assert (dimension, list(loaded)) == (2, ["a", "b"])
+        path.write_text("\na 1.0 2.0\n\r\n\nb 3.0\n")
+        with pytest.raises(ParseError) as info:
+            read_vectors(path)
+        assert str(info.value) == f"{path}:5: expected 2 values, got 1"
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ("b", "expected 'key value...' fields"),
+            (" 1.0 2.0", "empty key"),
+            ("b nan 2.0", "non-finite value"),
+            ("b 1.0 inf", "non-finite value"),
+            ("b -inf 2.0", "non-finite value"),
+        ],
+    )
+    def test_a_rejected_record_is_one_line_naming_it(self, tmp_path, record, message):
+        path = tmp_path / "vecs.txt"
+        path.write_text(f"a 1.0 2.0\n\n{record}\n")
+        with pytest.raises(ParseError) as info:
+            read_vectors(path)
+        assert str(info.value) == f"{path}:3: {message}"
+
     def test_read_embeddings_wraps_read_vectors(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("cat 1.0 0.0\ndog 0.0 1.0\n")
@@ -648,6 +675,28 @@ class TestVocabularyPersistence:
             (("stats",), [], "stats: must be an object"),
             (("entries",), [], "entries: must be an object"),
             (("dimension",), "300", "dimension must be a positive integer"),
+            (("stats", "distinct_keys"), 5, "stats: distinct_keys is 5, entries give 3"),
+            (
+                ("stats", "distinct_word_types"),
+                3,
+                "stats: distinct_word_types is 3, entries give 1",
+            ),
+            (
+                ("stats", "unknown_filler_entries"),
+                2,
+                "stats: unknown_filler_entries is 2, entries give 0",
+            ),
+            (
+                ("entries", "birdNN"),
+                {
+                    "component_count": 3,
+                    "filler_source": "exact",
+                    "word_type": "bird",
+                    "pos_tag": "NN",
+                    "ner_type": None,
+                },
+                "metadata for absent key 'birdNN'",
+            ),
         ],
     )
     def test_malformed_sidecar_is_one_integrity_error(
