@@ -10,10 +10,13 @@ plus one matrix of unit-norm rows, built once on first use. Scans are exact
 matrix-vector products over that matrix; vocabularies at desk scale do not
 need approximate indexing. Building the space once and reusing it makes
 repeated `k_nearest` queries cost one product each, plus an exact re-score of
-the few rows at the top-k boundary: a partition, not a sort, finds the
-boundary, and rows within the product's rounding error of it are scored again
-by a per-row product whose summation order is fixed, so identical vectors tie
-exactly and ties go to the smaller key.
+the few rows at the top-k boundary. The product only screens: it reads
+`VectorSpace.screen`, a float32 copy of the unit rows built once per space
+(half the matrix's bytes again in memory). A partition, not a sort, finds the
+boundary, and rows within the screen's rounding error of it are scored again
+in float64 by a per-row product whose summation order is fixed. So results
+are exact, the same as those of a float64 screen, identical vectors tie
+exactly, and ties go to the smaller key.
 """
 
 from __future__ import annotations
@@ -142,7 +145,12 @@ class PairwiseStats:
 def pairwise_cosine_stats(
     space, threshold: float = DEFAULT_THRESHOLD, max_keys: int = 20_000
 ) -> PairwiseStats:
-    """Exhaustive all-pairs |cosine| statistics; refused above ``max_keys``."""
+    """Exhaustive all-pairs |cosine| statistics; refused above ``max_keys``.
+
+    The strict upper triangle of the cosine matrix is reduced one block of
+    `BLOCK_ROWS` rows at a time, so memory is O(`BLOCK_ROWS` * n) for n keys,
+    not O(n**2).
+    """
     space = VectorSpace.of(space)
     if len(space) < 2:
         raise ValueError(f"pairwise scan needs >= 2 vectors, got {len(space)}")
@@ -151,13 +159,17 @@ def pairwise_cosine_stats(
             f"exhaustive scan over {len(space)} keys exceeds the {max_keys}-key limit; "
             "use sample_orthogonality instead"
         )
-    gram = space.unit @ space.unit.T
-    upper = np.abs(gram[np.triu_indices(len(space), 1)])
-    return PairwiseStats(
-        pairs=int(upper.size),
-        fraction_below=float(np.mean(upper < threshold)),
-        max_abs_cosine=float(upper.max()),
-    )
+    unit = space.unit
+    below, largest = 0, 0.0
+    for start in range(0, len(unit), BLOCK_ROWS):
+        block = unit[start : start + BLOCK_ROWS] @ unit[start:].T
+        # row i of the block is key start + i; keep the columns past it
+        above = np.arange(block.shape[1]) > np.arange(len(block))[:, None]
+        upper = np.abs(block[above])
+        below += int(np.count_nonzero(upper < threshold))
+        largest = float(upper.max(initial=largest))
+    pairs = len(unit) * (len(unit) - 1) // 2
+    return PairwiseStats(pairs=pairs, fraction_below=below / pairs, max_abs_cosine=largest)
 
 
 # ---------------------------------------------------------------------------
@@ -177,28 +189,42 @@ def _top_rows(
     and those cosines.
 
     ``sims`` screens: it is one BLAS product of ``query`` with the rows of
-    ``unit`` (row ``rows[i]`` at position i, or row i when ``rows`` is None).
-    BLAS sums a row in an order that depends on where the row sits, so two
-    identical rows can screen one bit apart. Only the positions near the
-    top-k boundary are re-scored, with a per-row product whose order is
-    fixed, and the k are picked by those scores. Positions follow sorted
-    keys, so the stable sort breaks exact ties by key.
+    ``unit`` (row ``rows[i]`` at position i, or row i when ``rows`` is None),
+    in float64 or over both rounded to float32. BLAS sums a row in an order
+    that depends on where the row sits, so two identical rows can screen one
+    bit apart. Only the positions near the top-k boundary are re-scored in
+    float64, with a per-row product whose order is fixed, and the k are
+    picked by those scores. Positions follow sorted keys, so the stable sort
+    breaks exact ties by key.
 
     Any computed dot product of two n-vectors of norm 1 lies within
-    gamma_n = n*u/(1 - n*u) of the exact one, u = eps/2, whatever the order
-    of summation (Higham, Accuracy and Stability of Numerical Algorithms,
-    sec. 3.1), so a screened and a re-scored cosine differ by at most
-    2*gamma_n. At least k positions besides ``exclude`` screen at or above
-    the (k+1)-th largest screened cosine, so each winner re-scores at most
-    2*gamma_n and screens at most 4*gamma_n below it. 4*n*eps bounds
-    4*gamma_n with a factor of 2 to spare, which covers rows whose norms are
-    a few ulps off 1.
+    gamma_n(u) = n*u/(1 - n*u) of the exact one, u the unit roundoff,
+    whatever the order of summation (Higham, Accuracy and Stability of
+    Numerical Algorithms, sec. 3.1). A re-scored cosine is thus within
+    gamma_n(u64) of the exact one, u64 = 2**-53. A float64 screen is within
+    gamma_n(u64) too. A float32 screen first rounds both unit rows, which
+    moves their dot product by at most about 2*u32, u32 = 2**-24, and then
+    sums in float32, which adds gamma_n(u32), about n*u32: it lies within
+    about (n + 2)*u32 of the exact cosine. Call that screen error d. At least
+    k positions besides ``exclude`` screen at or above the (k+1)-th largest
+    screened cosine, so each winner re-scores at most d + gamma_n(u64), and
+    screens at most 2*d + 2*gamma_n(u64), below it.
+
+    The slack is 4*n*eps of the screen's dtype. In float64 that is 8*n*u64,
+    twice the 4*gamma_n(u64) needed, which covers rows whose norms are a few
+    ulps off 1. In float32 it is 8*n*u32. That exceeds the 2*(n + 2)*u32
+    needed by (6*n - 4)*u32, a factor of 2 or more for every n >= 2, the
+    dimension floor, and at least 8*u32. The spare covers what the estimate
+    leaves out: 2*gamma_n(u64), terms of order n**2*u32**2, values that
+    become subnormal in float32, which add at most n*2**-149 absolute error,
+    and the float32 rounding of the threshold ``boundary - slack``, at most
+    u32.
     """
     count = len(sims)
     if k + 1 < count:
         cut = count - k - 1
         boundary = np.partition(sims, cut)[cut]
-        slack = 4 * len(query) * np.finfo(np.float64).eps
+        slack = 4 * len(query) * np.finfo(sims.dtype).eps
         picked = np.flatnonzero(sims >= boundary - slack)
     else:
         picked = np.arange(count)
@@ -229,10 +255,11 @@ def _nearest(space: VectorSpace, row: int, k: int) -> tuple[np.ndarray, list[tup
     """Rows of the k keys nearest to key ``row``, and those keys with their cosines.
 
     The query is the key's own unit row, so `k_nearest` and the original side
-    of `classify_neighborhoods` score a key the same, bit for bit.
+    of `classify_neighborhoods` score a key the same, bit for bit. The rows
+    are screened in float32 and the boundary rows re-scored in float64.
     """
-    query = space.unit[row]
-    rows, cosines = _top_rows(space.unit @ query, row, k, space.unit, query)
+    screen = space.screen
+    rows, cosines = _top_rows(screen @ screen[row], row, k, space.unit, space.unit[row])
     return rows, list(zip([space.sorted_keys[i] for i in rows], cosines.tolist()))
 
 
@@ -317,9 +344,8 @@ class NeighborhoodReport:
         write_document(path, "holovec-neighborhood-report", self.to_json_dict())
 
 
-def _cosine_matrix(rows: np.ndarray) -> list[list[float]]:
-    normalized = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    return (normalized @ normalized.T).tolist()
+def _cosine_matrix(unit_rows: np.ndarray) -> list[list[float]]:
+    return (unit_rows @ unit_rows.T).tolist()
 
 
 def _classify_core(

@@ -89,7 +89,8 @@ class VectorSpace(Mapping[str, np.ndarray]):
 
     Holds references to the given vectors, not copies. `unit` stacks them
     into rows of unit L2 norm on first use, so a zero-norm vector raises
-    there, in the search that needs it, not when the space is built. Rows
+    there, in the search that needs it, not when the space is built.
+    `screen`, the same rows in float32, is also built on first use. Rows
     follow the sorted keys, so the first of several equal maxima over a row
     of cosines is the lexicographically smallest key: every search breaks
     exact ties that way.
@@ -131,6 +132,13 @@ class VectorSpace(Mapping[str, np.ndarray]):
         if zero.size:
             raise ValueError(f"vector {self.sorted_keys[zero[0]]!r} has zero norm")
         matrix /= norms[:, None]
+        matrix.flags.writeable = False
+        return matrix
+
+    @cached_property
+    def screen(self) -> np.ndarray:
+        """`unit` rounded to float32: half its bytes, for a search to screen rows with."""
+        matrix = self.unit.astype(np.float32)
         matrix.flags.writeable = False
         return matrix
 

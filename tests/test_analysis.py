@@ -45,6 +45,29 @@ def bits(neighbors):
     return [(key, float(sim).hex()) for key, sim in neighbors]
 
 
+def spaces_of_every_kind():
+    """Two random spaces, of dimension 24 and 300, and a compressed vocabulary."""
+    cb = build_codebook(dimension=64, seed=5)
+    rng = np.random.default_rng(6)
+    table = synthetic_embeddings(150, 64, rng, norm_scale=5.0)
+    vocab = build_vocabulary(synthetic_corpus(sorted(table.entries), cb, 400, rng), table, cb)
+    return [random_space(200, 24, seed=7), random_space(150, 300, seed=8), vocab.as_space()]
+
+
+def unit_rows(space) -> np.ndarray:
+    """The rows of ``space`` in sorted key order, each divided by its norm."""
+    matrix = np.stack([np.asarray(space[key], dtype=np.float64) for key in sorted(space)])
+    return matrix / np.linalg.norm(matrix, axis=1)[:, None]
+
+
+def exact_neighbors(space, core, k):
+    """Oracle: a stable sort of every key's fixed-order float64 cosine to ``core``."""
+    keys, unit = sorted(space), unit_rows(space)
+    row = keys.index(core)
+    exact = row_cosines(unit, unit[row])
+    return [(keys[i], float(exact[i])) for i in sorted_top_rows(exact, row, k)]
+
+
 def nonzero_vectors(dim):
     # small integer entries make many exact cosine ties, within and across words
     return arrays(np.float64, dim, elements=st.integers(-2, 2).map(float)).filter(np.any)
@@ -81,15 +104,20 @@ def plain_spaces(draw):
 
 
 @st.composite
-def selections(draw):
+def selections(draw, jitter=False):
     """Unit rows, many of them exact duplicates, a query, k and the row to leave out.
 
     k runs past the row count, where no partition is possible, and the left-out
-    row is drawn by its rank, often next to the top-k boundary.
+    row is drawn by its rank, often next to the top-k boundary. With
+    ``jitter``, each entry moves by up to two float32 ulps of 1, so duplicates
+    become rows whose cosines differ below float32's resolution.
     """
     distinct = draw(st.lists(nonzero_vectors(draw(st.integers(2, 6))), min_size=1, max_size=12))
     picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=40))
     matrix = np.stack([distinct[i] for i in picks])
+    if jitter:
+        steps = draw(arrays(np.float64, matrix.shape, elements=st.integers(-2, 2).map(float)))
+        matrix = matrix + steps * 2.0**-23
     unit = matrix / np.linalg.norm(matrix, axis=1)[:, None]
     n = len(unit)
     k = draw(st.integers(1, n + 1))
@@ -155,6 +183,16 @@ class TestVectorSpace:
             tracemalloc.stop()
         # the matrix itself, plus norms and one block's temporaries
         assert peak < 1.25 * unit.nbytes
+
+    def test_screen_is_the_unit_rows_in_float32_built_once(self):
+        space = VectorSpace(random_space(50, 16, seed=12))
+        screen = space.screen
+        assert screen.dtype == np.float32 and screen.shape == space.unit.shape
+        assert screen.tobytes() == space.unit.astype(np.float32).tobytes()
+        assert not screen.flags.writeable
+        k_nearest(space, "k0003", k=5)
+        k_nearest(space, "k0040", k=5)
+        assert space.screen is screen
 
     def test_of_passes_a_space_through_and_wraps_the_rest(self):
         space = VectorSpace({"a": np.ones(2)})
@@ -291,6 +329,29 @@ class TestPairwiseStats:
         assert stats.max_abs_cosine == pytest.approx(max(cosines))
         assert stats.fraction_below == pytest.approx(np.mean([c < 0.4 for c in cosines]))
 
+    @pytest.mark.parametrize("n_keys", [2, 127, 128, 129, 300])
+    def test_blocked_scan_equals_the_full_gram(self, n_keys):
+        space = random_space(n_keys, 64, seed=n_keys)
+        unit = unit_rows(space)
+        upper = np.abs((unit @ unit.T)[np.triu_indices(n_keys, 1)])
+        stats = pairwise_cosine_stats(space, threshold=0.1)
+        assert stats.pairs == upper.size
+        assert stats.fraction_below == float(np.mean(upper < 0.1))
+        # a block's product may round a cosine one ulp off the full product's
+        assert abs(stats.max_abs_cosine - upper.max()) <= np.spacing(upper.max())
+
+    def test_scan_is_built_without_the_full_gram(self):
+        space = VectorSpace(random_space(3000, 64, seed=14))
+        space.unit  # built before the measurement
+        tracemalloc.start()
+        try:
+            pairwise_cosine_stats(space)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the full 3,000 x 3,000 gram alone is 72 MB
+        assert peak < 20e6
+
     def test_one_vector_rejected(self):
         with pytest.raises(ValueError, match=r"^pairwise scan needs >= 2 vectors, got 1$"):
             pairwise_cosine_stats(random_space(1, 4, seed=15))
@@ -364,18 +425,44 @@ class TestKNearest:
             k_nearest(random_space(5, 4, seed=21), "k0000", k=0)
 
     def test_equals_the_original_side_of_classify_neighborhoods_bit_for_bit(self):
-        cb = build_codebook(dimension=64, seed=5)
-        rng = np.random.default_rng(6)
-        table = synthetic_embeddings(150, 64, rng, norm_scale=5.0)
-        vocab = build_vocabulary(synthetic_corpus(sorted(table.entries), cb, 400, rng), table, cb)
-        spaces = [random_space(200, 24, seed=7), random_space(150, 300, seed=8), vocab.as_space()]
-        for space in map(VectorSpace.of, spaces):
+        for space in map(VectorSpace.of, spaces_of_every_kind()):
             for k in (1, 10):
                 for core in space:
                     report = classify_neighborhoods(space, space, [core], k=k)
                     assert bits(k_nearest(space, core, k)) == bits(
                         report.cores[0].original_neighbors
                     )
+
+    def test_rows_closer_than_float32_resolution_rank_in_exact_order(self):
+        rng = np.random.default_rng(43)
+        dimension = 300
+        core = rng.normal(size=dimension)
+        core /= np.linalg.norm(core)
+        space = {"core": core}
+        # 40 rows at cosines 0.5 + i * 1e-9 to the core, steps far below
+        # float32's ulp there (6e-8), in shuffled key order, among 400 random rows
+        for i, key in zip(range(40), rng.permutation(40)):
+            other = rng.normal(size=dimension)
+            other -= (other @ core) * core
+            other /= np.linalg.norm(other)
+            cosine = 0.5 + i * 1e-9
+            space[f"band{key:02d}"] = cosine * core + np.sqrt(1 - cosine**2) * other
+        space.update(random_space(400, dimension, seed=44))
+        shared = VectorSpace(space)
+        row = shared.index["core"]
+        for k in (1, 10, 25):
+            want = exact_neighbors(space, "core", k)
+            assert all(key.startswith("band") for key, _ in want)
+            assert bits(k_nearest(shared, "core", k)) == bits(want)
+            # the float32 screen alone cannot tell the band's rows apart
+            screened = sorted_top_rows(shared.screen @ shared.screen[row], row, k)
+            assert [shared.sorted_keys[i] for i in screened] != [key for key, _ in want]
+
+    def test_matches_the_exact_ranking_for_every_key(self):
+        for space in map(VectorSpace.of, spaces_of_every_kind()):
+            for k in (1, 10):
+                for core in space:
+                    assert bits(k_nearest(space, core, k)) == bits(exact_neighbors(space, core, k))
 
     def test_identical_vectors_tie_in_key_order(self):
         rng = np.random.default_rng(40)
@@ -400,6 +487,18 @@ class TestTopRows:
         assert [c.hex() for c in cosines.tolist()] == [c.hex() for c in exact[want].tolist()]
         if np.all(np.diff(np.sort(sims)) > 1e-9):  # no near-ties: the screen alone agrees
             assert rows.tolist() == sorted_top_rows(sims, exclude, k).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(selections(jitter=True))
+    def test_a_float32_screen_picks_what_a_full_sort_of_the_exact_cosines_picks(self, drawn):
+        unit, query, k, rank = drawn
+        exact = row_cosines(unit, query)
+        exclude = int(np.argsort(-exact, kind="stable")[rank])
+        sims = unit.astype(np.float32) @ query.astype(np.float32)
+        rows, cosines = _top_rows(sims, exclude, k, unit, query)
+        want = sorted_top_rows(exact, exclude, k)
+        assert rows.tolist() == want.tolist()
+        assert [c.hex() for c in cosines.tolist()] == [c.hex() for c in exact[want].tolist()]
 
     @pytest.mark.parametrize("k", [4, 5, 9])
     def test_k_past_the_boundary_ranks_every_other_row(self, k):
