@@ -61,7 +61,6 @@ from .errors import (
 from .hrr import (
     circular_convolve,
     circular_convolve_fft,
-    circular_correlate,
     circular_correlate_fft,
     random_vector,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "build_vocabulary",
     "circular_convolve",
     "circular_convolve_fft",
-    "circular_correlate",
     "circular_correlate_fft",
     "classify_neighborhoods",
     "cleanup",

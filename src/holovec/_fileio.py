@@ -1,17 +1,19 @@
-"""File writing shared by the persistence layers, and the one JSON document format.
+"""File reading and writing shared by the persistence layers, and the one JSON document format.
 
-Every output file is written through `atomic_write_lines`. A document is one
-compact JSON object whose first fields are its ``format`` name and
-``format_version``, followed by a newline.
+Every text input is read through `read_lines` and every output file written
+through `atomic_write_lines`. A document is one compact JSON object whose
+first fields are its ``format`` name and ``format_version``, followed by a
+newline.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-import tempfile
+import secrets
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import ParseError
 
@@ -20,10 +22,48 @@ __all__ = [
     "atomic_write_lines",
     "atomic_write_text",
     "read_document",
+    "read_lines",
     "write_document",
 ]
 
 FORMAT_VERSION = 1
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    r"""Yield (1-based line number, line without its line break) for each non-empty line.
+
+    The file is read as UTF-8, one line at a time. A leading byte-order mark
+    is dropped, and a line ends at ``\n``, ``\r\n`` or ``\r``. A byte
+    sequence that is not UTF-8 raises a one-line `ParseError` naming the line
+    that holds it.
+    """
+    path = Path(path)
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            for lineno, line in enumerate(fh, 1):
+                line = line.rstrip("\n")
+                if line:
+                    yield lineno, line
+        except UnicodeDecodeError as exc:
+            lineno, reason = _first_undecodable_line(path) or ("?", exc.reason)
+            raise ParseError(f"{path}:{lineno}: not valid UTF-8 ({reason})") from exc
+
+
+def _first_undecodable_line(path: Path) -> tuple[int, str] | None:
+    """The number of the first line that is not UTF-8, and why, by a second pass.
+
+    The text layer decodes ahead of the line it yields, so the failure does
+    not say which line holds the bad bytes. Latin-1 maps every byte to one
+    character and leaves the line breaks where UTF-8 has them, so each line
+    re-encodes to its own bytes; the file is streamed, never held whole.
+    """
+    with open(path, encoding="latin-1") as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                line.encode("latin-1").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return lineno, exc.reason
+    return None
 
 
 def atomic_write_lines(path: str | Path, chunks: Iterable[str]) -> None:
@@ -32,21 +72,22 @@ def atomic_write_lines(path: str | Path, chunks: Iterable[str]) -> None:
     Each chunk is written as it is produced, so a file of many records never
     exists whole in memory. The rename happens only after every chunk is
     written: if writing or producing a chunk fails, the temp file is removed
-    and an existing ``path`` is left untouched.
+    and an existing ``path`` is left untouched. The file gets the mode a
+    plain write gives a new file, 0o666 less the umask.
     """
     target = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=target.name + ".", suffix=".tmp", dir=target.parent or "."
-    )
+    tmp = target.parent / f"{target.name}.{secrets.token_hex(4)}.tmp"
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+        fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(target)) from None
+    try:
+        with fh:
             fh.writelines(chunks)
-        os.replace(tmp_name, target)
+        os.replace(tmp, target)
     except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
+        with contextlib.suppress(OSError):
+            tmp.unlink()
         raise
 
 
@@ -70,7 +111,7 @@ def read_document(path: str | Path, format_name: str, fields: tuple[str, ...]) -
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an integer of too many digits
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level value is not an object")

@@ -23,7 +23,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from . import hrr
-from ._fileio import read_document, write_document
+from ._fileio import read_document, read_lines, write_document
 from .errors import DimensionMismatchError, IntegrityError, ParseError
 
 __all__ = [
@@ -65,8 +65,11 @@ def _read_tag_lines(text: str) -> list[str]:
 
 
 def read_tag_list(path: str | Path) -> list[str]:
-    """Read one entry per line; blank lines, surrounding whitespace and a BOM ignored."""
-    tags = _read_tag_lines(Path(path).read_text(encoding="utf-8-sig"))
+    r"""Read one entry per line; blank lines, surrounding whitespace and a BOM ignored.
+
+    Lines end where `read_lines` ends them, at ``\n``, ``\r\n`` or ``\r``.
+    """
+    tags = [line.strip() for _, line in read_lines(path) if line.strip()]
     if not tags:
         raise ParseError(f"{path}: list is empty")
     return tags
@@ -309,7 +312,12 @@ def _vector_from_doc(vectors: dict, name: str, dimension: int, source: str) -> n
     raw = vectors[name]
     if not isinstance(raw, list):
         raise ParseError(f"{source}: vector {name!r} is not an array")
-    vec = np.asarray(raw, dtype=np.float64)
+    if not all(type(value) in (int, float) for value in raw):
+        raise IntegrityError(f"{source}: vector {name!r} has a non-numeric value")
+    try:
+        vec = np.asarray(raw, dtype=np.float64)
+    except OverflowError:  # an integer beyond float64's range
+        raise IntegrityError(f"{source}: vector {name!r} contains non-finite values") from None
     if vec.ndim != 1 or vec.shape[0] != dimension:
         raise IntegrityError(
             f"{source}: vector {name!r} has length {vec.shape[0] if vec.ndim == 1 else '?'}, "
@@ -327,7 +335,7 @@ def load_codebook(source: str | Path) -> Codebook:
     dimension, seed, pos_tags, ner_types, vectors = (doc[field] for field in fields)
     if not isinstance(dimension, int) or dimension < 2:
         raise IntegrityError(f"{source}: dimension must be an integer >= 2")
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise IntegrityError(f"{source}: seed must be an integer")
     try:
         _check_tags(pos_tags, "POS tag")

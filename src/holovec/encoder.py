@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from . import hrr
-from ._fileio import atomic_write_lines, read_document, write_document
+from ._fileio import atomic_write_lines, read_document, read_lines, write_document
 from .codebook import BLOCK_ROWS, SLOT_TOKEN, Codebook, VectorSpace
 from .errors import (
     DimensionMismatchError,
@@ -307,50 +307,47 @@ def read_vectors(
     dimension n is known, a record's values are its last n fields and its
     key is the fields before them joined by single spaces, unless one of
     those after the first reads as a number: such a record has too many
-    values. Malformed lines are reported by number. A leading UTF-8
-    byte-order mark is skipped.
+    values. Lines come from `read_lines`, so a leading byte-order mark is
+    skipped, and a malformed line, bytes that are not UTF-8 included, is
+    reported by number.
     """
     path = Path(path)
     dimension = expected_dimension
     declared = None
     entries: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            fields = line.split(" ")
-            if lineno == 1 and len(fields) == 2 and all(f.isascii() and f.isdigit() for f in fields):
-                declared, header_dimension = int(fields[0]), int(fields[1])
-                if dimension is not None and header_dimension != dimension:
-                    raise ParseError(
-                        f"{path}:1: header declares dimension {header_dimension}, expected {dimension}"
-                    )
-                dimension = header_dimension
-                continue
-            if len(fields) < 2:
-                raise ParseError(f"{path}:{lineno}: expected 'key value...' fields")
-            if not fields[0]:
-                raise ParseError(f"{path}:{lineno}: empty key")
-            if dimension is None:
-                dimension = len(fields) - 1
-            # GloVe 840B has keys with spaces, so the key is every field before
-            # the last n; a number among its words marks too many values instead
-            split = len(fields) - dimension
-            if split < 1 or dimension < 1 or any(map(_is_number, fields[1:split])):
+    for lineno, line in read_lines(path):
+        fields = line.split(" ")
+        if lineno == 1 and len(fields) == 2 and all(f.isascii() and f.isdigit() for f in fields):
+            declared, header_dimension = int(fields[0]), int(fields[1])
+            if dimension is not None and header_dimension != dimension:
                 raise ParseError(
-                    f"{path}:{lineno}: expected {dimension} values, got {len(fields) - 1}"
+                    f"{path}:1: header declares dimension {header_dimension}, expected {dimension}"
                 )
-            key = " ".join(fields[:split])
-            try:
-                vec = np.asarray(fields[split:], dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
-            if not np.all(np.isfinite(vec)):
-                raise ParseError(f"{path}:{lineno}: non-finite value")
-            if key in entries:
-                raise IntegrityError(f"{path}:{lineno}: duplicate key {key!r}")
-            entries[key] = vec
+            dimension = header_dimension
+            continue
+        if len(fields) < 2:
+            raise ParseError(f"{path}:{lineno}: expected 'key value...' fields")
+        if not fields[0]:
+            raise ParseError(f"{path}:{lineno}: empty key")
+        if dimension is None:
+            dimension = len(fields) - 1
+        # GloVe 840B has keys with spaces, so the key is every field before
+        # the last n; a number among its words marks too many values instead
+        split = len(fields) - dimension
+        if split < 1 or dimension < 1 or any(map(_is_number, fields[1:split])):
+            raise ParseError(
+                f"{path}:{lineno}: expected {dimension} values, got {len(fields) - 1}"
+            )
+        key = " ".join(fields[:split])
+        try:
+            vec = np.asarray(fields[split:], dtype=np.float64)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
+        if not np.all(np.isfinite(vec)):
+            raise ParseError(f"{path}:{lineno}: non-finite value")
+        if key in entries:
+            raise IntegrityError(f"{path}:{lineno}: duplicate key {key!r}")
+        entries[key] = vec
     if declared is not None and declared != len(entries):
         raise ParseError(f"{path}: header declares {declared} records, file has {len(entries)}")
     if dimension is None:
@@ -373,34 +370,32 @@ def write_vectors(path: str | Path, entries: dict[str, np.ndarray]) -> None:
 def read_annotations(path: str | Path) -> list[AnnotatedToken]:
     """Read tab-separated annotations: surface, POS tag, NER type or ``-``.
 
-    Blank lines and a leading UTF-8 byte-order mark are ignored; every token
-    keeps its 1-based line number, and a line `AnnotatedToken` rejects is
-    reported with it.
+    Lines come from `read_lines`. Blank and whitespace-only lines and a
+    leading byte-order mark are ignored; every token keeps its 1-based line
+    number, and a line `AnnotatedToken` rejects is reported with it.
     """
     path = Path(path)
     tokens: list[AnnotatedToken] = []
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\r\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParseError(
+                f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
+            )
+        surface, pos_tag, ner = fields
+        try:
+            tokens.append(
+                AnnotatedToken(
+                    surface=surface,
+                    pos_tag=pos_tag,
+                    ner_type=None if ner == "-" else ner,
+                    line=lineno,
                 )
-            surface, pos_tag, ner = fields
-            try:
-                tokens.append(
-                    AnnotatedToken(
-                        surface=surface,
-                        pos_tag=pos_tag,
-                        ner_type=None if ner == "-" else ner,
-                        line=lineno,
-                    )
-                )
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            )
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return tokens
 
 
@@ -421,13 +416,7 @@ def write_sidecar(path: str | Path, vocab: CompressedVocabulary) -> None:
             "unknown_filler_entries": vocab.stats.unknown_filler_entries,
         },
         "entries": {
-            key: {
-                "component_count": e.component_count,
-                "filler_source": e.filler_source,
-                "word_type": e.word_type,
-                "pos_tag": e.pos_tag,
-                "ner_type": e.ner_type,
-            }
+            key: {name: getattr(e, name) for name in _ENTRY_FIELDS}
             for key, e in vocab.entries.items()
         },
     }

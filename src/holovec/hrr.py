@@ -5,13 +5,12 @@ Binding is circular convolution and unbinding is circular correlation
 number of summands). All operations are pure functions over float64 arrays
 and never mutate their inputs.
 
-Two implementations of each transform-based operation exist: a
-direct-summation form over 1-D vectors that follows the defining sums term
-by term, kept as the reference, and a fast form that multiplies real-FFT
-spectra. The fast form also takes stacks of rows (the last axis is the
-vector) and broadcasts over the leading axes, so one call binds or unbinds
-a whole block; each row of the result is bit-identical to the same row
-transformed alone.
+Both transforms multiply real-FFT spectra. They take stacks of rows (the
+last axis is the vector) and broadcast over the leading axes, so one call
+binds or unbinds a whole block; each row of the result is bit-identical to
+the same row transformed alone. Convolution also has a direct-summation
+form over 1-D vectors that follows the defining sum term by term, kept as
+the reference that `self-test` checks the FFT against.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .errors import DimensionMismatchError
 __all__ = [
     "circular_convolve",
     "circular_convolve_fft",
-    "circular_correlate",
     "circular_correlate_fft",
     "random_vector",
 ]
@@ -42,21 +40,16 @@ def _paired_rows(a, b) -> tuple[np.ndarray, np.ndarray]:
     return va, vb
 
 
-def _paired(a, b) -> tuple[np.ndarray, np.ndarray]:
-    va, vb = _paired_rows(a, b)
-    for v in (va, vb):
-        if v.ndim != 1:
-            raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    return va, vb
-
-
 def circular_convolve(a, b) -> np.ndarray:
     """Circular convolution by direct summation.
 
     out[j] = sum_k a[k] * b[(j - k) mod n]. Commutative, dimension
     preserving; the sum of the output equals sum(a) * sum(b).
     """
-    a, b = _paired(a, b)
+    a, b = _paired_rows(a, b)
+    for v in (a, b):
+        if v.ndim != 1:
+            raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     n = a.shape[0]
     jk = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     return b[jk] @ a
@@ -72,23 +65,13 @@ def circular_convolve_fft(a, b) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(a) * np.fft.rfft(b), n=a.shape[-1])
 
 
-def circular_correlate(a, t) -> np.ndarray:
-    """Circular correlation by direct summation: the approximate inverse of binding.
+def circular_correlate_fft(a, t) -> np.ndarray:
+    """Circular correlation via real FFTs: the approximate inverse of binding.
 
     out[j] = sum_k a[k] * t[(k + j) mod n]. When t = circular_convolve(a, x)
     and a is drawn from N(0, 1/n), the result is x plus zero-mean crosstalk
-    noise, recoverable by cleanup against a candidate set.
-    """
-    a, t = _paired(a, t)
-    n = a.shape[0]
-    jk = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    return t[jk] @ a
-
-
-def circular_correlate_fft(a, t) -> np.ndarray:
-    """Circular correlation via real FFTs; equals `circular_correlate` to ~1e-12.
-
-    Broadcasts over leading axes like `circular_convolve_fft`.
+    noise, recoverable by cleanup against a candidate set. Broadcasts over
+    leading axes like `circular_convolve_fft`.
     """
     a, t = _paired_rows(a, t)
     return np.fft.irfft(np.conj(np.fft.rfft(a)) * np.fft.rfft(t), n=a.shape[-1])

@@ -42,6 +42,17 @@ def cosine_similarity(a, b) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
+def circular_correlate(a, t) -> np.ndarray:
+    """Oracle for unbinding: circular correlation by direct summation,
+    out[j] = sum_k a[k] * t[(k + j) mod n]."""
+    a, t = _as_vector(a), _as_vector(t)
+    if a.shape != t.shape:
+        raise DimensionMismatchError(f"vector lengths differ: {a.shape[0]} vs {t.shape[0]}")
+    n = a.shape[0]
+    jk = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    return t[jk] @ a
+
+
 @pytest.fixture(scope="session")
 def default_codebook():
     return build_codebook()

@@ -513,6 +513,62 @@ class TestAnalyze:
         assert not (tmp / "nbr.json").exists()
 
 
+class TestTextInputs:
+    """Every text input is read by one reader: BOM, CRLF and bad bytes alike."""
+
+    @pytest.mark.parametrize("name", ["emb.txt", "ann.tsv", "pos.txt", "cores.txt"])
+    def test_a_byte_that_is_not_utf8_exits_one_naming_its_line(
+        self, pipeline_setup, capsys, name
+    ):
+        tmp = pipeline_setup
+        (tmp / "pos.txt").write_text("".join(f"T{i:05d}\n" for i in range(3000)))
+        (tmp / "ann.tsv").write_text((tmp / "ann.tsv").read_text() * 20)
+        (tmp / "cores.txt").write_text((tmp / "cores.txt").read_text() * 500)
+        p = {
+            file: str(tmp / file)
+            for file in ("cb.json", "emb.txt", "ann.tsv", "vocab.txt", "pos.txt", "cores.txt")
+        }
+        compress = ["compress", p["cb.json"], p["emb.txt"], p["ann.tsv"], str(tmp / "out.txt")]
+        argv = {
+            "emb.txt": compress,
+            "ann.tsv": compress,
+            "pos.txt": ["build-codebook", str(tmp / "out.json"), "--pos-tags", p["pos.txt"]],
+            "cores.txt": [
+                "analyze",
+                "neighborhoods",
+                p["emb.txt"],
+                p["vocab.txt"],
+                p["vocab.txt"] + ".meta.json",
+                "--cores",
+                p["cores.txt"],
+                "--out",
+                str(tmp / "out.json"),
+            ],
+        }[name]
+        path = tmp / name
+        lines = path.read_bytes().splitlines(keepends=True)
+        lineno = len(lines) - 1
+        # past the ~8 KB the text layer decodes ahead of the line it yields
+        assert sum(map(len, lines[: lineno - 1])) > 16_384
+        lines[lineno - 1] = b"caf\xe9" + lines[lineno - 1]
+        path.write_bytes(b"".join(lines))
+        code, out, err = run(capsys, *argv)
+        message = f"error: {path}:{lineno}: not valid UTF-8 (invalid continuation byte)\n"
+        assert (code, out, err) == (1, "", message)
+        assert not (tmp / "out.txt").exists() and not (tmp / "out.json").exists()
+
+    def test_bom_and_crlf_inputs_give_the_same_vocabulary(self, pipeline_setup, capsys):
+        tmp = pipeline_setup
+        for name in ("emb.txt", "ann.tsv"):
+            text = (tmp / name).read_text(encoding="utf-8")
+            (tmp / f"crlf-{name}").write_bytes(("\ufeff" + text.replace("\n", "\r\n")).encode())
+        argv = [str(tmp / name) for name in ("cb.json", "crlf-emb.txt", "crlf-ann.tsv", "out.txt")]
+        assert main(["compress", *argv]) == 0
+        for suffix in ("", ".meta.json"):
+            written = (tmp / f"out.txt{suffix}").read_bytes()
+            assert written == (tmp / f"vocab.txt{suffix}").read_bytes()
+
+
 class TestSelfTest:
     def test_passes_at_default_scale(self, capsys):
         code, out, _ = run(capsys, "self-test")

@@ -220,10 +220,11 @@ class TestPersistence:
         path = tmp_path / "cb.json"
         save_codebook(cb, path)
         doc = json.loads(path.read_text())
-        doc["seed"] = "seven"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(IntegrityError, match="seed"):
-            load_codebook(path)
+        for seed in ("seven", False):
+            doc["seed"] = seed
+            path.write_text(json.dumps(doc))
+            with pytest.raises(IntegrityError, match="seed"):
+                load_codebook(path)
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -257,6 +258,10 @@ class TestPersistence:
                 "vector 'pos:NN' contains non-finite values",
             ),
             ("pos:VB", [1.0] * 16, IntegrityError, "unexpected vectors ['pos:VB']"),
+            ("frame", [True] * 16, IntegrityError, "vector 'frame' has a non-numeric value"),
+            ("frame", ["1.5"] * 16, IntegrityError, "vector 'frame' has a non-numeric value"),
+            ("frame", ["x"] * 16, IntegrityError, "vector 'frame' has a non-numeric value"),
+            ("frame", [10**400] * 16, IntegrityError, "vector 'frame' contains non-finite values"),
         ],
     )
     def test_bad_vector_is_one_error_naming_it(self, tmp_path, name, value, error, message):
@@ -300,6 +305,14 @@ class TestPersistence:
         path = tmp_path / "tags.txt"
         path.write_text("\ufeffNN\r\nVB\r\n", encoding="utf-8")
         assert read_tag_list(path) == ["NN", "VB"]
+
+    def test_read_tag_list_ends_entries_only_at_line_breaks(self, tmp_path):
+        path = tmp_path / "tags.txt"
+        path.write_text("NN\x0bVB\rDT\x85JJ\u2028\n\x1cRB\n", encoding="utf-8", newline="")
+        tags = read_tag_list(path)
+        assert tags == ["NN\x0bVB", "DT\x85JJ", "RB"]
+        with pytest.raises(ValueError, match=r"POS tag 'NN\\x0bVB' contains whitespace"):
+            build_codebook(tags, ["ORG"], dimension=16)
 
 
 class TestFillerTable:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cosine_similarity, superpose
+from conftest import circular_correlate, cosine_similarity, superpose
 from holovec import hrr
 from holovec.codebook import VectorSpace, build_codebook, cleanup
 from holovec.decoder import (
@@ -157,13 +157,13 @@ class TestDecodeVocabulary:
         assert len(decoded) == len(vectors)
         for vec, count, got in zip(vectors, m, decoded):
             residual = count * vec - cb.frame_label if with_m else vec
-            pos, pos_sim = cleanup(hrr.circular_correlate(cb.slot_labels["pos"], residual), cb.pos_fillers)
+            pos, pos_sim = cleanup(circular_correlate(cb.slot_labels["pos"], residual), cb.pos_fillers)
             assert got.pos_tag == pos
             assert got.pos_similarity == pytest.approx(pos_sim, abs=1e-12)
             if with_m and count == 3:
                 assert (got.ner_type, got.ner_similarity) == (None, None)
                 continue
-            ner, ner_sim = cleanup(hrr.circular_correlate(cb.slot_labels["ner"], residual), cb.ner_fillers)
+            ner, ner_sim = cleanup(circular_correlate(cb.slot_labels["ner"], residual), cb.ner_fillers)
             assert got.ner_type == ner
             assert got.ner_similarity == pytest.approx(ner_sim, abs=1e-12)
 

@@ -1,6 +1,9 @@
-"""The JSON document layer: every document's envelope, written and checked in one place."""
+"""The file layer: every text input read, every output written and every document's
+envelope checked in one place."""
 
 import json
+import os
+import tracemalloc
 
 import pytest
 
@@ -10,6 +13,7 @@ from holovec._fileio import (
     atomic_write_lines,
     atomic_write_text,
     read_document,
+    read_lines,
     write_document,
 )
 from holovec.analysis import classify_neighborhoods, sample_orthogonality
@@ -105,6 +109,11 @@ ENVELOPE = {"format": "holovec-test", "format_version": 1, "a": 1}
         (json.dumps({**ENVELOPE, "format_version": True}), "format_version is True, expected 1"),
         (json.dumps({"format": "holovec-test", "a": 1}), "format_version is None, expected 1"),
         (json.dumps({"format": "holovec-test", "format_version": 1}), "missing field 'a'"),
+        pytest.param(
+            '{"a": ' + "9" * 5000 + "}",
+            "not valid JSON (Exceeds the limit (4300 digits)",
+            id="an-integer-of-5000-digits",
+        ),
     ],
 )
 def test_a_bad_document_is_one_line_naming_the_path(tmp_path, text, message):
@@ -158,3 +167,89 @@ def test_a_chunk_that_raises_leaves_the_target_and_no_temp_file(tmp_path):
         atomic_write_lines(path, chunks())
     assert path.read_bytes() == b"old contents\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["vocab.txt"]
+
+
+def test_read_lines_numbers_every_line_and_yields_the_non_empty_ones(tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_bytes("\ufeffa b\r\n\nc\rd\n \r\n\u00e9\x0bf\x85g\u2028".encode("utf-8"))
+    assert list(read_lines(path)) == [
+        (1, "a b"),
+        (3, "c"),
+        (4, "d"),
+        (5, " "),
+        (6, "\u00e9\x0bf\x85g\u2028"),  # only \n, \r\n and \r end a line
+    ]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_byte_that_is_not_utf8_is_reported_on_its_line(tmp_path, newline):
+    # the text layer decodes ~8 KB ahead of the line it yields, so the
+    # error surfaces hundreds of lines before the line that holds it
+    lines = [f"w{i:04d} 0.5 \u00e9".encode("utf-8") for i in range(1, 1001)]
+    lines[899] = b"caf\xe9 0.5 0.5"
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + newline.encode().join(lines) + newline.encode())
+    seen = []
+    with pytest.raises(ParseError) as info:
+        for lineno, _ in read_lines(path):
+            seen.append(lineno)
+    assert str(info.value) == f"{path}:900: not valid UTF-8 (invalid continuation byte)"
+    assert seen == list(range(1, len(seen) + 1)) and len(seen) < 900
+
+
+@pytest.mark.parametrize(
+    "data, lineno, reason",
+    [
+        (b"ok\n\xff\n", 2, "invalid start byte"),
+        (b"ok\nab\xc3\r\nok\n", 2, "invalid continuation byte"),
+        (b"ok\nok\nab\xe2\x82", 3, "unexpected end of data"),
+    ],
+    ids=["bad-start", "cut-before-a-line-break", "cut-at-the-end"],
+)
+def test_the_reason_is_the_decoders(tmp_path, data, lineno, reason):
+    path = tmp_path / "in.txt"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as info:
+        list(read_lines(path))
+    assert str(info.value) == f"{path}:{lineno}: not valid UTF-8 ({reason})"
+
+
+def test_finding_the_bad_line_streams_the_file(tmp_path):
+    path = tmp_path / "in.txt"
+    line = b"w " + b" ".join([b"0.123456789"] * 30) + b"\n"
+    path.write_bytes(line * 12_000 + b"\xff\n")  # 4 MB before the bad byte
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=r":12001: not valid UTF-8"):
+            for _ in read_lines(path):
+                pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_outputs_get_the_mode_a_plain_write_gives(tmp_path, umask, mode):
+    cb = build_codebook(["NN", "VB", "NNP"], ["PERSON"], dimension=16, seed=3)
+    vocab = build_vocabulary(FISH_ANNOTATIONS, fish_table(16), cb)
+    report = sample_orthogonality(cb.all_vectors(), sample_size=20, seed=3)
+    (tmp_path / "vocab.txt").write_text("old\n")
+    os.chmod(tmp_path / "vocab.txt", 0o600 if mode == 0o644 else 0o644)
+    previous = os.umask(umask)
+    try:
+        write_vocabulary(tmp_path / "vocab.txt", vocab)
+        write_sidecar(tmp_path / "vocab.txt.meta.json", vocab)
+        report.write(tmp_path / "orth.json")
+    finally:
+        os.umask(previous)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["vocab.txt", "vocab.txt.meta.json", "orth.json"], mode)
+
+
+def test_a_write_into_a_missing_directory_names_the_destination(tmp_path):
+    path = tmp_path / "missing" / "vocab.txt.meta.json"
+    with pytest.raises(FileNotFoundError) as info:
+        atomic_write_lines(path, ["{}\n"])
+    assert str(info.value) == f"[Errno 2] No such file or directory: '{path}'"
+    assert list(tmp_path.iterdir()) == []
