@@ -30,10 +30,8 @@ from .codebook import (
 )
 from .decoder import (
     DecodedToken,
-    decode_attributes,
     decode_token_identity,
     decode_vocabulary,
-    unbind_slot,
 )
 from .encoder import (
     AnnotatedToken,
@@ -42,7 +40,6 @@ from .encoder import (
     VocabEntry,
     build_vocabulary,
     composite_key,
-    compress_token,
     load_vocabulary,
     lookup_filler,
     read_annotations,
@@ -91,8 +88,6 @@ __all__ = [
     "classify_neighborhoods",
     "cleanup",
     "composite_key",
-    "compress_token",
-    "decode_attributes",
     "decode_token_identity",
     "decode_vocabulary",
     "default_ner_types",
@@ -107,7 +102,6 @@ __all__ = [
     "read_embeddings",
     "sample_orthogonality",
     "save_codebook",
-    "unbind_slot",
     "write_sidecar",
     "write_vocabulary",
 ]

@@ -1,7 +1,8 @@
 """File reading and writing shared by the persistence layers, and the one JSON document format.
 
 Every text input is read through `read_lines` and every output file written
-through `atomic_write_lines`. A document is one compact JSON object whose
+through `atomic_write_lines`; the files written inside one `atomic_writes`
+block land together or not at all. A document is one compact JSON object whose
 first fields are its ``format`` name and ``format_version``, followed by a
 newline.
 """
@@ -12,6 +13,7 @@ import contextlib
 import json
 import os
 import secrets
+from contextvars import ContextVar
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -21,6 +23,7 @@ __all__ = [
     "FORMAT_VERSION",
     "atomic_write_lines",
     "atomic_write_text",
+    "atomic_writes",
     "read_document",
     "read_lines",
     "write_document",
@@ -66,29 +69,54 @@ def _first_undecodable_line(path: Path) -> tuple[int, str] | None:
     return None
 
 
+# the (temp file, destination) pairs of the `atomic_writes` block open in this context
+_pending: ContextVar[list[tuple[Path, Path]] | None] = ContextVar("pending", default=None)
+
+
+@contextlib.contextmanager
+def atomic_writes() -> Iterator[None]:
+    """Rename the temp files of every file written in the block into place at its end.
+
+    If the block raises, as when producing or writing a file fails, every temp
+    file is removed and no destination is touched; a failure between two
+    renames is not undone. A block inside another adds its files to the outer one.
+    """
+    if _pending.get() is not None:
+        yield
+        return
+    pending: list[tuple[Path, Path]] = []
+    token = _pending.set(pending)
+    try:
+        yield
+        for tmp, target in pending:
+            os.replace(tmp, target)
+    except BaseException:
+        for tmp, _ in pending:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+        raise
+    finally:
+        _pending.reset(token)
+
+
 def atomic_write_lines(path: str | Path, chunks: Iterable[str]) -> None:
-    """Write the text ``chunks`` to ``path`` in order, via a temp file in the same directory.
+    """Write the text ``chunks`` to a temp file beside ``path``, in order, as one file of
+    an `atomic_writes` block (of its own outside one).
 
     Each chunk is written as it is produced, so a file of many records never
-    exists whole in memory. The rename happens only after every chunk is
-    written: if writing or producing a chunk fails, the temp file is removed
-    and an existing ``path`` is left untouched. The file gets the mode a
-    plain write gives a new file, 0o666 less the umask.
+    exists whole in memory. The file gets the mode a plain write gives a new
+    file, 0o666 less the umask.
     """
     target = Path(path)
-    tmp = target.parent / f"{target.name}.{secrets.token_hex(4)}.tmp"
-    try:
-        fh = open(tmp, "x", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, str(target)) from None
-    try:
+    with atomic_writes():
+        tmp = target.parent / f"{target.name}.{secrets.token_hex(4)}.tmp"
+        try:
+            fh = open(tmp, "x", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(target)) from None
+        _pending.get().append((tmp, target))
         with fh:
             fh.writelines(chunks)
-        os.replace(tmp, target)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
-        raise
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -97,9 +125,10 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def write_document(path: str | Path, format_name: str, body: dict) -> None:
-    """Write ``body`` as a ``format_name`` document of the current version."""
+    """Write ``body`` as a ``format_name`` document of the current version; a NaN or
+    infinity, which JSON cannot hold, raises `ValueError` before any file is written."""
     doc = {"format": format_name, "format_version": FORMAT_VERSION, **body}
-    atomic_write_text(path, json.dumps(doc, separators=(",", ":")) + "\n")
+    atomic_write_text(path, json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n")
 
 
 def read_document(path: str | Path, format_name: str, fields: tuple[str, ...]) -> dict:

@@ -52,6 +52,7 @@ DEFAULT_K = 10
 DEFAULT_THRESHOLD = 0.25
 DEFAULT_SAMPLE_SIZE = 100_000
 HISTOGRAM_BUCKET_WIDTH = 0.05
+_MAX_PAIRWISE_KEYS = 20_000  # the most `pairwise_cosine_stats` scans: 2 * 10**8 pairs
 
 SAME_POSITION = "same_position"
 SHIFTED = "shifted"
@@ -109,6 +110,8 @@ def sample_orthogonality(
         raise ValueError(f"orthogonality sampling needs >= 2 vectors, got {len(space)}")
     if sample_size < 1:
         raise ValueError(f"sample_size must be >= 1, got {sample_size}")
+    if not np.isfinite(threshold):  # a report cannot hold NaN or infinity
+        raise ValueError(f"threshold must be a finite number, got {threshold}")
     half = len(space) // 2
     clamped = sample_size > half
     size = min(sample_size, half)
@@ -142,10 +145,8 @@ class PairwiseStats:
     max_abs_cosine: float
 
 
-def pairwise_cosine_stats(
-    space, threshold: float = DEFAULT_THRESHOLD, max_keys: int = 20_000
-) -> PairwiseStats:
-    """Exhaustive all-pairs |cosine| statistics; refused above ``max_keys``.
+def pairwise_cosine_stats(space, threshold: float = DEFAULT_THRESHOLD) -> PairwiseStats:
+    """Exhaustive all-pairs |cosine| statistics; refused above 20,000 keys.
 
     The strict upper triangle of the cosine matrix is reduced one block of
     `BLOCK_ROWS` rows at a time, so memory is O(`BLOCK_ROWS` * n) for n keys,
@@ -154,11 +155,13 @@ def pairwise_cosine_stats(
     space = VectorSpace.of(space)
     if len(space) < 2:
         raise ValueError(f"pairwise scan needs >= 2 vectors, got {len(space)}")
-    if len(space) > max_keys:
+    if len(space) > _MAX_PAIRWISE_KEYS:
         raise ValueError(
-            f"exhaustive scan over {len(space)} keys exceeds the {max_keys}-key limit; "
-            "use sample_orthogonality instead"
+            f"exhaustive scan over {len(space)} keys exceeds the {_MAX_PAIRWISE_KEYS}-key "
+            "limit; use sample_orthogonality instead"
         )
+    if not np.isfinite(threshold):
+        raise ValueError(f"threshold must be a finite number, got {threshold}")
     unit = space.unit
     below, largest = 0, 0.0
     for start in range(0, len(unit), BLOCK_ROWS):

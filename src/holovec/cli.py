@@ -1,8 +1,8 @@
 """Command-line pipeline: build-codebook, compress, decode, analyze, self-test.
 
 Every subcommand exits 0 on success and 1 with a single-line diagnostic on
-failure. Output files are written to a temp file and renamed on success, so
-failures never leave partial outputs behind.
+failure. Output files are written to temp files and renamed on success, all
+of a command's together, so failures never leave partial outputs behind.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import __version__
-from ._fileio import atomic_write_lines
+from ._fileio import atomic_write_lines, atomic_writes
 from .analysis import (
     DEFAULT_K,
     DEFAULT_SAMPLE_SIZE,
@@ -61,8 +61,9 @@ def cmd_compress(args) -> int:
     tokens = read_annotations(args.annotations)
     vocab = build_vocabulary(tokens, table, cb)
     sidecar = args.sidecar or args.output + ".meta.json"
-    write_vocabulary(args.output, vocab)
-    write_sidecar(sidecar, vocab)
+    with atomic_writes():
+        write_vocabulary(args.output, vocab)
+        write_sidecar(sidecar, vocab)
     st = vocab.stats
     growth = "null" if st.growth_ratio is None else f"{st.growth_ratio:.4f}"
     print(f"vocabulary written to {args.output} (metadata: {sidecar})")

@@ -3,31 +3,34 @@
 Unbinding multiplies the compressed vector back up by its component count,
 subtracts the frame label (known, so removing it cuts noise), and
 correlates with the slot label; cleanup against a candidate set then names
-the filler. `decode_vocabulary` does this for blocks of vectors at once: one
-batched correlation per slot and one product with the codebook's
-unit-normalised filler matrix. All functions are pure.
+the filler. `decode_vocabulary` (POS and NER) and `decode_token_identity`
+(the token) do this for blocks of vectors at once: one batched correlation
+per slot and one product with a unit-normalised candidate matrix. All
+functions are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import hrr
-from .codebook import BLOCK_ROWS, SLOT_TOKEN, Codebook, cleanup, cleanup_rows
+from .codebook import BLOCK_ROWS, SLOT_TOKEN, Codebook, VectorSpace, cleanup_rows
 from .encoder import CompressedVocabulary, EmbeddingTable
 from .errors import DimensionMismatchError
 
 __all__ = [
     "DecodedToken",
     "decode_and_score",
-    "decode_attributes",
     "decode_token_identity",
     "decode_vocabulary",
-    "unbind_slot",
 ]
+
+# the vectors to decode, and their component counts
+_Rows = Sequence[np.ndarray] | np.ndarray
+_Counts = Sequence[int] | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -38,34 +41,12 @@ class DecodedToken:
     ner_similarity: float | None = None
 
 
-def unbind_slot(
-    compressed: np.ndarray,
-    slot_label: np.ndarray,
-    m: int,
-    frame_label: np.ndarray,
-) -> np.ndarray:
-    """Estimate a slot's filler: correlate(slot, m * compressed - frame).
-
-    The result is the filler plus crosstalk noise from the other bindings;
-    it is not normalized because cleanup's cosine is scale-invariant.
-    """
-    if m < 1:
-        raise ValueError(f"component count must be >= 1, got {m}")
-    compressed = np.asarray(compressed, dtype=np.float64)
-    return hrr.circular_correlate_fft(slot_label, m * compressed - frame_label)
-
-
-def decode_vocabulary(
-    vectors: Sequence[np.ndarray] | np.ndarray,
-    m: Sequence[int] | np.ndarray | None,
-    cb: Codebook,
-) -> list[DecodedToken]:
-    """Decode the POS tag, and the NER type, of every vector, in blocks.
-
-    With component counts ``m`` (3 or 4 per vector) the frame is removed
-    from m * vector before unbinding, and the NER type is decoded only
-    where m is 4. With ``m`` None the counts are unknown: vectors are
-    unbound as they are, and both tags are decoded for every vector.
+def _residuals(
+    vectors: _Rows, m: _Counts | None, cb: Codebook
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """Yield each block of `BLOCK_ROWS` vectors as what unbinding correlates, and its
+    counts: m * vector - frame for component counts ``m`` (3 or 4 per vector), or,
+    with ``m`` None, the vector as it is and counts None.
     """
     if m is not None:
         m = np.asarray(m)
@@ -74,8 +55,6 @@ def decode_vocabulary(
         bad = m[(m != 3) & (m != 4)]
         if bad.size:
             raise ValueError(f"component count must be 3 or 4, got {bad[0]}")
-    pos, ner = cb.pos_table, cb.ner_table
-    decoded: list[DecodedToken] = []
     for start in range(0, len(vectors), BLOCK_ROWS):
         rows = np.asarray(vectors[start : start + BLOCK_ROWS], dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != cb.dimension:
@@ -83,15 +62,27 @@ def decode_vocabulary(
                 f"vectors of shape {rows.shape[1:]} differ from codebook dimension {cb.dimension}"
             )
         if m is None:
-            residual = rows
-            tagged = np.arange(len(rows))
+            yield rows, None
         else:
             counts = m[start : start + BLOCK_ROWS]
-            residual = counts[:, None] * rows - cb.frame_label
-            tagged = np.flatnonzero(counts == 4)
+            yield counts[:, None] * rows - cb.frame_label, counts
+
+
+def decode_vocabulary(vectors: _Rows, m: _Counts | None, cb: Codebook) -> list[DecodedToken]:
+    """Decode the POS tag, and the NER type, of every vector, in blocks.
+
+    With component counts ``m`` (3 or 4 per vector) the frame is removed
+    from m * vector before unbinding, and the NER type is decoded only
+    where m is 4. With ``m`` None the counts are unknown: vectors are
+    unbound as they are, and both tags are decoded for every vector.
+    """
+    pos, ner = cb.pos_table, cb.ner_table
+    decoded: list[DecodedToken] = []
+    for residual, counts in _residuals(vectors, m, cb):
+        tagged = np.arange(len(residual)) if counts is None else np.flatnonzero(counts == 4)
         pos_tags, pos_sims = cleanup_rows(hrr.circular_correlate_fft(pos.slot_label, residual), pos)
-        ner_types: list[str | None] = [None] * len(rows)
-        ner_sims: list[float | None] = [None] * len(rows)
+        ner_types: list[str | None] = [None] * len(residual)
+        ner_sims: list[float | None] = [None] * len(residual)
         if tagged.size:
             found, sims = cleanup_rows(
                 hrr.circular_correlate_fft(ner.slot_label, residual[tagged]), ner
@@ -125,20 +116,25 @@ def decode_and_score(
     return decoded, (pos_ok, len(pairs), ner_ok, len(tagged))
 
 
-def decode_attributes(compressed: np.ndarray, m: int, cb: Codebook) -> DecodedToken:
-    """Decode the POS tag, and the NER type when m indicates one was bound."""
-    return decode_vocabulary([compressed], [m], cb)[0]
-
-
 def decode_token_identity(
-    compressed: np.ndarray, m: int, cb: Codebook, table: EmbeddingTable
-) -> tuple[str, float]:
-    """Best-matching table entry for the token slot, with its similarity.
+    vectors: _Rows, m: _Counts | None, cb: Codebook, table: EmbeddingTable
+) -> list[tuple[str, float]]:
+    """Best-matching table key for each vector's token slot, with its similarity.
 
-    No thresholding happens here; the caller judges whether the similarity
-    is convincing. Pre-trained embeddings are not mutually quasi-orthogonal,
-    so identity decoding is noisier than attribute decoding. Cleanup runs
-    over ``table.space``, normalised on the first call and then reused.
+    ``vectors`` and ``m`` are as for `decode_vocabulary`; the table is normalised
+    once per call. No thresholding happens here: pre-trained embeddings are not
+    quasi-orthogonal, so identity decoding is noisier than attribute decoding.
     """
-    query = unbind_slot(compressed, cb.slot_labels[SLOT_TOKEN], m, cb.frame_label)
-    return cleanup(query, table.space)
+    if table.dimension != cb.dimension:
+        raise DimensionMismatchError(
+            f"embedding dimension {table.dimension} differs from codebook dimension {cb.dimension}"
+        )
+    if not table.entries:
+        raise ValueError("decode_token_identity() requires a non-empty embedding table")
+    space = VectorSpace(table.entries)
+    slot = cb.slot_labels[SLOT_TOKEN]
+    found: list[tuple[str, float]] = []
+    for residual, _ in _residuals(vectors, m, cb):
+        keys, sims = cleanup_rows(hrr.circular_correlate_fft(slot, residual), space)
+        found += zip(keys, sims.tolist())
+    return found

@@ -15,7 +15,6 @@ bound terms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -43,7 +42,6 @@ __all__ = [
     "VocabEntry",
     "build_vocabulary",
     "composite_key",
-    "compress_token",
     "load_vocabulary",
     "lookup_filler",
     "read_annotations",
@@ -103,15 +101,6 @@ class AnnotatedToken:
 class EmbeddingTable:
     dimension: int
     entries: dict[str, np.ndarray]
-
-    @cached_property
-    def space(self) -> VectorSpace:
-        """The entries as a `VectorSpace`, built on first use and kept.
-
-        It is a snapshot: entries added or replaced after the first use are
-        not in it.
-        """
-        return VectorSpace(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -217,19 +206,6 @@ def _bind_rows(
     counts[tagged] = 4
     out /= counts[:, None]
     return out, counts
-
-
-def compress_token(
-    token: AnnotatedToken, table: EmbeddingTable, cb: Codebook
-) -> tuple[np.ndarray, int]:
-    """Compress one token into (vector, component count m).
-
-    m is 4 when the token carries an NER type (frame + three bindings),
-    otherwise 3; the sum is divided by m. This is a one-token
-    `build_vocabulary`.
-    """
-    entry = build_vocabulary([token], table, cb).entries[composite_key(token)]
-    return entry.vector, entry.component_count
 
 
 def build_vocabulary(

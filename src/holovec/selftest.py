@@ -79,9 +79,8 @@ def synthetic_corpus(
     cb: Codebook,
     n_tokens: int,
     rng: np.random.Generator,
-    ner_fraction: float = 0.5,
 ) -> list[AnnotatedToken]:
-    """Random annotated stream over the given surfaces and the codebook's tags."""
+    """Random tokens over ``surfaces`` and the codebook's tags; about half carry an NER type."""
     pos_tags = cb.pos_tags
     ner_types = cb.ner_types
     tokens = []
@@ -89,7 +88,7 @@ def synthetic_corpus(
         surface = surfaces[int(rng.integers(len(surfaces)))]
         pos_tag = pos_tags[int(rng.integers(len(pos_tags)))]
         ner_type = None
-        if rng.random() < ner_fraction:
+        if rng.random() < 0.5:
             ner_type = ner_types[int(rng.integers(len(ner_types)))]
         tokens.append(
             AnnotatedToken(surface=surface, pos_tag=pos_tag, ner_type=ner_type, line=i + 1)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from holovec.codebook import build_codebook
-from holovec.encoder import AnnotatedToken, EmbeddingTable
+from holovec.decoder import decode_vocabulary
+from holovec.encoder import AnnotatedToken, EmbeddingTable, build_vocabulary, composite_key
 from holovec.errors import DimensionMismatchError
 
 
@@ -51,6 +52,23 @@ def circular_correlate(a, t) -> np.ndarray:
     n = a.shape[0]
     jk = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
     return t[jk] @ a
+
+
+def unbind_slot(compressed, slot_label, m, frame_label) -> np.ndarray:
+    """Oracle for one slot's filler estimate: correlate(slot, m * compressed - frame),
+    by the direct-sum `circular_correlate`."""
+    return circular_correlate(slot_label, m * _as_vector(compressed) - frame_label)
+
+
+def compress_token(token, table, cb) -> tuple[np.ndarray, int]:
+    """One token as (vector, component count m): a one-token `build_vocabulary`."""
+    entry = build_vocabulary([token], table, cb).entries[composite_key(token)]
+    return entry.vector, entry.component_count
+
+
+def decode_attributes(compressed, m, cb):
+    """One vector's POS tag, and NER type where m is 4: a one-row `decode_vocabulary`."""
+    return decode_vocabulary([compressed], [m], cb)[0]
 
 
 @pytest.fixture(scope="session")

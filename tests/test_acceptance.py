@@ -16,9 +16,11 @@ from conftest import (
     FISH_ANNOTATIONS,
     brute_force_classify,
     brute_force_neighbors,
+    compress_token,
     fish_table,
     make_annotated_corpus,
     make_surrogate_table,
+    unbind_slot,
     write_annotation_file,
     write_vector_file,
 )
@@ -31,13 +33,7 @@ from holovec.analysis import (
 )
 from holovec.cli import main
 from holovec.codebook import cleanup
-from holovec.decoder import unbind_slot
-from holovec.encoder import (
-    AnnotatedToken,
-    EmbeddingTable,
-    build_vocabulary,
-    compress_token,
-)
+from holovec.encoder import AnnotatedToken, EmbeddingTable, build_vocabulary
 from holovec.selftest import (
     FIXTURE_ORTHOGONALITY_FLOOR,
     NER_ACCURACY_FLOOR,
@@ -143,7 +139,7 @@ def test_criterion_4_round_trip_decoding(default_codebook):
     cb = default_codebook
     rng = np.random.default_rng(4000)
     table = synthetic_embeddings(600, 300, rng)
-    corpus = synthetic_corpus(sorted(table.entries), cb, 1000, rng, ner_fraction=0.5)
+    corpus = synthetic_corpus(sorted(table.entries), cb, 1000, rng)
     vocab = build_vocabulary(corpus, table, cb)
     pos_acc, ner_acc = decode_accuracy(vocab, cb)
 

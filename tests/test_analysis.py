@@ -314,6 +314,11 @@ class TestSampleOrthogonality:
         assert doc["histogram"]["counts"] == report.histogram_counts
         assert doc["seed"] == 14
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
+    def test_a_threshold_that_is_not_finite_is_rejected(self, threshold):
+        with pytest.raises(ValueError, match=f"^threshold must be a finite number, got {threshold}$"):
+            sample_orthogonality(random_space(10, 4, seed=17), sample_size=3, threshold=threshold)
+
 
 class TestPairwiseStats:
     def test_matches_brute_force(self):
@@ -357,9 +362,15 @@ class TestPairwiseStats:
             pairwise_cosine_stats(random_space(1, 4, seed=15))
 
     def test_refuses_oversized_spaces(self):
-        space = random_space(30, 4, seed=16)
-        with pytest.raises(ValueError, match="exhaustive"):
-            pairwise_cosine_stats(space, max_keys=10)
+        # the refusal comes before any row is stacked, so the keys' size does not matter
+        space = random_space(20_001, 2, seed=16)
+        with pytest.raises(ValueError, match="exhaustive scan over 20001 keys exceeds the 20000-key"):
+            pairwise_cosine_stats(space)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+    def test_a_threshold_that_is_not_finite_is_rejected(self, threshold):
+        with pytest.raises(ValueError, match=f"^threshold must be a finite number, got {threshold}$"):
+            pairwise_cosine_stats(random_space(10, 4, seed=18), threshold=threshold)
 
 
 class TestKNearest:

@@ -201,6 +201,34 @@ class TestCompress:
         assert not (tmp_path / "vocab.txt").exists()
         assert not (tmp_path / "vocab.txt.meta.json").exists()
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_a_sidecar_that_cannot_be_written_leaves_no_vocabulary(
+        self, fish_setup, capsys, existing
+    ):
+        tmp = fish_setup
+        assert main(["build-codebook", str(tmp / "cb.json"), "--dim", "32"]) == 0
+        if existing:
+            (tmp / "vocab.txt").write_bytes(b"old vocabulary\n")
+        before = sorted(p.name for p in tmp.iterdir())
+        capsys.readouterr()
+        sidecar = tmp / "missing" / "meta.json"
+        code, out, err = run(
+            capsys,
+            "compress",
+            str(tmp / "cb.json"),
+            str(tmp / "emb.txt"),
+            str(tmp / "ann.tsv"),
+            str(tmp / "vocab.txt"),
+            "--sidecar",
+            str(sidecar),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{sidecar}'\n"
+        assert sorted(p.name for p in tmp.iterdir()) == before
+        if existing:
+            assert (tmp / "vocab.txt").read_bytes() == b"old vocabulary\n"
+
     def test_dimension_mismatch_is_the_library_message(self, tmp_path, capsys):
         write_vector_file(tmp_path / "emb.txt", {"a": np.ones(8)})
         (tmp_path / "ann.tsv").write_text("a\tNN\t-\n")
@@ -400,6 +428,26 @@ class TestAnalyze:
         assert 0.0 <= doc["fraction_below"] <= 1.0
         assert sum(doc["histogram"]["counts"]) == 40
         assert "fraction with |cosine| < 0.25" in out
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_a_threshold_that_is_not_finite_exits_one_without_a_report(
+        self, pipeline_setup, capsys, threshold
+    ):
+        tmp = pipeline_setup
+        code, out, err = run(
+            capsys,
+            "analyze",
+            "orthogonality",
+            str(tmp / "vocab.txt"),
+            "--out",
+            str(tmp / "orth.json"),
+            "--threshold",
+            threshold,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: threshold must be a finite number, got {threshold}\n"
+        assert not (tmp / "orth.json").exists()
 
     def test_neighborhood_report_fractions_sum_to_one(self, pipeline_setup, capsys):
         tmp = pipeline_setup

@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import (
     FISH_ANNOTATIONS,
+    compress_token,
     fish_table,
     make_annotated_corpus,
     make_surrogate_table,
@@ -31,7 +32,6 @@ from holovec.encoder import (
     EmbeddingTable,
     build_vocabulary,
     composite_key,
-    compress_token,
     load_vocabulary,
     lookup_filler,
     read_annotations,

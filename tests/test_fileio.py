@@ -12,6 +12,7 @@ from holovec._fileio import (
     FORMAT_VERSION,
     atomic_write_lines,
     atomic_write_text,
+    atomic_writes,
     read_document,
     read_lines,
     write_document,
@@ -252,4 +253,50 @@ def test_a_write_into_a_missing_directory_names_the_destination(tmp_path):
     with pytest.raises(FileNotFoundError) as info:
         atomic_write_lines(path, ["{}\n"])
     assert str(info.value) == f"[Errno 2] No such file or directory: '{path}'"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_files_written_in_one_block_land_together(tmp_path):
+    first, second = tmp_path / "vocab.txt", tmp_path / "vocab.txt.meta.json"
+    with atomic_writes():
+        atomic_write_lines(first, ["a 1.0\n"])
+        write_document(second, "holovec-test", {"a": 1})
+        assert sorted(p.name.endswith(".tmp") for p in tmp_path.iterdir()) == [True, True]
+    assert first.read_text() == "a 1.0\n"
+    assert json.loads(second.read_text())["a"] == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["vocab.txt", "vocab.txt.meta.json"]
+
+
+@pytest.mark.parametrize("failing", ["chunk", "open"])
+def test_a_failed_file_in_a_block_lands_none_of_them(tmp_path, failing):
+    first = tmp_path / "vocab.txt"
+    first.write_bytes(b"old contents\n")
+    second = tmp_path / ("other.txt" if failing == "chunk" else "missing/meta.json")
+
+    def chunks():
+        yield "b 2.0\n" * 5000  # past the write buffer, so the temp file holds bytes
+        raise RuntimeError("record 2 failed")
+
+    with pytest.raises(RuntimeError if failing == "chunk" else FileNotFoundError):
+        with atomic_writes():
+            atomic_write_lines(first, ["a 1.0\n" * 5000])
+            atomic_write_lines(second, chunks())
+    assert first.read_bytes() == b"old contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["vocab.txt"]
+
+
+def test_an_error_after_the_writes_in_a_block_lands_none_of_them(tmp_path):
+    path = tmp_path / "vocab.txt"
+    with pytest.raises(KeyError):
+        with atomic_writes():
+            atomic_write_text(path, "a 1.0\n")
+            raise KeyError("later step")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_a_document_holding_a_non_finite_number_is_refused_before_any_file(tmp_path, value):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_document(path, "holovec-test", {"threshold": value})
     assert list(tmp_path.iterdir()) == []
