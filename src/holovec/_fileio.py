@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import secrets
 from contextvars import ContextVar
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -109,7 +108,7 @@ def atomic_write_lines(path: str | Path, chunks: Iterable[str]) -> None:
     """
     target = Path(path)
     with atomic_writes():
-        tmp = target.parent / f"{target.name}.{secrets.token_hex(4)}.tmp"
+        tmp = target.parent / f"{target.name}.{os.urandom(4).hex()}.tmp"
         try:
             fh = open(tmp, "x", encoding="utf-8", newline="\n")
         except OSError as exc:

@@ -60,10 +60,6 @@ _FORMAT_NAME = "holovec-codebook"
 _SLOTS = (SLOT_TOKEN, SLOT_POS, SLOT_NER)
 
 
-def _read_tag_lines(text: str) -> list[str]:
-    return [line.strip() for line in text.splitlines() if line.strip()]
-
-
 def read_tag_list(path: str | Path) -> list[str]:
     r"""Read one entry per line; blank lines, surrounding whitespace and a BOM ignored.
 
@@ -75,16 +71,19 @@ def read_tag_list(path: str | Path) -> list[str]:
     return tags
 
 
+def _shipped_tags(name: str) -> list[str]:
+    with resources.as_file(resources.files(__package__) / "data" / name) as path:
+        return read_tag_list(path)
+
+
 def default_pos_tags() -> list[str]:
     """The shipped 50-entry fine-grained English POS tagset."""
-    data = resources.files(__package__) / "data" / "pos_tags.txt"
-    return _read_tag_lines(data.read_text(encoding="utf-8"))
+    return _shipped_tags("pos_tags.txt")
 
 
 def default_ner_types() -> list[str]:
     """The shipped 19-entry named-entity typeset."""
-    data = resources.files(__package__) / "data" / "ner_types.txt"
-    return _read_tag_lines(data.read_text(encoding="utf-8"))
+    return _shipped_tags("ner_types.txt")
 
 
 class VectorSpace(Mapping[str, np.ndarray]):
@@ -168,7 +167,8 @@ class Codebook:
     """Immutable after construction; the filler tables are derived on first use.
 
     ``vectors`` holds one row per name of `_layout`, in draw order. The
-    vector attributes set on construction are views of those rows.
+    vector attributes set on construction are views of those rows. A layout
+    `load_codebook` would reject raises `ValueError` on construction.
     """
 
     seed: int
@@ -177,6 +177,15 @@ class Codebook:
     vectors: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_tags(self.pos_tags, "POS tag")
+        _check_tags(self.ner_types, "NER type")
+        _check_key_suffixes(self.pos_tags, self.ner_types)
+        rows = len(_layout(self.pos_tags, self.ner_types))
+        shape = np.shape(self.vectors)
+        if len(shape) != 2 or shape[0] != rows:
+            raise ValueError(f"vectors must be {rows} rows, one per layout name, got shape {shape}")
+        if shape[1] < 2:
+            raise ValueError(f"dimension must be >= 2, got {shape[1]}")
         named = self.all_vectors()
         self.dimension = self.vectors.shape[1]
         self.vector_count = len(self.vectors)
@@ -277,14 +286,10 @@ def build_codebook(
     token slot, pos slot, ner slot, POS fillers in list order, NER fillers
     in list order, unknown-token vector last (`_layout`).
     """
-    if dimension < 2:
+    if dimension < 2:  # here, before the draw; the Codebook checks the rest
         raise ValueError(f"dimension must be >= 2, got {dimension}")
     pos_tags = default_pos_tags() if pos_tags is None else list(pos_tags)
     ner_types = default_ner_types() if ner_types is None else list(ner_types)
-    _check_tags(pos_tags, "POS tag")
-    _check_tags(ner_types, "NER type")
-    _check_key_suffixes(pos_tags, ner_types)
-
     rng = np.random.default_rng(seed)
     vectors = np.stack([hrr.random_vector(rng, dimension) for _ in _layout(pos_tags, ner_types)])
     return Codebook(seed, pos_tags, ner_types, vectors)
@@ -337,10 +342,9 @@ def load_codebook(source: str | Path) -> Codebook:
         raise IntegrityError(f"{source}: dimension must be an integer >= 2")
     if type(seed) is not int:
         raise IntegrityError(f"{source}: seed must be an integer")
-    try:
+    try:  # the layout below needs two lists of strings
         _check_tags(pos_tags, "POS tag")
         _check_tags(ner_types, "NER type")
-        _check_key_suffixes(pos_tags, ner_types)
     except ValueError as exc:
         raise IntegrityError(f"{source}: {exc}") from exc
     if not isinstance(vectors, dict):
@@ -351,7 +355,10 @@ def load_codebook(source: str | Path) -> Codebook:
     if extras:
         raise IntegrityError(f"{source}: unexpected vectors {sorted(extras)}")
     rows = np.stack([_vector_from_doc(vectors, name, dimension, str(source)) for name in layout])
-    return Codebook(seed, pos_tags, ner_types, rows)
+    try:
+        return Codebook(seed, pos_tags, ner_types, rows)
+    except ValueError as exc:
+        raise IntegrityError(f"{source}: {exc}") from exc
 
 
 def cleanup_rows(queries: np.ndarray, space: VectorSpace) -> tuple[list[str], np.ndarray]:

@@ -112,11 +112,15 @@ class EmbeddingTable:
 @dataclass(frozen=True)
 class VocabEntry:
     vector: np.ndarray
-    component_count: int
     filler_source: str
     word_type: str
     pos_tag: str
     ner_type: str | None
+
+    @property
+    def component_count(self) -> int:
+        """m, the summands averaged into the vector: frame, token and POS, plus NER when set."""
+        return 3 if self.ner_type is None else 4
 
 
 @dataclass
@@ -135,12 +139,18 @@ class BuildStats:
 
 @dataclass
 class CompressedVocabulary:
+    """Entries by composite key; ``stats`` is computed from them and ``input_tokens``."""
+
     dimension: int
     entries: dict[str, VocabEntry] = field(default_factory=dict)
-    stats: BuildStats = field(default_factory=BuildStats)
+    input_tokens: int = 0
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    @property
+    def stats(self) -> BuildStats:
+        return BuildStats(input_tokens=self.input_tokens, **_entry_counts(self.entries))
 
     def as_space(self) -> VectorSpace:
         """Snapshot of the key -> vector map for similarity scans.
@@ -190,7 +200,7 @@ def _tag_rows(token: AnnotatedToken, cb: Codebook) -> tuple[int, int | None]:
 
 def _bind_rows(
     fillers: np.ndarray, tag_rows: list[tuple[int, int | None]], cb: Codebook
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Compress a block: per row, (frame + T⊛filler + P⊛pos [+ N⊛ner]) / m.
 
     The terms are summed left to right, so a row comes out bit-identical
@@ -205,7 +215,7 @@ def _bind_rows(
     counts = np.full(len(tag_rows), 3)
     counts[tagged] = 4
     out /= counts[:, None]
-    return out, counts
+    return out
 
 
 def build_vocabulary(
@@ -238,15 +248,14 @@ def build_vocabulary(
     for start in range(0, len(items), BLOCK_ROWS):
         block = items[start : start + BLOCK_ROWS]
         found = [lookup_filler(token.surface, table, cb) for _, (token, _) in block]
-        vectors, counts = _bind_rows(
+        vectors = _bind_rows(
             np.stack([filler for filler, _ in found]), [rows for _, (_, rows) in block], cb
         )
-        for (key, (token, _)), (_, source), vector, m in zip(block, found, vectors, counts):
+        for (key, (token, _)), (_, source), vector in zip(block, found, vectors):
             entries[key] = VocabEntry(
-                vector, int(m), source, token.surface.lower(), token.pos_tag, token.ner_type
+                vector, source, token.surface.lower(), token.pos_tag, token.ner_type
             )
-    stats = BuildStats(input_tokens=total, **_entry_counts(entries))
-    return CompressedVocabulary(dimension=cb.dimension, entries=entries, stats=stats)
+    return CompressedVocabulary(cb.dimension, entries, input_tokens=total)
 
 
 def _entry_counts(entries: dict[str, VocabEntry]) -> dict[str, int]:
@@ -381,20 +390,25 @@ def write_vocabulary(path: str | Path, vocab: CompressedVocabulary) -> None:
 
 
 def write_sidecar(path: str | Path, vocab: CompressedVocabulary) -> None:
-    """Write the vocabulary metadata document (per-key facts plus build stats)."""
+    """Write the vocabulary metadata document (per-key facts plus build stats); an entry
+    `load_vocabulary` would reject raises its `IntegrityError` before any file is written."""
+    records = {
+        key: {name: getattr(e, name) for name in _ENTRY_FIELDS}
+        for key, e in vocab.entries.items()
+    }
+    for key, record in records.items():
+        _check_entry(key, record, f"{path}: entry {key!r}")
+    st = vocab.stats
     body = {
         "dimension": vocab.dimension,
         "stats": {
-            "input_tokens": vocab.stats.input_tokens,
-            "distinct_word_types": vocab.stats.distinct_word_types,
-            "distinct_keys": vocab.stats.distinct_keys,
-            "growth_ratio": vocab.stats.growth_ratio,
-            "unknown_filler_entries": vocab.stats.unknown_filler_entries,
+            "input_tokens": st.input_tokens,
+            "distinct_word_types": st.distinct_word_types,
+            "distinct_keys": st.distinct_keys,
+            "growth_ratio": st.growth_ratio,
+            "unknown_filler_entries": st.unknown_filler_entries,
         },
-        "entries": {
-            key: {name: getattr(e, name) for name in _ENTRY_FIELDS}
-            for key, e in vocab.entries.items()
-        },
+        "entries": records,
     }
     write_document(path, _SIDECAR_FORMAT, body)
 
@@ -462,15 +476,14 @@ def load_vocabulary(
         raise IntegrityError(
             f"{sidecar_path}: metadata for absent key {sorted(extra)[0]!r}"
         )
+    # component_count was checked against ner_type, from which the entry derives it
     entries = {
-        key: VocabEntry(vector=vec, **{name: meta[key][name] for name in _ENTRY_FIELDS})
+        key: VocabEntry(vec, **{n: meta[key][n] for n in _ENTRY_FIELDS if n != "component_count"})
         for key, vec in vectors.items()
     }
-    counts = _entry_counts(entries)
-    for name, count in counts.items():
+    for name, count in _entry_counts(entries).items():
         if st[name] != count:
             raise IntegrityError(
                 f"{sidecar_path}: stats: {name} is {st[name]}, entries give {count}"
             )
-    stats = BuildStats(input_tokens=st["input_tokens"], **counts)
-    return CompressedVocabulary(dimension=dimension, entries=entries, stats=stats)
+    return CompressedVocabulary(dimension, entries, input_tokens=st["input_tokens"])

@@ -201,7 +201,7 @@ class TestVectorSpace:
 
     def test_vocabulary_as_space_is_a_snapshot(self):
         entries = {
-            key: VocabEntry(np.full(3, float(i + 1)), 3, "exact", key, "NN", None)
+            key: VocabEntry(np.full(3, float(i + 1)), "exact", key, "NN", None)
             for i, key in enumerate(["zNN", "aNN"])
         }
         vocab = CompressedVocabulary(dimension=3, entries=entries)
@@ -213,7 +213,7 @@ class TestVectorSpace:
 
     def test_zero_norm_raises_in_the_analysis_not_in_as_space(self):
         entries = {
-            key: VocabEntry(vec, 3, "exact", key, "NN", None)
+            key: VocabEntry(vec, "exact", key, "NN", None)
             for key, vec in (("aNN", np.ones(3)), ("bNN", np.zeros(3)), ("cNN", np.arange(3.0)))
         }
         space = CompressedVocabulary(dimension=3, entries=entries).as_space()

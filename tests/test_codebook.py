@@ -8,6 +8,7 @@ import pytest
 from conftest import cosine_similarity, superpose
 from holovec import hrr
 from holovec.codebook import (
+    Codebook,
     FillerTable,
     VectorSpace,
     build_codebook,
@@ -291,6 +292,25 @@ class TestPersistence:
         assert reordered.all_vectors().keys() == cb.all_vectors().keys()
         assert reordered != cb
         assert build_codebook(["VB", "NN"], ["ORG"], dimension=16, seed=3) == cb
+
+    @pytest.mark.parametrize(
+        "pos_tags, ner_types, edit, message",
+        [
+            (["N N", "VB"], ["ORG"], np.asarray, "POS tag 'N N' contains whitespace"),
+            (["NN", "VB"], ["ORG", "ORG"], np.asarray, "duplicate NER type: 'ORG'"),
+            (["NN", "NNORG"], ["ORG"], np.asarray, "both end composite keys in 'NNORG'"),
+            (["NN", "VB"], ["ORG"], lambda v: np.vstack([v, v[:1]]), r"got shape \(9, 16\)"),
+            (["NN", "VB"], ["ORG"], lambda v: v[:-1], r"got shape \(7, 16\)"),
+            (["NN", "VB"], ["ORG"], np.ravel, r"got shape \(128,\)"),
+            (["NN", "VB"], ["ORG"], lambda v: v[:, :1], "dimension must be >= 2, got 1"),
+        ],
+    )
+    def test_a_layout_load_codebook_rejects_is_rejected_on_construction(
+        self, pos_tags, ner_types, edit, message
+    ):
+        vectors = build_codebook(["NN", "VB"], ["ORG"], dimension=16, seed=1).vectors
+        with pytest.raises(ValueError, match=message):
+            Codebook(1, pos_tags, ner_types, edit(vectors))
 
     def test_read_tag_list(self, tmp_path):
         path = tmp_path / "tags.txt"

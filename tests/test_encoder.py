@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -22,6 +22,7 @@ from conftest import (
     vector_text,
 )
 from holovec import hrr
+from holovec._fileio import atomic_writes
 from holovec.codebook import build_codebook
 from holovec.encoder import (
     BLOCK_ROWS,
@@ -29,7 +30,10 @@ from holovec.encoder import (
     FILLER_LOWERCASED,
     FILLER_UNKNOWN,
     AnnotatedToken,
+    BuildStats,
+    CompressedVocabulary,
     EmbeddingTable,
+    VocabEntry,
     build_vocabulary,
     composite_key,
     load_vocabulary,
@@ -590,19 +594,25 @@ class TestVocabularyPersistence:
             max_size=8,
         ),
         seed=st.integers(0, 2**16),
+        dropped=st.sets(st.integers(0, 7)),
     )
-    def test_whatever_build_vocabulary_accepts_round_trips(self, small_codebook, rows, seed):
+    def test_whatever_build_vocabulary_accepts_round_trips(
+        self, small_codebook, rows, seed, dropped
+    ):
+        """Also after the entries are edited: ``dropped`` picks entries deleted before writing."""
         tokens = []
         for line, (surface, pos, ner, _) in enumerate(rows, 1):
             try:
                 tokens.append(AnnotatedToken(surface, pos, ner, line=line))
             except ValueError:
                 continue
-        assume(tokens)  # an empty vocabulary writes an empty file, which no reader accepts
         rng = np.random.default_rng(seed)
         embedded = {row[0] for row in rows if row[3]}
         table = EmbeddingTable(16, {s: rng.normal(size=16) for s in sorted(embedded)})
         vocab = build_vocabulary(tokens, table, small_codebook)
+        for i, key in enumerate(list(vocab.entries)):
+            if i in dropped:
+                del vocab.entries[key]
         with tempfile.TemporaryDirectory() as tmp:
             vec_path, meta_path = Path(tmp) / "vocab.txt", Path(tmp) / "vocab.meta.json"
             write_vocabulary(vec_path, vocab)
@@ -614,6 +624,31 @@ class TestVocabularyPersistence:
             assert got.vector.tobytes() == entry.vector.tobytes()
             assert replace(got, vector=None) == replace(entry, vector=None)
         assert loaded.stats == vocab.stats
+        assert loaded.input_tokens == vocab.input_tokens == len(tokens)
+
+    def test_an_entry_built_in_code_round_trips_with_its_derived_count(self, tmp_path):
+        entry = VocabEntry(np.ones(16), FILLER_EXACT, "york", "NNP", "GPE")
+        assert entry.component_count == 4
+        vocab = CompressedVocabulary(16, {"yorkNNPGPE": entry})
+        vec_path, meta_path = tmp_path / "v.txt", tmp_path / "v.txt.meta.json"
+        write_vocabulary(vec_path, vocab)
+        write_sidecar(meta_path, vocab)
+        loaded = load_vocabulary(vec_path, meta_path)
+        assert loaded.entries["yorkNNPGPE"].component_count == 4
+        assert replace(loaded.entries["yorkNNPGPE"], vector=None) == replace(entry, vector=None)
+        assert loaded.stats == vocab.stats == BuildStats(0, 1, 1, 0)
+
+    def test_a_key_its_entry_does_not_spell_is_refused_before_any_file_lands(self, tmp_path):
+        entry = VocabEntry(np.ones(16), FILLER_EXACT, "york", "VB", None)
+        vocab = CompressedVocabulary(16, {"fishNN": entry})
+        vec_path, meta_path = tmp_path / "v.txt", tmp_path / "v.txt.meta.json"
+        with pytest.raises(IntegrityError) as info, atomic_writes():
+            write_vocabulary(vec_path, vocab)
+            write_sidecar(meta_path, vocab)
+        assert str(info.value) == (
+            f"{meta_path}: entry 'fishNN': word_type + pos_tag + ner_type spell 'yorkVB'"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_sidecar_for_missing_key_is_integrity_error(self, tmp_path, default_codebook):
         vocab = build_vocabulary(FISH_ANNOTATIONS, fish_table(300), default_codebook)
