@@ -36,7 +36,6 @@ from .decoder import (
 from .encoder import (
     AnnotatedToken,
     CompressedVocabulary,
-    EmbeddingTable,
     VocabEntry,
     build_vocabulary,
     composite_key,
@@ -70,7 +69,6 @@ __all__ = [
     "DEFAULT_DIMENSION",
     "DEFAULT_SEED",
     "DimensionMismatchError",
-    "EmbeddingTable",
     "HolovecError",
     "IntegrityError",
     "NeighborhoodReport",

@@ -140,12 +140,12 @@ def cmd_analyze_neighborhoods(args) -> int:
     key_to_word = {key: e.word_type for key, e in vocab.entries.items()}
     vocab_words = set(key_to_word.values())
     for word in cores:
-        if word not in table.entries:
+        if word not in table:
             raise UnknownKeyError(f"core word {word!r} is not in the original embeddings")
         if word not in vocab_words:
             raise UnknownKeyError(f"core word {word!r} is not in the compressed vocabulary")
-    universe = vocab_words & set(table.entries)
-    original = {w: table.entries[w] for w in universe}
+    universe = vocab_words & set(table)
+    original = {w: table[w] for w in universe}
     compressed = {
         key: e.vector for key, e in vocab.entries.items() if e.word_type in universe
     }

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -159,16 +160,18 @@ class FillerTable(VectorSpace):
 
     @cached_property
     def bound(self) -> np.ndarray:
-        return hrr.circular_convolve_fft(self.slot_label, np.stack(self._vectors))
+        bound = hrr.circular_convolve_fft(self.slot_label, np.stack(self._vectors))
+        bound.flags.writeable = False
+        return bound
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Codebook:
-    """Immutable after construction; the filler tables are derived on first use.
+    """Immutable after construction: every array and mapping it holds is read-only.
 
-    ``vectors`` holds one row per name of `_layout`, in draw order. The
-    vector attributes set on construction are views of those rows. A layout
-    `load_codebook` would reject raises `ValueError` on construction.
+    ``vectors`` is a float64 copy of the rows given, one per `_layout` name in draw
+    order; the labels and the rows of the filler tables, built on first use, are
+    views of it. A layout `load_codebook` would reject raises `ValueError`.
     """
 
     seed: int
@@ -186,14 +189,19 @@ class Codebook:
             raise ValueError(f"vectors must be {rows} rows, one per layout name, got shape {shape}")
         if shape[1] < 2:
             raise ValueError(f"dimension must be >= 2, got {shape[1]}")
-        named = self.all_vectors()
-        self.dimension = self.vectors.shape[1]
-        self.vector_count = len(self.vectors)
-        self.frame_label = named["frame"]
-        self.slot_labels = {slot: named[f"slot:{slot}"] for slot in _SLOTS}
-        self.pos_fillers = {tag: named[f"pos:{tag}"] for tag in self.pos_tags}
-        self.ner_fillers = {typ: named[f"ner:{typ}"] for typ in self.ner_types}
-        self.unknown_token = named["unknown"]
+        vectors = np.array(self.vectors, dtype=np.float64)
+        vectors.flags.writeable = False
+        named = dict(zip(_layout(self.pos_tags, self.ner_types), vectors))
+        derived = {
+            "vectors": vectors,
+            "dimension": shape[1],
+            "vector_count": shape[0],
+            "frame_label": named["frame"],
+            "slot_labels": MappingProxyType({slot: named[f"slot:{slot}"] for slot in _SLOTS}),
+            "unknown_token": named["unknown"],
+        }
+        for name, value in derived.items():  # the dataclass is frozen
+            object.__setattr__(self, name, value)
 
     def all_vectors(self) -> dict[str, np.ndarray]:
         """Every vector under its persistent name, in draw order."""
@@ -201,11 +209,15 @@ class Codebook:
 
     @cached_property
     def pos_table(self) -> FillerTable:
-        return FillerTable(self.slot_labels[SLOT_POS], self.pos_fillers)
+        named = self.all_vectors()
+        fillers = {tag: named[f"pos:{tag}"] for tag in self.pos_tags}
+        return FillerTable(self.slot_labels[SLOT_POS], fillers)
 
     @cached_property
     def ner_table(self) -> FillerTable:
-        return FillerTable(self.slot_labels[SLOT_NER], self.ner_fillers)
+        named = self.all_vectors()
+        fillers = {typ: named[f"ner:{typ}"] for typ in self.ner_types}
+        return FillerTable(self.slot_labels[SLOT_NER], fillers)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Codebook):

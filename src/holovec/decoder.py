@@ -12,13 +12,13 @@ functions are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import hrr
 from .codebook import BLOCK_ROWS, SLOT_TOKEN, Codebook, VectorSpace, cleanup_rows
-from .encoder import CompressedVocabulary, EmbeddingTable
+from .encoder import CompressedVocabulary
 from .errors import DimensionMismatchError
 
 __all__ = [
@@ -117,21 +117,22 @@ def decode_and_score(
 
 
 def decode_token_identity(
-    vectors: _Rows, m: _Counts | None, cb: Codebook, table: EmbeddingTable
+    vectors: _Rows, m: _Counts | None, cb: Codebook, table: Mapping[str, np.ndarray]
 ) -> list[tuple[str, float]]:
     """Best-matching table key for each vector's token slot, with its similarity.
 
-    ``vectors`` and ``m`` are as for `decode_vocabulary`; the table is normalised
-    once per call. No thresholding happens here: pre-trained embeddings are not
+    ``vectors`` and ``m`` are as for `decode_vocabulary`; the table is read through
+    `VectorSpace.of`. No thresholding happens here: pre-trained embeddings are not
     quasi-orthogonal, so identity decoding is noisier than attribute decoding.
     """
-    if table.dimension != cb.dimension:
-        raise DimensionMismatchError(
-            f"embedding dimension {table.dimension} differs from codebook dimension {cb.dimension}"
-        )
-    if not table.entries:
+    space = VectorSpace.of(table)
+    if not space:
         raise ValueError("decode_token_identity() requires a non-empty embedding table")
-    space = VectorSpace(table.entries)
+    dimension = space.unit.shape[1]
+    if dimension != cb.dimension:
+        raise DimensionMismatchError(
+            f"embedding dimension {dimension} differs from codebook dimension {cb.dimension}"
+        )
     slot = cb.slot_labels[SLOT_TOKEN]
     found: list[tuple[str, float]] = []
     for residual, _ in _residuals(vectors, m, cb):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "BLOCK_ROWS",
     "BuildStats",
     "CompressedVocabulary",
-    "EmbeddingTable",
     "FILLER_EXACT",
     "FILLER_LOWERCASED",
     "FILLER_UNKNOWN",
@@ -97,18 +96,6 @@ class AnnotatedToken:
             raise ValueError(f"token {self.surface!r} has an empty NER type")
 
 
-@dataclass
-class EmbeddingTable:
-    dimension: int
-    entries: dict[str, np.ndarray]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, surface: str) -> bool:
-        return surface in self.entries
-
-
 @dataclass(frozen=True)
 class VocabEntry:
     vector: np.ndarray
@@ -167,34 +154,33 @@ def composite_key(token: AnnotatedToken) -> str:
 
 
 def lookup_filler(
-    surface: str, table: EmbeddingTable, cb: Codebook
+    surface: str, table: Mapping[str, np.ndarray], cb: Codebook
 ) -> tuple[np.ndarray, str]:
-    """Resolve the token filler: exact-case hit, then lowercase, then unknown."""
-    vec = table.entries.get(surface)
-    if vec is not None:
-        return vec, FILLER_EXACT
-    vec = table.entries.get(surface.lower())
-    if vec is not None:
-        return vec, FILLER_LOWERCASED
-    return cb.unknown_token, FILLER_UNKNOWN
+    """Resolve the token filler: exact-case hit, then lowercase, then unknown; a hit
+    whose shape is not ``(cb.dimension,)`` raises `DimensionMismatchError`."""
+    vec, source = table.get(surface), FILLER_EXACT
+    if vec is None:
+        vec, source = table.get(surface.lower()), FILLER_LOWERCASED
+    if vec is None:
+        return cb.unknown_token, FILLER_UNKNOWN
+    shape = np.shape(vec)
+    if shape != (cb.dimension,):
+        found = shape[0] if len(shape) == 1 else shape
+        raise DimensionMismatchError(
+            f"embedding dimension {found} differs from codebook dimension {cb.dimension}"
+        )
+    return vec, source
 
 
 def _tag_rows(token: AnnotatedToken, cb: Codebook) -> tuple[int, int | None]:
     """Rows of the token's POS and NER bound terms in the codebook's tables."""
     pos_row = cb.pos_table.index.get(token.pos_tag)
-    if pos_row is None:
-        where = f"line {token.line}" if token.line is not None else "token"
-        raise UnknownTagError(
-            f"{where}: POS tag {token.pos_tag!r} is not in the codebook"
-        )
-    ner_row = None
-    if token.ner_type is not None:
-        ner_row = cb.ner_table.index.get(token.ner_type)
-        if ner_row is None:
+    ner_row = None if token.ner_type is None else cb.ner_table.index.get(token.ner_type)
+    checks = (("POS tag", token.pos_tag, pos_row), ("NER type", token.ner_type, ner_row))
+    for kind, tag, row in checks:
+        if tag is not None and row is None:
             where = f"line {token.line}" if token.line is not None else "token"
-            raise UnknownTagError(
-                f"{where}: NER type {token.ner_type!r} is not in the codebook"
-            )
+            raise UnknownTagError(f"{where}: {kind} {tag!r} is not in the codebook")
     return pos_row, ner_row
 
 
@@ -220,19 +206,15 @@ def _bind_rows(
 
 def build_vocabulary(
     tokens: Iterable[AnnotatedToken],
-    table: EmbeddingTable,
+    table: Mapping[str, np.ndarray],
     cb: Codebook,
 ) -> CompressedVocabulary:
     """One entry per distinct composite key; the first occurrence wins.
 
     Vectors are computed once per key, in blocks of `BLOCK_ROWS` keys, so
     the result is independent of stream order beyond which occurrence is
-    first.
+    first. Every table vector bound must have the codebook's dimension.
     """
-    if table.dimension != cb.dimension:
-        raise DimensionMismatchError(
-            f"embedding dimension {table.dimension} differs from codebook dimension {cb.dimension}"
-        )
 
     firsts: dict[str, tuple[AnnotatedToken, tuple[int, int | None]]] = {}
     total = 0
@@ -340,9 +322,9 @@ def read_vectors(
     return dimension, entries
 
 
-def read_embeddings(path: str | Path) -> EmbeddingTable:
-    dimension, entries = read_vectors(path)
-    return EmbeddingTable(dimension=dimension, entries=entries)
+def read_embeddings(path: str | Path) -> dict[str, np.ndarray]:
+    """The table of a text vector file: each key's vector, as `read_vectors` reads them."""
+    return read_vectors(path)[1]
 
 
 def write_vectors(path: str | Path, entries: dict[str, np.ndarray]) -> None:
@@ -385,7 +367,17 @@ def read_annotations(path: str | Path) -> list[AnnotatedToken]:
 
 
 def write_vocabulary(path: str | Path, vocab: CompressedVocabulary) -> None:
-    """Write compressed vectors keyed by composite key, in build order."""
+    """Write compressed vectors keyed by composite key, in build order.
+
+    A vector whose shape is not ``(vocab.dimension,)``, or that holds a NaN or
+    an infinity, raises `IntegrityError` before any file is written.
+    """
+    for key, entry in vocab.entries.items():
+        shape, where = np.shape(entry.vector), f"{path}: entry {key!r}: vector"
+        if shape != (vocab.dimension,):
+            raise IntegrityError(f"{where} has shape {shape}, expected ({vocab.dimension},)")
+        if not np.isfinite(entry.vector).all():
+            raise IntegrityError(f"{where} holds a NaN or an infinity")
     write_vectors(path, {key: entry.vector for key, entry in vocab.entries.items()})
 
 

@@ -18,7 +18,6 @@ from .decoder import decode_and_score
 from .encoder import (
     AnnotatedToken,
     CompressedVocabulary,
-    EmbeddingTable,
     build_vocabulary,
 )
 
@@ -59,7 +58,7 @@ def synthetic_embeddings(
     dimension: int,
     rng: np.random.Generator,
     norm_scale: float = 1.0,
-) -> EmbeddingTable:
+) -> dict[str, np.ndarray]:
     """Quasi-orthogonal random fillers, one per generated surface form.
 
     ``norm_scale`` sets the expected vector norm. Unit-norm fillers keep
@@ -67,11 +66,7 @@ def synthetic_embeddings(
     norms around 5, which is what makes the shared frame label negligible
     in pairwise cosines of the compressed space.
     """
-    entries = {
-        f"w{i:05d}": norm_scale * hrr.random_vector(rng, dimension)
-        for i in range(n_words)
-    }
-    return EmbeddingTable(dimension=dimension, entries=entries)
+    return {f"w{i:05d}": norm_scale * hrr.random_vector(rng, dimension) for i in range(n_words)}
 
 
 def synthetic_corpus(
@@ -142,7 +137,7 @@ def run_self_test(
     )
 
     table = synthetic_embeddings(_WORDS, dimension, rng)
-    corpus = synthetic_corpus(sorted(table.entries), cb, _TOKENS, rng)
+    corpus = synthetic_corpus(sorted(table), cb, _TOKENS, rng)
     vocab = build_vocabulary(corpus, table, cb)
     pos_acc, ner_acc = decode_accuracy(vocab, cb)
     results.append(
@@ -163,10 +158,7 @@ def run_self_test(
 
     # orthogonality of the compressed space is a property of embedding-scale
     # filler norms; rebuild the same corpus over norm-5 fillers to measure it
-    scaled = EmbeddingTable(
-        dimension=dimension,
-        entries={w: 5.0 * v for w, v in table.entries.items()},
-    )
+    scaled = {w: 5.0 * v for w, v in table.items()}
     scaled_vocab = build_vocabulary(corpus, scaled, cb)
     report = sample_orthogonality(scaled_vocab, sample_size=len(scaled_vocab) // 2, seed=seed)
     results.append(

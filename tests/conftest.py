@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from holovec.codebook import build_codebook
+from holovec.codebook import Codebook, build_codebook
 from holovec.decoder import decode_vocabulary
-from holovec.encoder import AnnotatedToken, EmbeddingTable, build_vocabulary, composite_key
+from holovec.encoder import AnnotatedToken, build_vocabulary, composite_key
 from holovec.errors import DimensionMismatchError
 
 
@@ -71,6 +71,12 @@ def decode_attributes(compressed, m, cb):
     return decode_vocabulary([compressed], [m], cb)[0]
 
 
+def with_vectors(cb: Codebook, edits: dict[str, np.ndarray]) -> Codebook:
+    """A new codebook: ``cb`` with the vectors of some layout names replaced."""
+    named = {**cb.all_vectors(), **edits}
+    return Codebook(cb.seed, cb.pos_tags, cb.ner_types, np.stack(list(named.values())))
+
+
 @pytest.fixture(scope="session")
 def default_codebook():
     return build_codebook()
@@ -89,12 +95,9 @@ FISH_ANNOTATIONS = [
 ]
 
 
-def fish_table(dimension: int, seed: int = 101) -> EmbeddingTable:
+def fish_table(dimension: int, seed: int = 101) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
-    return EmbeddingTable(
-        dimension=dimension,
-        entries={"fish": rng.normal(0.0, np.sqrt(1.0 / dimension), dimension)},
-    )
+    return {"fish": rng.normal(0.0, np.sqrt(1.0 / dimension), dimension)}
 
 
 def make_surrogate_table(
@@ -104,7 +107,7 @@ def make_surrogate_table(
     n_clusters: int = 400,
     common_weight: float = 0.08,
     cluster_weight: float = 0.50,
-) -> EmbeddingTable:
+) -> dict[str, np.ndarray]:
     """Dense vectors with pre-trained-embedding statistics.
 
     Not quasi-orthogonal by construction: every vector shares a common
@@ -128,8 +131,7 @@ def make_surrogate_table(
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     norms = np.exp(rng.normal(np.log(5.2), 0.25, n_words))
     vectors = directions * norms[:, None]
-    entries = {f"w{i:05d}": vectors[i] for i in range(n_words)}
-    return EmbeddingTable(dimension=dimension, entries=entries)
+    return {f"w{i:05d}": vectors[i] for i in range(n_words)}
 
 
 def make_annotated_corpus(

@@ -33,7 +33,7 @@ from holovec.analysis import (
 )
 from holovec.cli import main
 from holovec.codebook import cleanup
-from holovec.encoder import AnnotatedToken, EmbeddingTable, build_vocabulary
+from holovec.encoder import AnnotatedToken, build_vocabulary
 from holovec.selftest import (
     FIXTURE_ORTHOGONALITY_FLOOR,
     NER_ACCURACY_FLOOR,
@@ -139,7 +139,7 @@ def test_criterion_4_round_trip_decoding(default_codebook):
     cb = default_codebook
     rng = np.random.default_rng(4000)
     table = synthetic_embeddings(600, 300, rng)
-    corpus = synthetic_corpus(sorted(table.entries), cb, 1000, rng)
+    corpus = synthetic_corpus(sorted(table), cb, 1000, rng)
     vocab = build_vocabulary(corpus, table, cb)
     pos_acc, ner_acc = decode_accuracy(vocab, cb)
 
@@ -148,11 +148,11 @@ def test_criterion_4_round_trip_decoding(default_codebook):
     for _ in range(1000):
         filler = hrr.random_vector(rng, 300)
         vec, m = compress_token(
-            AnnotatedToken("x", "NN"), EmbeddingTable(300, {"x": filler}), cb
+            AnnotatedToken("x", "NN"), {"x": filler}, cb
         )
         estimate = unbind_slot(vec, cb.slot_labels["ner"], m, cb.frame_label)
-        wrong_sims.append(cleanup(estimate, cb.pos_fillers)[1])
-        random_sims.append(cleanup(hrr.random_vector(rng, 300), cb.pos_fillers)[1])
+        wrong_sims.append(cleanup(estimate, cb.pos_table)[1])
+        random_sims.append(cleanup(hrr.random_vector(rng, 300), cb.pos_table)[1])
     wrong, rand = np.array(wrong_sims), np.array(random_sims)
     overlap = abs(wrong.mean() - rand.mean()) <= 0.015 and 0.5 < wrong.std() / rand.std() < 2.0
 
@@ -183,7 +183,7 @@ def test_criterion_5_orthogonality_methodology(default_codebook):
     cb = default_codebook
     table = make_surrogate_table(5000, 300, seed=5000)
     corpus = make_annotated_corpus(
-        sorted(table.entries),
+        sorted(table),
         cb.pos_tags,
         cb.ner_types,
         seed=5001,
@@ -193,7 +193,7 @@ def test_criterion_5_orthogonality_methodology(default_codebook):
     assert len(vocab) >= 10_000  # enough keys for an unclamped 5000-pair sample
     report = sample_orthogonality(vocab, sample_size=5000, threshold=0.25, seed=5002)
     original = sample_orthogonality(
-        table.entries, sample_size=2500, threshold=0.25, seed=5002
+        table, sample_size=2500, threshold=0.25, seed=5002
     )
     elapsed = time.perf_counter() - start
     ok = report.fraction_below >= FIXTURE_ORTHOGONALITY_FLOOR and elapsed < 30.0
@@ -287,7 +287,7 @@ def test_criterion_7_vocabulary_growth_mechanics(default_codebook):
         corpus = make_annotated_corpus(
             [f"w{i}" for i in range(50)], cb.pos_tags, cb.ner_types, seed=seed
         )
-        sweep = build_vocabulary(corpus, EmbeddingTable(300, {}), cb)
+        sweep = build_vocabulary(corpus, {}, cb)
         growth_ok &= sweep.stats.distinct_keys >= sweep.stats.distinct_word_types
         m_ok &= all(
             (e.component_count == 4) == (e.ner_type is not None)
@@ -309,10 +309,10 @@ def test_criterion_7_vocabulary_growth_mechanics(default_codebook):
 def _pipeline_run(root, seed: int) -> None:
     root.mkdir()
     table = make_surrogate_table(40, 300, seed=8000, n_clusters=8)
-    corpus = make_annotated_corpus(sorted(table.entries), ["NN", "VB"], ["ORG"], seed=8001)
-    write_vector_file(root / "emb.txt", table.entries)
+    corpus = make_annotated_corpus(sorted(table), ["NN", "VB"], ["ORG"], seed=8001)
+    write_vector_file(root / "emb.txt", table)
     write_annotation_file(root / "ann.tsv", corpus)
-    (root / "cores.txt").write_text("\n".join(sorted(table.entries)[:3]) + "\n")
+    (root / "cores.txt").write_text("\n".join(sorted(table)[:3]) + "\n")
     assert main(["build-codebook", str(root / "cb.json"), "--seed", str(seed)]) == 0
     assert main(
         [

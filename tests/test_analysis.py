@@ -50,7 +50,7 @@ def spaces_of_every_kind():
     cb = build_codebook(dimension=64, seed=5)
     rng = np.random.default_rng(6)
     table = synthetic_embeddings(150, 64, rng, norm_scale=5.0)
-    vocab = build_vocabulary(synthetic_corpus(sorted(table.entries), cb, 400, rng), table, cb)
+    vocab = build_vocabulary(synthetic_corpus(sorted(table), cb, 400, rng), table, cb)
     return [random_space(200, 24, seed=7), random_space(150, 300, seed=8), vocab.as_space()]
 
 

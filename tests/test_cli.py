@@ -34,9 +34,9 @@ def fish_setup(tmp_path):
 def pipeline_setup(tmp_path):
     """A 60-word surrogate corpus compressed at n=32, ready for decode/analyze."""
     table = make_surrogate_table(60, 32, seed=41, n_clusters=12)
-    words = sorted(table.entries)
+    words = sorted(table)
     corpus = make_annotated_corpus(words, ["NN", "VB", "NNP"], ["ORG", "PERSON"], seed=42)
-    write_vector_file(tmp_path / "emb.txt", table.entries)
+    write_vector_file(tmp_path / "emb.txt", table)
     write_annotation_file(tmp_path / "ann.tsv", corpus)
     (tmp_path / "cores.txt").write_text("\n".join(words[:5]) + "\n")
     code = main(
@@ -630,11 +630,11 @@ class TestReproducibility:
         root.mkdir()
         table = make_surrogate_table(40, 32, seed=50, n_clusters=8)
         corpus = make_annotated_corpus(
-            sorted(table.entries), ["NN", "VB"], ["ORG"], seed=51
+            sorted(table), ["NN", "VB"], ["ORG"], seed=51
         )
-        write_vector_file(root / "emb.txt", table.entries)
+        write_vector_file(root / "emb.txt", table)
         write_annotation_file(root / "ann.tsv", corpus)
-        (root / "cores.txt").write_text("\n".join(sorted(table.entries)[:3]) + "\n")
+        (root / "cores.txt").write_text("\n".join(sorted(table)[:3]) + "\n")
         assert main(
             ["build-codebook", str(root / "cb.json"), "--dim", "32", "--seed", str(seed)]
         ) == 0

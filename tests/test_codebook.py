@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import cosine_similarity, superpose
+from conftest import compress_token, cosine_similarity, superpose, with_vectors
 from holovec import hrr
 from holovec.codebook import (
     Codebook,
@@ -50,8 +50,8 @@ class TestBuild:
         cb1 = build_codebook(["NN", "VB"], ["ORG"], dimension=32, seed=5)
         cb2 = build_codebook(["NN", "VB"], ["ORG", "PERSON"], dimension=32, seed=5)
         np.testing.assert_array_equal(cb1.frame_label, cb2.frame_label)
-        np.testing.assert_array_equal(cb1.pos_fillers["VB"], cb2.pos_fillers["VB"])
-        np.testing.assert_array_equal(cb1.ner_fillers["ORG"], cb2.ner_fillers["ORG"])
+        np.testing.assert_array_equal(cb1.pos_table["VB"], cb2.pos_table["VB"])
+        np.testing.assert_array_equal(cb1.ner_table["ORG"], cb2.ner_table["ORG"])
 
     def test_every_vector_has_the_declared_dimension(self, default_codebook):
         for name, vec in default_codebook.all_vectors().items():
@@ -286,10 +286,15 @@ class TestPersistence:
 
     def test_tag_order_is_part_of_equality(self):
         cb = build_codebook(["VB", "NN"], ["ORG"], dimension=16, seed=3)
-        reordered = build_codebook(["NN", "VB"], ["ORG"], dimension=16, seed=3)
-        reordered.pos_fillers = {tag: cb.pos_fillers[tag] for tag in ("NN", "VB")}
+        named = cb.all_vectors()
+        swapped = [
+            "frame", "slot:token", "slot:pos", "slot:ner", "pos:NN", "pos:VB", "ner:ORG", "unknown"
+        ]
+        reordered = Codebook(3, ["NN", "VB"], ["ORG"], np.stack([named[name] for name in swapped]))
         # the same vector under every name, but the POS tags in another order
-        assert reordered.all_vectors().keys() == cb.all_vectors().keys()
+        assert reordered.all_vectors().keys() == named.keys()
+        for name, vec in reordered.all_vectors().items():
+            assert vec.tobytes() == named[name].tobytes(), name
         assert reordered != cb
         assert build_codebook(["VB", "NN"], ["ORG"], dimension=16, seed=3) == cb
 
@@ -311,6 +316,19 @@ class TestPersistence:
         vectors = build_codebook(["NN", "VB"], ["ORG"], dimension=16, seed=1).vectors
         with pytest.raises(ValueError, match=message):
             Codebook(1, pos_tags, ner_types, edit(vectors))
+
+    def test_a_filler_set_in_code_saves_loads_and_encodes_alike(self, tmp_path):
+        cb = build_codebook(["NN", "VB", "DT"], ["ORG"], dimension=64, seed=3)
+        cb = with_vectors(cb, {"pos:VB": cb.pos_table["DT"]})
+        assert cb.pos_table["VB"].tobytes() == cb.pos_table["DT"].tobytes()
+        save_codebook(cb, tmp_path / "cb.json")
+        loaded = load_codebook(tmp_path / "cb.json")
+        assert loaded == cb
+        table = {"x": np.random.default_rng(3).normal(0.0, np.sqrt(1 / 8), 64)}
+        token = AnnotatedToken("x", "VB")
+        assert compress_token(token, table, loaded)[0].tobytes() == (
+            compress_token(token, table, cb)[0].tobytes()
+        )
 
     def test_read_tag_list(self, tmp_path):
         path = tmp_path / "tags.txt"
@@ -335,25 +353,68 @@ class TestPersistence:
             build_codebook(tags, ["ORG"], dimension=16)
 
 
+class TestReadOnly:
+    def test_every_array_reachable_from_a_codebook_is_read_only(self):
+        cb = build_codebook(["NN", "VB"], ["ORG"], dimension=16, seed=3)
+        arrays = [cb.vectors, cb.frame_label, cb.unknown_token, *cb.slot_labels.values()]
+        arrays += [*cb.all_vectors().values()]
+        for table in (cb.pos_table, cb.ner_table):
+            arrays += [*table.values(), table.slot_label, table.bound, table.unit, table.screen]
+        for array in arrays:
+            assert not array.flags.writeable
+        for write in (
+            lambda: cb.vectors.__setitem__((0, 0), 1.0),
+            lambda: cb.frame_label.__setitem__(0, 1.0),
+            lambda: cb.pos_table["VB"].__setitem__(slice(None), 0.0),
+            lambda: cb.slot_labels["token"].__setitem__(0, 1.0),
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                write()
+
+    def test_names_and_attributes_cannot_be_rebound(self):
+        cb = build_codebook(["NN", "VB"], ["ORG"], dimension=16, seed=3)
+        with pytest.raises(TypeError):
+            cb.slot_labels["token"] = np.ones(16)
+        for name in ("vectors", "frame_label", "unknown_token", "slot_labels", "pos_table"):
+            with pytest.raises(AttributeError):
+                setattr(cb, name, np.ones(16))
+        assert cb == build_codebook(["NN", "VB"], ["ORG"], dimension=16, seed=3)
+
+    def test_the_codebook_keeps_its_own_float64_copy(self):
+        rows = build_codebook(["NN", "VB"], ["ORG"], dimension=16, seed=3).vectors.copy()
+        cb = Codebook(3, ["NN", "VB"], ["ORG"], rows)
+        rows[:] = 0.0
+        assert cb == build_codebook(["NN", "VB"], ["ORG"], dimension=16, seed=3)
+        integers = Codebook(3, ["NN", "VB"], ["ORG"], np.ones((8, 16), dtype=int))
+        assert integers.vectors.dtype == np.float64
+
+    def test_the_labels_are_views_of_the_vectors(self, small_codebook):
+        cb = small_codebook
+        for vec in (cb.frame_label, cb.unknown_token, *cb.slot_labels.values()):
+            assert vec.base is cb.vectors
+        for table in (cb.pos_table, cb.ner_table):
+            assert all(vec.base is cb.vectors for vec in table.values())
+
+
 class TestFillerTable:
     def test_is_the_cleanup_memory_of_its_fillers(self, small_codebook):
         table = small_codebook.pos_table
         assert isinstance(table, VectorSpace)
         assert table.sorted_keys == sorted(small_codebook.pos_tags)
         assert table.slot_label is small_codebook.slot_labels["pos"]
-        for tag, filler in small_codebook.pos_fillers.items():
-            assert table[tag] is filler
+        named = small_codebook.all_vectors()
+        for tag in small_codebook.pos_tags:
+            filler = table[tag]  # a view of the codebook's row for the tag
+            assert filler.base is small_codebook.vectors
+            assert filler.tobytes() == named[f"pos:{tag}"].tobytes()
             np.testing.assert_allclose(
                 table.unit[table.index[tag]], filler / np.linalg.norm(filler), rtol=0, atol=1e-15
             )
 
     def test_bound_rows_follow_the_index_bit_for_bit(self, default_codebook):
-        for table, fillers in (
-            (default_codebook.pos_table, default_codebook.pos_fillers),
-            (default_codebook.ner_table, default_codebook.ner_fillers),
-        ):
+        for table in (default_codebook.pos_table, default_codebook.ner_table):
             assert table.bound is table.bound
-            for tag, filler in fillers.items():
+            for tag, filler in table.items():
                 alone = hrr.circular_convolve_fft(table.slot_label, filler)
                 assert table.bound[table.index[tag]].tobytes() == alone.tobytes()
 
@@ -364,21 +425,21 @@ class TestFillerTable:
 
 class TestCleanup:
     def test_exact_member_is_returned(self, small_codebook):
-        key, sim = cleanup(small_codebook.pos_fillers["VB"], small_codebook.pos_fillers)
+        key, sim = cleanup(small_codebook.pos_table["VB"], small_codebook.pos_table)
         assert key == "VB"
         assert sim == pytest.approx(1.0, abs=1e-12)
 
     def test_small_perturbation_keeps_the_winner(self, small_codebook):
         rng = np.random.default_rng(0)
-        target = small_codebook.pos_fillers["NNP"]
+        target = small_codebook.pos_table["NNP"]
         noise = rng.normal(size=target.shape)
         noise *= 0.01 * np.linalg.norm(target) / np.linalg.norm(noise)
-        key, _ = cleanup(target + noise, small_codebook.pos_fillers)
+        key, _ = cleanup(target + noise, small_codebook.pos_table)
         assert key == "NNP"
 
     def test_every_member_cleans_to_itself(self, default_codebook):
         for tag in default_codebook.pos_tags:
-            key, _ = cleanup(default_codebook.pos_fillers[tag], default_codebook.pos_fillers)
+            key, _ = cleanup(default_codebook.pos_table[tag], default_codebook.pos_table)
             assert key == tag
 
     def test_tie_breaks_to_smaller_key(self):
@@ -398,7 +459,7 @@ class TestCleanup:
 
     def test_a_space_built_once_gives_the_mapping_result(self, default_codebook):
         rng = np.random.default_rng(11)
-        fillers = default_codebook.ner_fillers
+        fillers = dict(default_codebook.ner_table)
         space = VectorSpace(fillers)
         for _ in range(20):
             query = rng.normal(size=default_codebook.dimension)
@@ -431,11 +492,11 @@ class TestCleanup:
                 [
                     cb.frame_label,
                     hrr.circular_convolve_fft(cb.slot_labels["token"], filler),
-                    hrr.circular_convolve_fft(cb.slot_labels["pos"], cb.pos_fillers[tag]),
+                    hrr.circular_convolve_fft(cb.slot_labels["pos"], cb.pos_table[tag]),
                 ],
                 3,
             )
             query = hrr.circular_correlate_fft(cb.slot_labels["pos"], 3 * compressed)
-            key, _ = cleanup(query, cb.pos_fillers)
+            key, _ = cleanup(query, cb.pos_table)
             hits += int(key == tag)
         assert hits / trials >= 0.95

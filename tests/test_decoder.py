@@ -12,6 +12,7 @@ from conftest import (
     decode_attributes,
     superpose,
     unbind_slot,
+    with_vectors,
 )
 from holovec import hrr
 from holovec.codebook import VectorSpace, build_codebook, cleanup
@@ -20,7 +21,6 @@ from holovec.encoder import (
     BLOCK_ROWS,
     AnnotatedToken,
     CompressedVocabulary,
-    EmbeddingTable,
     build_vocabulary,
 )
 from holovec.errors import DimensionMismatchError
@@ -31,7 +31,7 @@ def _accuracy(dimension: int, seed: int, n_tokens: int = 300):
     cb = build_codebook(dimension=dimension, seed=seed)
     rng = np.random.default_rng(seed + 1)
     table = synthetic_embeddings(200, dimension, rng)
-    corpus = synthetic_corpus(sorted(table.entries), cb, n_tokens, rng)
+    corpus = synthetic_corpus(sorted(table), cb, n_tokens, rng)
     vocab = build_vocabulary(corpus, table, cb)
     pos_ok = ner_ok = ner_total = 0
     for entry in vocab.entries.values():
@@ -65,13 +65,13 @@ class TestUnbindSlot:
     def test_pos_slot_of_the_entity_frame_decodes(self, default_codebook):
         cb = default_codebook
         rng = np.random.default_rng(56)
-        table = EmbeddingTable(300, {"IBM": hrr.random_vector(rng, 300)})
+        table = {"IBM": hrr.random_vector(rng, 300)}
         vec, m = compress_token(AnnotatedToken("IBM", "NNP", "ORG"), table, cb)
         estimate = unbind_slot(vec, cb.slot_labels["pos"], m, cb.frame_label)
-        key, _ = cleanup(estimate, cb.pos_fillers)
+        key, _ = cleanup(estimate, cb.pos_table)
         assert key == "NNP"
         estimate = unbind_slot(vec, cb.slot_labels["ner"], m, cb.frame_label)
-        key, _ = cleanup(estimate, cb.ner_fillers)
+        key, _ = cleanup(estimate, cb.ner_table)
         assert key == "ORG"
 
     def test_wrong_slot_is_indistinguishable_from_random(self, default_codebook):
@@ -84,12 +84,12 @@ class TestUnbindSlot:
             tag = cb.pos_tags[int(rng.integers(len(cb.pos_tags)))]
             vec, m = compress_token(
                 AnnotatedToken("x", "NN"),
-                EmbeddingTable(300, {"x": filler}),
+                {"x": filler},
                 cb,
             )
             estimate = unbind_slot(vec, cb.slot_labels["ner"], m, cb.frame_label)
-            wrong_sims.append(cleanup(estimate, cb.pos_fillers)[1])
-            random_sims.append(cleanup(hrr.random_vector(rng, 300), cb.pos_fillers)[1])
+            wrong_sims.append(cleanup(estimate, cb.pos_table)[1])
+            random_sims.append(cleanup(hrr.random_vector(rng, 300), cb.pos_table)[1])
         wrong, rand = np.array(wrong_sims), np.array(random_sims)
         # calibrated: both distributions sit at 0.128 +- 0.025
         assert abs(wrong.mean() - rand.mean()) < 0.02
@@ -110,7 +110,7 @@ class TestDecodeAttributes:
     def test_three_component_entry_has_no_entity(self, default_codebook):
         cb = default_codebook
         rng = np.random.default_rng(62)
-        table = EmbeddingTable(300, {"run": hrr.random_vector(rng, 300)})
+        table = {"run": hrr.random_vector(rng, 300)}
         vec, m = compress_token(AnnotatedToken("run", "VB"), table, cb)
         decoded = decode_attributes(vec, m, cb)
         assert m == 3
@@ -125,7 +125,7 @@ class TestDecodeAttributes:
     def test_inputs_not_mutated(self, default_codebook):
         cb = default_codebook
         rng = np.random.default_rng(63)
-        table = EmbeddingTable(300, {"a": hrr.random_vector(rng, 300)})
+        table = {"a": hrr.random_vector(rng, 300)}
         vec, m = compress_token(AnnotatedToken("a", "NN", "ORG"), table, cb)
         before = vec.copy()
         first = decode_attributes(vec, m, cb)
@@ -153,29 +153,28 @@ class TestDecodeVocabulary:
         assert len(decoded) == len(vectors)
         for vec, count, got in zip(vectors, m, decoded):
             residual = count * vec - cb.frame_label if with_m else vec
-            pos, pos_sim = cleanup(circular_correlate(cb.slot_labels["pos"], residual), cb.pos_fillers)
+            pos, pos_sim = cleanup(circular_correlate(cb.slot_labels["pos"], residual), cb.pos_table)
             assert got.pos_tag == pos
             assert got.pos_similarity == pytest.approx(pos_sim, abs=1e-12)
             if with_m and count == 3:
                 assert (got.ner_type, got.ner_similarity) == (None, None)
                 continue
-            ner, ner_sim = cleanup(circular_correlate(cb.slot_labels["ner"], residual), cb.ner_fillers)
+            ner, ner_sim = cleanup(circular_correlate(cb.slot_labels["ner"], residual), cb.ner_table)
             assert got.ner_type == ner
             assert got.ner_similarity == pytest.approx(ner_sim, abs=1e-12)
 
     def test_identical_fillers_tie_to_the_smaller_key(self):
         cb = build_codebook(["NN", "VB", "NNP", "JJ", "DT"], ["PERSON", "ORG"], dimension=300, seed=3)
         # first and last in sorted order, so the tie spans the whole scan
-        cb.pos_fillers["VB"] = cb.pos_fillers["DT"].copy()
-        cb.ner_fillers["PERSON"] = cb.ner_fillers["ORG"].copy()
-        table = EmbeddingTable(300, {"x": np.zeros(300)})
+        cb = with_vectors(cb, {"pos:VB": cb.pos_table["DT"], "ner:PERSON": cb.ner_table["ORG"]})
+        table = {"x": np.zeros(300)}
         vec, m = compress_token(AnnotatedToken("x", "VB", "PERSON"), table, cb)
         vectors = [vec] * (BLOCK_ROWS + 1)
         for counts in ([m] * len(vectors), None):
             for got in decode_vocabulary(vectors, counts, cb):
                 assert (got.pos_tag, got.ner_type) == ("DT", "ORG")
         assert decode_attributes(vec, m, cb).pos_tag == cleanup(
-            unbind_slot(vec, cb.slot_labels["pos"], m, cb.frame_label), cb.pos_fillers
+            unbind_slot(vec, cb.slot_labels["pos"], m, cb.frame_label), cb.pos_table
         )[0]
 
     def test_single_rows_agree_with_the_batch(self, default_codebook):
@@ -211,8 +210,8 @@ class TestDecodeVocabulary:
 
     def test_zero_norm_filler_rejected_at_decode_not_at_compress(self):
         cb = build_codebook(["NN", "VB"], ["ORG"], dimension=16, seed=4)
-        cb.pos_fillers["VB"] = np.zeros(16)
-        vec, m = compress_token(AnnotatedToken("x", "NN"), EmbeddingTable(16, {}), cb)
+        cb = with_vectors(cb, {"pos:VB": np.zeros(16)})
+        vec, m = compress_token(AnnotatedToken("x", "NN"), {}, cb)
         with pytest.raises(ValueError, match="'VB' has zero norm"):
             decode_attributes(vec, m, cb)
 
@@ -222,7 +221,7 @@ class TestDecodeAndScore:
         cb = build_codebook(dimension=64, seed=9)
         rng = np.random.default_rng(10)
         table = synthetic_embeddings(150, 64, rng, norm_scale=5.0)
-        corpus = synthetic_corpus(sorted(table.entries), cb, 400, rng)
+        corpus = synthetic_corpus(sorted(table), cb, 400, rng)
         vocab = build_vocabulary(corpus, table, cb)
         decoded, hits = decode_and_score(vocab, cb)
         entries = list(vocab.entries.values())
@@ -240,7 +239,7 @@ class TestDecodeAndScore:
 
     def test_no_entity_entries_give_no_ner_total(self, small_codebook):
         tokens = [AnnotatedToken("a", "NN"), AnnotatedToken("b", "VB")]
-        vocab = build_vocabulary(tokens, EmbeddingTable(16, {}), small_codebook)
+        vocab = build_vocabulary(tokens, {}, small_codebook)
         _, hits = decode_and_score(vocab, small_codebook)
         assert hits[1:] == (2, 0, 0)
         assert decode_and_score(CompressedVocabulary(16), small_codebook) == ([], (0, 0, 0, 0))
@@ -262,11 +261,9 @@ class TestDecodeTokenIdentity:
         rng = np.random.default_rng(65)
         table = synthetic_embeddings(50, 300, rng)
         vec, m = compress_token(AnnotatedToken("w00007", "NN"), table, cb)
-        reduced = EmbeddingTable(
-            300, {k: v for k, v in table.entries.items() if k != "w00007"}
-        )
+        reduced = {k: v for k, v in table.items() if k != "w00007"}
         [(key, sim)] = decode_token_identity([vec], [m], cb, reduced)
-        assert key in reduced.entries
+        assert key in reduced
         assert -1.0 <= sim <= 1.0
 
     def test_unknown_filler_matches_the_unknown_vector(self, default_codebook):
@@ -274,20 +271,38 @@ class TestDecodeTokenIdentity:
         rng = np.random.default_rng(66)
         table = synthetic_embeddings(50, 300, rng)
         vec, m = compress_token(AnnotatedToken("notintable", "NN"), table, cb)
-        candidates = EmbeddingTable(
-            300, {**table.entries, "<unknown>": cb.unknown_token}
-        )
+        candidates = {**table, "<unknown>": cb.unknown_token}
         [(key, _)] = decode_token_identity([vec], [m], cb, candidates)
         assert key == "<unknown>"
 
     def test_empty_table_rejected(self, default_codebook):
         with pytest.raises(ValueError):
-            decode_token_identity([np.ones(300)], [3], default_codebook, EmbeddingTable(300, {}))
+            decode_token_identity([np.ones(300)], [3], default_codebook, {})
 
     def test_table_of_another_dimension_rejected(self, default_codebook):
-        table = EmbeddingTable(16, {"a": np.ones(16)})
+        table = {"a": np.ones(16)}
         with pytest.raises(DimensionMismatchError, match="embedding dimension 16"):
             decode_token_identity([np.ones(300)], [3], default_codebook, table)
+
+    def test_a_table_of_another_dimension_names_both(self, small_codebook):
+        with pytest.raises(DimensionMismatchError) as info:
+            decode_token_identity([np.ones(16)], [3], small_codebook, {"a": np.ones(8)})
+        assert str(info.value) == "embedding dimension 8 differs from codebook dimension 16"
+
+    def test_a_space_built_once_is_reused_across_calls(self, default_codebook, monkeypatch):
+        cb = default_codebook
+        table = synthetic_embeddings(50, 300, np.random.default_rng(69))
+        compressed = [compress_token(AnnotatedToken(s, "NN"), table, cb) for s in table]
+        vectors, counts = [vec for vec, _ in compressed], [m for _, m in compressed]
+        space = VectorSpace(table)
+        first = decode_token_identity(vectors, counts, cb, space)
+        unit = space.unit
+        built = []
+        monkeypatch.setattr(VectorSpace, "__init__", lambda *args: built.append(args))
+        assert decode_token_identity(vectors, counts, cb, space) == first
+        assert space.unit is unit and built == []
+        monkeypatch.undo()
+        assert decode_token_identity(vectors, counts, cb, table) == first
 
     def test_the_table_is_normalised_once_across_calls(self, default_codebook, monkeypatch):
         # one call over both rows; the oracle's cosines may differ from the
@@ -297,7 +312,7 @@ class TestDecodeTokenIdentity:
         surfaces = ["w00001", "w00002"]
         compressed = [compress_token(AnnotatedToken(s, "NN"), table, cb) for s in surfaces]
         expected = [
-            cleanup(unbind_slot(vec, cb.slot_labels["token"], m, cb.frame_label), table.entries)
+            cleanup(unbind_slot(vec, cb.slot_labels["token"], m, cb.frame_label), table)
             for vec, m in compressed
         ]
         built = []
@@ -327,7 +342,7 @@ class TestDecodeTokenIdentity:
             assert len(found) == len(vectors)
             for i in (0, BLOCK_ROWS - 1, BLOCK_ROWS):
                 residual = vectors[i] if counts is None else m[i] * vectors[i] - cb.frame_label
-                key, sim = cleanup(circular_correlate(cb.slot_labels["token"], residual), table.entries)
+                key, sim = cleanup(circular_correlate(cb.slot_labels["token"], residual), table)
                 assert found[i][0] == key
                 assert found[i][1] == pytest.approx(sim, abs=1e-12)
 

@@ -5,6 +5,7 @@ import tempfile
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from conftest import (
 )
 from holovec import hrr
 from holovec._fileio import atomic_writes
-from holovec.codebook import build_codebook
+from holovec.codebook import VectorSpace, build_codebook
 from holovec.encoder import (
     BLOCK_ROWS,
     FILLER_EXACT,
@@ -32,7 +33,6 @@ from holovec.encoder import (
     AnnotatedToken,
     BuildStats,
     CompressedVocabulary,
-    EmbeddingTable,
     VocabEntry,
     build_vocabulary,
     composite_key,
@@ -105,19 +105,19 @@ class TestAnnotatedToken:
 
 class TestLookupFiller:
     def test_exact_hit(self, small_codebook):
-        table = EmbeddingTable(16, {"Fish": np.ones(16), "fish": np.full(16, 2.0)})
+        table = {"Fish": np.ones(16), "fish": np.full(16, 2.0)}
         vec, source = lookup_filler("Fish", table, small_codebook)
         assert source == FILLER_EXACT
         np.testing.assert_array_equal(vec, np.ones(16))
 
     def test_lowercase_fallback(self, small_codebook):
-        table = EmbeddingTable(16, {"the": np.ones(16)})
+        table = {"the": np.ones(16)}
         vec, source = lookup_filler("The", table, small_codebook)
         assert source == FILLER_LOWERCASED
         np.testing.assert_array_equal(vec, np.ones(16))
 
     def test_unknown_fallback_is_total(self, small_codebook):
-        table = EmbeddingTable(16, {})
+        table = {}
         vec, source = lookup_filler("zyzzyva", table, small_codebook)
         assert source == FILLER_UNKNOWN
         np.testing.assert_array_equal(vec, small_codebook.unknown_token)
@@ -129,15 +129,15 @@ class TestCompressToken:
         cb = default_codebook
         rng = np.random.default_rng(13)
         ibm = hrr.random_vector(rng, 300)
-        table = EmbeddingTable(300, {"IBM": ibm})
+        table = {"IBM": ibm}
         token = AnnotatedToken("IBM", "NNP", "ORG")
         vec, m = compress_token(token, table, cb)
         assert m == 4
         expected = (
             cb.frame_label
             + hrr.circular_convolve(cb.slot_labels["token"], ibm)
-            + hrr.circular_convolve(cb.slot_labels["pos"], cb.pos_fillers["NNP"])
-            + hrr.circular_convolve(cb.slot_labels["ner"], cb.ner_fillers["ORG"])
+            + hrr.circular_convolve(cb.slot_labels["pos"], cb.pos_table["NNP"])
+            + hrr.circular_convolve(cb.slot_labels["ner"], cb.ner_table["ORG"])
         ) / 4
         np.testing.assert_allclose(vec, expected, rtol=1e-9, atol=1e-12)
 
@@ -145,45 +145,66 @@ class TestCompressToken:
         cb = default_codebook
         rng = np.random.default_rng(14)
         filler = hrr.random_vector(rng, 300)
-        table = EmbeddingTable(300, {"run": filler})
+        table = {"run": filler}
         vec, m = compress_token(AnnotatedToken("run", "VB"), table, cb)
         assert m == 3
         expected = (
             cb.frame_label
             + hrr.circular_convolve(cb.slot_labels["token"], filler)
-            + hrr.circular_convolve(cb.slot_labels["pos"], cb.pos_fillers["VB"])
+            + hrr.circular_convolve(cb.slot_labels["pos"], cb.pos_table["VB"])
         ) / 3
         np.testing.assert_allclose(vec, expected, rtol=1e-9, atol=1e-12)
 
     def test_deterministic_regardless_of_call_order(self, small_codebook):
-        table = EmbeddingTable(16, {"fish": np.arange(16, dtype=float)})
+        table = {"fish": np.arange(16, dtype=float)}
         a = compress_token(AnnotatedToken("fish", "NN"), table, small_codebook)
         b = compress_token(AnnotatedToken("FISH", "NN"), table, small_codebook)
         # same key, same filler (lowercase hit): identical vectors
         np.testing.assert_array_equal(a[0], b[0])
 
     def test_unknown_pos_tag_named_in_error(self, small_codebook):
-        table = EmbeddingTable(16, {})
+        table = {}
         with pytest.raises(UnknownTagError, match="XYZ"):
             compress_token(AnnotatedToken("fish", "XYZ"), table, small_codebook)
 
     def test_unknown_ner_type_named_in_error(self, small_codebook):
-        table = EmbeddingTable(16, {})
+        table = {}
         with pytest.raises(UnknownTagError, match="PLANET"):
             compress_token(AnnotatedToken("fish", "NN", "PLANET"), table, small_codebook)
 
     def test_dimension_mismatch_rejected(self, small_codebook):
-        table = EmbeddingTable(8, {"fish": np.ones(8)})
+        table = {"fish": np.ones(8)}
         with pytest.raises(DimensionMismatchError):
             compress_token(AnnotatedToken("fish", "NN"), table, small_codebook)
 
     def test_output_keeps_the_input_dimension(self, small_codebook):
-        table = EmbeddingTable(16, {"fish": np.ones(16)})
+        table = {"fish": np.ones(16)}
         vec, _ = compress_token(AnnotatedToken("fish", "NN"), table, small_codebook)
         assert vec.shape == (16,)
 
 
 class TestBuildVocabulary:
+    def test_the_dimension_comes_from_the_vectors_bound(self, small_codebook):
+        tokens = [AnnotatedToken("known", "NN"), AnnotatedToken("mystery", "VB")]
+        for table in ({"known": np.ones(8)}, {"other": np.ones(16), "known": np.ones(8)}):
+            with pytest.raises(DimensionMismatchError) as info:
+                build_vocabulary(tokens, table, small_codebook)
+            assert str(info.value) == "embedding dimension 8 differs from codebook dimension 16"
+        # a vector that no token binds is not read
+        vocab = build_vocabulary(tokens, {"known": np.ones(16), "other": np.ones(8)}, small_codebook)
+        assert [e.filler_source for e in vocab.entries.values()] == [FILLER_EXACT, FILLER_UNKNOWN]
+
+    def test_any_mapping_is_a_table(self, small_codebook):
+        tokens = [AnnotatedToken("Known", "NN"), AnnotatedToken("mystery", "VB", "ORG")]
+        table = {"known": np.arange(16.0)}
+        built = build_vocabulary(tokens, table, small_codebook)
+        for other in (MappingProxyType(table), VectorSpace(table)):
+            vocab = build_vocabulary(tokens, other, small_codebook)
+            assert list(vocab.entries) == list(built.entries)
+            for key, entry in vocab.entries.items():
+                assert entry.vector.tobytes() == built.entries[key].vector.tobytes()
+                assert entry.filler_source == built.entries[key].filler_source
+
     def test_fish_fixture(self, default_codebook):
         vocab = build_vocabulary(FISH_ANNOTATIONS, fish_table(300), default_codebook)
         assert set(vocab.entries) == {"fishVB", "fishNN", "fishNNPPERSON"}
@@ -195,20 +216,20 @@ class TestBuildVocabulary:
         assert vocab.entries["fishVB"].component_count == 3
 
     def test_empty_stream(self, small_codebook):
-        vocab = build_vocabulary([], EmbeddingTable(16, {}), small_codebook)
+        vocab = build_vocabulary([], {}, small_codebook)
         assert len(vocab) == 0
         assert vocab.stats.input_tokens == 0
         assert vocab.stats.growth_ratio is None
 
     def test_repeated_token_collapses_to_one_entry(self, small_codebook):
-        table = EmbeddingTable(16, {"fish": np.ones(16)})
+        table = {"fish": np.ones(16)}
         tokens = [AnnotatedToken("fish", "NN")] * 1000
         vocab = build_vocabulary(tokens, table, small_codebook)
         assert len(vocab) == 1
         assert vocab.stats.input_tokens == 1000
 
     def test_component_count_is_four_exactly_for_entity_keys(self, small_codebook):
-        table = EmbeddingTable(16, {"a": np.ones(16)})
+        table = {"a": np.ones(16)}
         tokens = [
             AnnotatedToken("a", "NN"),
             AnnotatedToken("a", "NN", "ORG"),
@@ -224,17 +245,17 @@ class TestBuildVocabulary:
             AnnotatedToken("bad", "QQQ", line=2),
         ]
         with pytest.raises(UnknownTagError, match="line 2"):
-            build_vocabulary(tokens, EmbeddingTable(16, {}), small_codebook)
+            build_vocabulary(tokens, {}, small_codebook)
 
     def test_unknown_filler_entries_counted(self, small_codebook):
-        table = EmbeddingTable(16, {"known": np.ones(16)})
+        table = {"known": np.ones(16)}
         tokens = [AnnotatedToken("known", "NN"), AnnotatedToken("mystery", "NN")]
         vocab = build_vocabulary(tokens, table, small_codebook)
         assert vocab.stats.unknown_filler_entries == 1
         assert vocab.entries["mysteryNN"].filler_source == FILLER_UNKNOWN
 
     def test_vectors_match_compress_token(self, small_codebook):
-        table = EmbeddingTable(16, {"a": np.ones(16), "b": np.arange(16, dtype=float)})
+        table = {"a": np.ones(16), "b": np.arange(16, dtype=float)}
         tokens = [
             AnnotatedToken("a", "NN"),
             AnnotatedToken("b", "VB", "ORG"),
@@ -255,7 +276,7 @@ class TestBuildVocabulary:
             seed=11,
             profiles_per_word=(1, 4),
         )
-        table = EmbeddingTable(16, {})
+        table = {}
         vocab = build_vocabulary(corpus, table, small_codebook)
         st = vocab.stats
         n_pos = len(small_codebook.pos_tags)
@@ -266,9 +287,7 @@ class TestBuildVocabulary:
     def test_mean_squared_norm_tracks_component_count(self, default_codebook):
         # unit-expected-norm fillers: ||compressed||^2 concentrates near 1/m
         rng = np.random.default_rng(31)
-        table = EmbeddingTable(
-            300, {f"w{i}": hrr.random_vector(rng, 300) for i in range(60)}
-        )
+        table = {f"w{i}": hrr.random_vector(rng, 300) for i in range(60)}
         plain = [AnnotatedToken(f"w{i}", "NN") for i in range(60)]
         tagged = [AnnotatedToken(f"w{i}", "NN", "ORG") for i in range(60)]
         for tokens, m in ((plain, 3), (tagged, 4)):
@@ -292,7 +311,7 @@ class TestBatchedBuild:
     @settings(max_examples=10, deadline=None)
     def test_rows_match_the_direct_sums_across_a_block_boundary(self, n, words, seed):
         cb = build_codebook(dimension=n, seed=seed)
-        table = EmbeddingTable(n, {f"w{i}": vec for i, vec in enumerate(words)})
+        table = {f"w{i}": vec for i, vec in enumerate(words)}
         rng = np.random.default_rng(seed)
         # BLOCK_ROWS + 1 distinct keys over known, capitalised and unknown surfaces
         surfaces = ["w0", "w1", "w2", "w3", "w4", "w5", "oov0", "oov1"]
@@ -321,10 +340,11 @@ class TestBatchedBuild:
             terms = [
                 cb.frame_label,
                 hrr.circular_convolve(cb.slot_labels["token"], filler),
-                hrr.circular_convolve(cb.slot_labels["pos"], cb.pos_fillers[token.pos_tag]),
+                hrr.circular_convolve(cb.slot_labels["pos"], cb.pos_table[token.pos_tag]),
             ]
             if token.ner_type is not None:
-                terms.append(hrr.circular_convolve(cb.slot_labels["ner"], cb.ner_fillers[token.ner_type]))
+                ner_filler = cb.ner_table[token.ner_type]
+                terms.append(hrr.circular_convolve(cb.slot_labels["ner"], ner_filler))
             expected = sum(terms) / len(terms)
             scale = max(float(np.max(np.abs(t))) for t in terms)
             assert float(np.max(np.abs(entry.vector - expected))) <= 1e-12 * scale, key
@@ -335,8 +355,8 @@ class TestBatchedBuild:
                 hrr.circular_convolve_fft(cb.slot_labels[slot], vec)
                 for slot, vec in (
                     ("token", filler),
-                    ("pos", cb.pos_fillers[token.pos_tag]),
-                    ("ner", cb.ner_fillers.get(token.ner_type)),
+                    ("pos", cb.pos_table[token.pos_tag]),
+                    ("ner", cb.ner_table.get(token.ner_type)),
                 )
                 if vec is not None
             ]
@@ -493,8 +513,10 @@ class TestVectorFiles:
         path = tmp_path / "emb.txt"
         path.write_text("cat 1.0 0.0\ndog 0.0 1.0\n")
         table = read_embeddings(path)
-        assert table.dimension == 2
-        assert "cat" in table and "dog" in table
+        assert {key: vec.tolist() for key, vec in table.items()} == {
+            "cat": [1.0, 0.0],
+            "dog": [0.0, 1.0],
+        }
 
 
 class TestStreamedVocabularyWrite:
@@ -502,7 +524,7 @@ class TestStreamedVocabularyWrite:
     def vocab(self, default_codebook):
         table = make_surrogate_table(1000, 300, seed=23, n_clusters=50)
         corpus = make_annotated_corpus(
-            sorted(table.entries), ["NN", "VB", "NNP", "JJ"], ["ORG", "PERSON"], seed=24
+            sorted(table), ["NN", "VB", "NNP", "JJ"], ["ORG", "PERSON"], seed=24
         )
         vocab = build_vocabulary(corpus, table, default_codebook)
         assert len(vocab) >= 2000 and vocab.dimension == 300
@@ -608,7 +630,7 @@ class TestVocabularyPersistence:
                 continue
         rng = np.random.default_rng(seed)
         embedded = {row[0] for row in rows if row[3]}
-        table = EmbeddingTable(16, {s: rng.normal(size=16) for s in sorted(embedded)})
+        table = {s: rng.normal(size=16) for s in sorted(embedded)}
         vocab = build_vocabulary(tokens, table, small_codebook)
         for i, key in enumerate(list(vocab.entries)):
             if i in dropped:
@@ -648,6 +670,30 @@ class TestVocabularyPersistence:
         assert str(info.value) == (
             f"{meta_path}: entry 'fishNN': word_type + pos_tag + ner_type spell 'yorkVB'"
         )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "vector, message",
+        [
+            (np.ones(3), "vector has shape (3,), expected (16,)"),
+            (np.ones((1, 16)), "vector has shape (1, 16), expected (16,)"),
+            (np.full(16, np.nan), "vector holds a NaN or an infinity"),
+            (np.append(np.ones(15), -np.inf), "vector holds a NaN or an infinity"),
+        ],
+    )
+    def test_a_vector_load_vocabulary_rejects_is_refused_before_any_file_lands(
+        self, tmp_path, vector, message
+    ):
+        entries = {
+            "yorkNNP": VocabEntry(np.ones(16), FILLER_EXACT, "york", "NNP", None),
+            "fishNN": VocabEntry(vector, FILLER_EXACT, "fish", "NN", None),
+        }
+        vocab = CompressedVocabulary(16, entries)
+        vec_path, meta_path = tmp_path / "v.txt", tmp_path / "v.txt.meta.json"
+        with pytest.raises(IntegrityError) as info, atomic_writes():
+            write_vocabulary(vec_path, vocab)
+            write_sidecar(meta_path, vocab)
+        assert str(info.value) == f"{vec_path}: entry 'fishNN': {message}"
         assert list(tmp_path.iterdir()) == []
 
     def test_sidecar_for_missing_key_is_integrity_error(self, tmp_path, default_codebook):
@@ -756,7 +802,7 @@ class TestVocabularyPersistence:
         assert str(info.value) == f"{meta_path}: {message}"
 
     def test_empty_vocabulary_round_trips(self, tmp_path, small_codebook):
-        vocab = build_vocabulary([], EmbeddingTable(16, {}), small_codebook)
+        vocab = build_vocabulary([], {}, small_codebook)
         vec_path, meta_path = tmp_path / "vocab.txt", tmp_path / "vocab.meta.json"
         write_vocabulary(vec_path, vocab)
         write_sidecar(meta_path, vocab)
@@ -766,7 +812,7 @@ class TestVocabularyPersistence:
 
     def test_empty_sidecar_still_checks_the_vector_file(self, tmp_path, small_codebook):
         vec_path, meta_path = tmp_path / "vocab.txt", tmp_path / "vocab.meta.json"
-        write_sidecar(meta_path, build_vocabulary([], EmbeddingTable(16, {}), small_codebook))
+        write_sidecar(meta_path, build_vocabulary([], {}, small_codebook))
         vec_path.write_text("fishNN " + " ".join(["0.5"] * 16) + "\n")
         with pytest.raises(IntegrityError, match="no metadata for key 'fishNN'"):
             load_vocabulary(vec_path, meta_path)

@@ -64,7 +64,7 @@ def _orthogonality(path, cb):
 
 
 def _neighborhoods(path, cb):
-    table = make_surrogate_table(30, 16, seed=5, n_clusters=4).entries
+    table = make_surrogate_table(30, 16, seed=5, n_clusters=4)
     report = classify_neighborhoods(table, table, sorted(table)[:3], k=4)
     report.write(path)
     return "holovec-neighborhood-report", report.to_json_dict()

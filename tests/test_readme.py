@@ -27,7 +27,7 @@ def test_the_core_algebra_sentence_names_hrr_exports():
 
 
 def test_the_library_examples_run_in_order(tmp_path, monkeypatch):
-    write_vector_file(tmp_path / "embeddings.txt", fish_table(300).entries)
+    write_vector_file(tmp_path / "embeddings.txt", fish_table(300))
     write_annotation_file(tmp_path / "corpus.tsv", FISH_ANNOTATIONS)
     monkeypatch.chdir(tmp_path)
     section = README.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
