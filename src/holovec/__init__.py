@@ -22,7 +22,6 @@ from .codebook import (
     Codebook,
     VectorSpace,
     build_codebook,
-    cleanup,
     default_ner_types,
     default_pos_tags,
     load_codebook,
@@ -84,7 +83,6 @@ __all__ = [
     "circular_convolve_fft",
     "circular_correlate_fft",
     "classify_neighborhoods",
-    "cleanup",
     "composite_key",
     "decode_token_identity",
     "decode_vocabulary",

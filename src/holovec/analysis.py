@@ -41,7 +41,6 @@ __all__ = [
     "NeighborhoodReport",
     "OrthogonalityReport",
     "PairwiseStats",
-    "VectorSpace",
     "classify_neighborhoods",
     "k_nearest",
     "pairwise_cosine_stats",

@@ -19,13 +19,13 @@ from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import hrr
 from ._fileio import read_document, read_lines, write_document
-from .errors import DimensionMismatchError, IntegrityError, ParseError
+from .errors import IntegrityError, ParseError
 
 __all__ = [
     "BLOCK_ROWS",
@@ -38,7 +38,6 @@ __all__ = [
     "SLOT_TOKEN",
     "VectorSpace",
     "build_codebook",
-    "cleanup",
     "cleanup_rows",
     "default_ner_types",
     "default_pos_tags",
@@ -90,6 +89,7 @@ def default_ner_types() -> list[str]:
 class VectorSpace(Mapping[str, np.ndarray]):
     """Read-only snapshot of a key -> vector mapping, iterated in sorted key order.
 
+    ``sorted_keys`` is a tuple and ``index``, key -> row, a read-only mapping.
     Holds references to the given vectors, not copies. `unit` stacks them
     into rows of unit L2 norm on first use, so a zero-norm vector raises
     there, in the search that needs it, not when the space is built.
@@ -100,8 +100,8 @@ class VectorSpace(Mapping[str, np.ndarray]):
     """
 
     def __init__(self, vectors: Mapping[str, np.ndarray]):
-        self.sorted_keys = sorted(vectors)
-        self.index = {key: row for row, key in enumerate(self.sorted_keys)}
+        self.sorted_keys = tuple(sorted(vectors))
+        self.index = MappingProxyType({key: row for row, key in enumerate(self.sorted_keys)})
         self._vectors = [vectors[key] for key in self.sorted_keys]
 
     @classmethod
@@ -169,14 +169,15 @@ class FillerTable(VectorSpace):
 class Codebook:
     """Immutable after construction: every array and mapping it holds is read-only.
 
-    ``vectors`` is a float64 copy of the rows given, one per `_layout` name in draw
+    ``pos_tags`` and ``ner_types`` are stored as tuples of the tags given, and
+    ``vectors`` as a float64 copy of the rows given, one per `_layout` name in draw
     order; the labels and the rows of the filler tables, built on first use, are
     views of it. A layout `load_codebook` would reject raises `ValueError`.
     """
 
     seed: int
-    pos_tags: list[str]
-    ner_types: list[str]
+    pos_tags: tuple[str, ...]
+    ner_types: tuple[str, ...]
     vectors: np.ndarray
 
     def __post_init__(self) -> None:
@@ -193,6 +194,8 @@ class Codebook:
         vectors.flags.writeable = False
         named = dict(zip(_layout(self.pos_tags, self.ner_types), vectors))
         derived = {
+            "pos_tags": tuple(self.pos_tags),
+            "ner_types": tuple(self.ner_types),
             "vectors": vectors,
             "dimension": shape[1],
             "vector_count": shape[0],
@@ -228,7 +231,7 @@ class Codebook:
         )
 
 
-def _layout(pos_tags: list[str], ner_types: list[str]) -> list[str]:
+def _layout(pos_tags: Sequence[str], ner_types: Sequence[str]) -> list[str]:
     """The persistent name of every codebook vector, in draw order."""
     return [
         "frame",
@@ -239,8 +242,8 @@ def _layout(pos_tags: list[str], ner_types: list[str]) -> list[str]:
     ]
 
 
-def _check_tags(tags: list[str], kind: str) -> None:
-    if not isinstance(tags, list) or not all(isinstance(tag, str) for tag in tags):
+def _check_tags(tags: Sequence[str], kind: str) -> None:
+    if not isinstance(tags, (list, tuple)) or not all(isinstance(tag, str) for tag in tags):
         raise ValueError(f"{kind} list is not a list of strings")
     if not tags:
         raise ValueError(f"{kind} list must not be empty")
@@ -259,7 +262,7 @@ def _tagging(pos_tag: str, ner_type: str | None) -> str:
     return f"POS tag {pos_tag!r}" + (f" with NER type {ner_type!r}" if ner_type else "")
 
 
-def _check_key_suffixes(pos_tags: list[str], ner_types: list[str]) -> None:
+def _check_key_suffixes(pos_tags: Sequence[str], ner_types: Sequence[str]) -> None:
     """Raise ValueError if two differently tagged tokens can share a composite key.
 
     A key is the lowercased word, then the POS tag, then the NER type or
@@ -287,8 +290,8 @@ def _check_key_suffixes(pos_tags: list[str], ner_types: list[str]) -> None:
 
 
 def build_codebook(
-    pos_tags: list[str] | None = None,
-    ner_types: list[str] | None = None,
+    pos_tags: Sequence[str] | None = None,
+    ner_types: Sequence[str] | None = None,
     dimension: int = DEFAULT_DIMENSION,
     seed: int = DEFAULT_SEED,
 ) -> Codebook:
@@ -300,8 +303,8 @@ def build_codebook(
     """
     if dimension < 2:  # here, before the draw; the Codebook checks the rest
         raise ValueError(f"dimension must be >= 2, got {dimension}")
-    pos_tags = default_pos_tags() if pos_tags is None else list(pos_tags)
-    ner_types = default_ner_types() if ner_types is None else list(ner_types)
+    pos_tags = tuple(default_pos_tags() if pos_tags is None else pos_tags)
+    ner_types = tuple(default_ner_types() if ner_types is None else ner_types)
     rng = np.random.default_rng(seed)
     vectors = np.stack([hrr.random_vector(rng, dimension) for _ in _layout(pos_tags, ner_types)])
     return Codebook(seed, pos_tags, ner_types, vectors)
@@ -381,21 +384,3 @@ def cleanup_rows(queries: np.ndarray, space: VectorSpace) -> tuple[list[str], np
     sims = (queries @ space.unit.T) / norms[:, None]
     best = np.argmax(sims, axis=1)
     return [space.sorted_keys[i] for i in best], sims[np.arange(len(best)), best]
-
-
-def cleanup(query, candidates: Mapping[str, np.ndarray]) -> tuple[str, float]:
-    """Nearest candidate by cosine, independent of the candidates' insertion order.
-
-    Pass a `VectorSpace` built once to clean up many queries against one
-    normalised matrix.
-    """
-    space = VectorSpace.of(candidates)
-    if not space:
-        raise ValueError("cleanup() requires a non-empty candidate set")
-    q = np.asarray(query, dtype=np.float64)
-    if space.unit.shape[1] != q.shape[0]:
-        raise DimensionMismatchError(
-            f"candidate length {space.unit.shape[1]} differs from query length {q.shape[0]}"
-        )
-    found, sims = cleanup_rows(q[None, :], space)
-    return found[0], float(sims[0])

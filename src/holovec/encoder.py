@@ -32,7 +32,6 @@ from .errors import (
 
 __all__ = [
     "AnnotatedToken",
-    "BLOCK_ROWS",
     "BuildStats",
     "CompressedVocabulary",
     "FILLER_EXACT",

@@ -15,18 +15,13 @@ from . import hrr
 from .analysis import pairwise_cosine_stats, sample_orthogonality
 from .codebook import DEFAULT_DIMENSION, DEFAULT_SEED, Codebook, build_codebook
 from .decoder import decode_and_score
-from .encoder import (
-    AnnotatedToken,
-    CompressedVocabulary,
-    build_vocabulary,
-)
+from .encoder import AnnotatedToken, build_vocabulary
 
 __all__ = [
     "CheckResult",
     "FIXTURE_ORTHOGONALITY_FLOOR",
     "NER_ACCURACY_FLOOR",
     "POS_ACCURACY_FLOOR",
-    "decode_accuracy",
     "run_self_test",
     "synthetic_corpus",
     "synthetic_embeddings",
@@ -91,16 +86,6 @@ def synthetic_corpus(
     return tokens
 
 
-def decode_accuracy(
-    vocab: CompressedVocabulary, cb: Codebook
-) -> tuple[float, float | None]:
-    """Fraction of entries whose POS (and NER, over m=4 entries) decodes correctly."""
-    _, (pos_ok, pos_total, ner_ok, ner_total) = decode_and_score(vocab, cb)
-    pos_acc = pos_ok / pos_total if pos_total else 0.0
-    ner_acc = ner_ok / ner_total if ner_total else None
-    return pos_acc, ner_acc
-
-
 def run_self_test(
     dimension: int = DEFAULT_DIMENSION,
     seed: int = DEFAULT_SEED,
@@ -139,7 +124,9 @@ def run_self_test(
     table = synthetic_embeddings(_WORDS, dimension, rng)
     corpus = synthetic_corpus(sorted(table), cb, _TOKENS, rng)
     vocab = build_vocabulary(corpus, table, cb)
-    pos_acc, ner_acc = decode_accuracy(vocab, cb)
+    _, (pos_ok, pos_total, ner_ok, ner_total) = decode_and_score(vocab, cb)
+    pos_acc = pos_ok / pos_total
+    ner_acc = ner_ok / ner_total if ner_total else None
     results.append(
         CheckResult(
             "round-trip POS decoding",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from holovec.codebook import Codebook, build_codebook
+from holovec.codebook import Codebook, VectorSpace, build_codebook, cleanup_rows
 from holovec.decoder import decode_vocabulary
 from holovec.encoder import AnnotatedToken, build_vocabulary, composite_key
 from holovec.errors import DimensionMismatchError
@@ -69,6 +69,21 @@ def compress_token(token, table, cb) -> tuple[np.ndarray, int]:
 def decode_attributes(compressed, m, cb):
     """One vector's POS tag, and NER type where m is 4: a one-row `decode_vocabulary`."""
     return decode_vocabulary([compressed], [m], cb)[0]
+
+
+def cleanup(query, candidates) -> tuple[str, float]:
+    """Oracle for one row's cleanup: the nearest candidate by cosine, and that cosine,
+    whatever the candidates' insertion order; a one-row `cleanup_rows`."""
+    space = VectorSpace.of(candidates)
+    if not space:
+        raise ValueError("cleanup() requires a non-empty candidate set")
+    q = np.asarray(query, dtype=np.float64)
+    if space.unit.shape[1] != q.shape[0]:
+        raise DimensionMismatchError(
+            f"candidate length {space.unit.shape[1]} differs from query length {q.shape[0]}"
+        )
+    found, sims = cleanup_rows(q[None, :], space)
+    return found[0], float(sims[0])
 
 
 def with_vectors(cb: Codebook, edits: dict[str, np.ndarray]) -> Codebook:

@@ -16,6 +16,7 @@ from conftest import (
     FISH_ANNOTATIONS,
     brute_force_classify,
     brute_force_neighbors,
+    cleanup,
     compress_token,
     fish_table,
     make_annotated_corpus,
@@ -32,13 +33,12 @@ from holovec.analysis import (
     sample_orthogonality,
 )
 from holovec.cli import main
-from holovec.codebook import cleanup
+from holovec.decoder import decode_and_score
 from holovec.encoder import AnnotatedToken, build_vocabulary
 from holovec.selftest import (
     FIXTURE_ORTHOGONALITY_FLOOR,
     NER_ACCURACY_FLOOR,
     POS_ACCURACY_FLOOR,
-    decode_accuracy,
     synthetic_corpus,
     synthetic_embeddings,
 )
@@ -141,7 +141,9 @@ def test_criterion_4_round_trip_decoding(default_codebook):
     table = synthetic_embeddings(600, 300, rng)
     corpus = synthetic_corpus(sorted(table), cb, 1000, rng)
     vocab = build_vocabulary(corpus, table, cb)
-    pos_acc, ner_acc = decode_accuracy(vocab, cb)
+    _, (pos_ok, pos_total, ner_ok, ner_total) = decode_and_score(vocab, cb)
+    pos_acc = pos_ok / pos_total
+    ner_acc = ner_ok / ner_total if ner_total else None
 
     # wrong-slot unbinding must look like a random query to the cleanup memory
     wrong_sims, random_sims = [], []

@@ -22,14 +22,13 @@ from conftest import (
 )
 from holovec import hrr
 from holovec.analysis import (
-    VectorSpace,
     _top_rows,
     classify_neighborhoods,
     k_nearest,
     pairwise_cosine_stats,
     sample_orthogonality,
 )
-from holovec.codebook import build_codebook
+from holovec.codebook import VectorSpace, build_codebook
 from holovec.encoder import CompressedVocabulary, VocabEntry, build_vocabulary
 from holovec.errors import UnknownKeyError
 from holovec.selftest import synthetic_corpus, synthetic_embeddings

@@ -100,7 +100,7 @@ class TestBuildCodebook:
         )
         assert code == 0
         cb = load_codebook(out_path)
-        assert (cb.pos_tags, cb.ner_types) == (["NN", "VB"], ["ORG"])
+        assert (cb.pos_tags, cb.ner_types) == (("NN", "VB"), ("ORG",))
 
     def test_tag_with_whitespace_exits_one(self, tmp_path, capsys):
         (tmp_path / "pos.txt").write_text("NN\nNN P\n")

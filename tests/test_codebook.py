@@ -5,14 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from conftest import compress_token, cosine_similarity, superpose, with_vectors
+from conftest import cleanup, compress_token, cosine_similarity, superpose, with_vectors
 from holovec import hrr
 from holovec.codebook import (
     Codebook,
     FillerTable,
     VectorSpace,
     build_codebook,
-    cleanup,
     default_ner_types,
     default_pos_tags,
     load_codebook,
@@ -108,7 +107,7 @@ class TestBuild:
 
     def test_a_prefix_no_lowercased_word_ends_in_is_allowed(self):
         cb = build_codebook(["NN", "XNN"], ["ORG"], dimension=16)
-        assert cb.pos_tags == ["NN", "XNN"]
+        assert cb.pos_tags == ("NN", "XNN")
 
     def test_small_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -141,8 +140,8 @@ class TestPersistence:
         save_codebook(cb, path)
         loaded = load_codebook(path)
         assert loaded.seed == 1234
-        assert loaded.pos_tags == ["VB", "NN", "DT"]
-        assert loaded.ner_types == ["GPE", "ORG"]
+        assert loaded.pos_tags == ("VB", "NN", "DT")
+        assert loaded.ner_types == ("GPE", "ORG")
 
     def test_tag_with_whitespace_is_integrity_error(self, tmp_path):
         cb = build_codebook(["NN", "VB"], ["ORG"], dimension=16, seed=7)
@@ -284,6 +283,11 @@ class TestPersistence:
             assert vec.tobytes() == hrr.random_vector(rng, 16).tobytes(), name
         assert cb.vector_count == len(names)
 
+    def test_a_codebook_equals_no_other_type(self, small_codebook):
+        assert small_codebook.__eq__(small_codebook.vectors) is NotImplemented
+        assert small_codebook != small_codebook.vectors.tolist()
+        assert small_codebook != "codebook"
+
     def test_tag_order_is_part_of_equality(self):
         cb = build_codebook(["VB", "NN"], ["ORG"], dimension=16, seed=3)
         named = cb.all_vectors()
@@ -380,6 +384,20 @@ class TestReadOnly:
                 setattr(cb, name, np.ones(16))
         assert cb == build_codebook(["NN", "VB"], ["ORG"], dimension=16, seed=3)
 
+    def test_the_tag_sets_are_tuples_and_save_what_load_accepts(self, tmp_path):
+        cb = build_codebook(["NN", "VB"], ["ORG"], dimension=16, seed=3)
+        assert (cb.pos_tags, cb.ner_types) == (("NN", "VB"), ("ORG",))
+        with pytest.raises(AttributeError):
+            cb.pos_tags.append("JJ")
+        save_codebook(cb, tmp_path / "cb.json")
+        assert load_codebook(tmp_path / "cb.json") == cb
+        pos_tags, ner_types = ["NN", "VB"], ["ORG"]
+        given = Codebook(3, pos_tags, ner_types, cb.vectors)
+        pos_tags.append("JJ")
+        ner_types.clear()
+        assert (given.pos_tags, given.ner_types) == (("NN", "VB"), ("ORG",))
+        assert given == cb
+
     def test_the_codebook_keeps_its_own_float64_copy(self):
         rows = build_codebook(["NN", "VB"], ["ORG"], dimension=16, seed=3).vectors.copy()
         cb = Codebook(3, ["NN", "VB"], ["ORG"], rows)
@@ -397,10 +415,20 @@ class TestReadOnly:
 
 
 class TestFillerTable:
+    def test_keys_and_index_are_read_only(self, small_codebook):
+        for table in (small_codebook.pos_table, small_codebook.ner_table):
+            first, last = table.sorted_keys[0], table.sorted_keys[-1]
+            with pytest.raises(TypeError):
+                table.index[first] = table.index[last]
+            with pytest.raises(TypeError):
+                table.sorted_keys[0] = last
+            assert table.index[first] == 0 and table.sorted_keys[0] == first
+        assert small_codebook.pos_table.sorted_keys == ("DT", "JJ", "NN", "NNP", "VB")
+
     def test_is_the_cleanup_memory_of_its_fillers(self, small_codebook):
         table = small_codebook.pos_table
         assert isinstance(table, VectorSpace)
-        assert table.sorted_keys == sorted(small_codebook.pos_tags)
+        assert list(table.sorted_keys) == sorted(small_codebook.pos_tags)
         assert table.slot_label is small_codebook.slot_labels["pos"]
         named = small_codebook.all_vectors()
         for tag in small_codebook.pos_tags:

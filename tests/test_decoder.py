@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     circular_correlate,
+    cleanup,
     compress_token,
     cosine_similarity,
     decode_attributes,
@@ -15,14 +16,9 @@ from conftest import (
     with_vectors,
 )
 from holovec import hrr
-from holovec.codebook import VectorSpace, build_codebook, cleanup
+from holovec.codebook import BLOCK_ROWS, VectorSpace, build_codebook
 from holovec.decoder import decode_and_score, decode_token_identity, decode_vocabulary
-from holovec.encoder import (
-    BLOCK_ROWS,
-    AnnotatedToken,
-    CompressedVocabulary,
-    build_vocabulary,
-)
+from holovec.encoder import AnnotatedToken, CompressedVocabulary, build_vocabulary
 from holovec.errors import DimensionMismatchError
 from holovec.selftest import synthetic_corpus, synthetic_embeddings
 

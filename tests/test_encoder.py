@@ -24,9 +24,8 @@ from conftest import (
 )
 from holovec import hrr
 from holovec._fileio import atomic_writes
-from holovec.codebook import VectorSpace, build_codebook
+from holovec.codebook import BLOCK_ROWS, VectorSpace, build_codebook
 from holovec.encoder import (
-    BLOCK_ROWS,
     FILLER_EXACT,
     FILLER_LOWERCASED,
     FILLER_UNKNOWN,
@@ -557,6 +556,14 @@ class TestAnnotationFiles:
         assert tokens[0].ner_type is None
         assert tokens[1].ner_type == "PERSON"
 
+    def test_a_whitespace_only_line_is_skipped_and_keeps_its_number(self, tmp_path):
+        path = tmp_path / "ann.tsv"
+        path.write_text("fish\tVB\t-\n \t \nFish\tNNP\tPERSON\nfish\tNN\n")
+        with pytest.raises(ParseError, match=r"ann\.tsv:4: expected 3 tab-separated fields"):
+            read_annotations(path)
+        path.write_text("fish\tVB\t-\n \t \nFish\tNNP\tPERSON\n")
+        assert [(t.surface, t.line) for t in read_annotations(path)] == [("fish", 1), ("Fish", 3)]
+
     def test_wrong_field_count_names_the_line(self, tmp_path):
         path = tmp_path / "ann.tsv"
         path.write_text("fish\tVB\t-\nfish\tVB\n")
@@ -602,6 +609,19 @@ class TestVocabularyPersistence:
             assert got.pos_tag == entry.pos_tag
             assert got.ner_type == entry.ner_type
         assert loaded.stats.growth_ratio == pytest.approx(3.0)
+
+    def test_a_loaded_space_keeps_its_keys_and_index_read_only(self, tmp_path, default_codebook):
+        vocab = build_vocabulary(FISH_ANNOTATIONS, fish_table(300), default_codebook)
+        write_vocabulary(tmp_path / "vocab.txt", vocab)
+        write_sidecar(tmp_path / "vocab.meta.json", vocab)
+        loaded = load_vocabulary(tmp_path / "vocab.txt", tmp_path / "vocab.meta.json")
+        for space in (vocab.as_space(), loaded.as_space()):
+            with pytest.raises(TypeError):
+                space.index["fishNN"] = space.index["fishVB"]
+            with pytest.raises(TypeError):
+                space.sorted_keys[0] = "fishVB"
+            assert space.index == {"fishNN": 0, "fishNNPPERSON": 1, "fishVB": 2}
+            assert space.sorted_keys == ("fishNN", "fishNNPPERSON", "fishVB")
 
     @settings(max_examples=150, deadline=None)
     @given(

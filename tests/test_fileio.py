@@ -28,8 +28,8 @@ def _codebook(path, cb):
     return "holovec-codebook", {
         "dimension": cb.dimension,
         "seed": cb.seed,
-        "pos_tags": cb.pos_tags,
-        "ner_types": cb.ner_types,
+        "pos_tags": list(cb.pos_tags),
+        "ner_types": list(cb.ner_types),
         "vectors": {name: vec.tolist() for name, vec in cb.all_vectors().items()},
     }
 
