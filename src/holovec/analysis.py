@@ -5,25 +5,27 @@ statistics (how close to orthogonal a vocabulary is), and top-k neighborhood
 comparison between an original and a compressed space (how well semantic
 neighborhoods survive compression).
 
-Every analysis reads a `codebook.VectorSpace`: the keys in sorted order
-plus one matrix of unit-norm rows, built once on first use. Scans are exact
-matrix-vector products over that matrix; vocabularies at desk scale do not
-need approximate indexing. Building the space once and reusing it makes
-repeated `k_nearest` queries cost one product each, plus an exact re-score of
-the few rows at the top-k boundary. The product only screens: it reads
-`VectorSpace.screen`, a float32 copy of the unit rows built once per space
-(half the matrix's bytes again in memory). A partition, not a sort, finds the
-boundary, and rows within the screen's rounding error of it are scored again
-in float64 by a per-row product whose summation order is fixed. So results
-are exact, the same as those of a float64 screen, identical vectors tie
-exactly, and ties go to the smaller key.
+Every analysis reads a `codebook.VectorSpace`: the keys in sorted order, one
+float64 matrix of their vectors and the vectors' norms. No unit matrix is
+kept: each analysis divides the rows it reads by their norms where it reads
+them, the same division every time, so a row's unit form is the same bits
+wherever it is used. Scans are exact matrix-vector products; vocabularies at
+desk scale do not need approximate indexing. Building the space once and
+reusing it makes repeated `k_nearest` queries cost one product each, plus an
+exact re-score of the few rows at the top-k boundary. The product only
+screens: it reads `VectorSpace.screen`, the unit rows in float32, built once
+per space (half the matrix's bytes again in memory). A partition, not a sort,
+finds the boundary, and rows within the screen's rounding error of it are
+divided by their norms and scored again in float64 by a per-row product
+whose summation order is fixed. So results are exact, the same as those of a
+float64 screen, identical vectors tie exactly, and ties go to the smaller key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -119,11 +121,12 @@ def sample_orthogonality(
     picked = rng.choice(len(space), size=2 * size, replace=False)
     first, second = picked[:size], picked[size:]
 
-    unit = space.unit
     cosines = np.empty(size)
     for start in range(0, size, BLOCK_ROWS):
         pairs = slice(start, start + BLOCK_ROWS)
-        cosines[pairs] = np.sum(unit[first[pairs]] * unit[second[pairs]], axis=1)
+        cosines[pairs] = np.sum(
+            space.unit_rows(first[pairs]) * space.unit_rows(second[pairs]), axis=1
+        )
     cosines = np.clip(np.abs(cosines), 0.0, 1.0)
     counts, _ = np.histogram(cosines, bins=np.linspace(0.0, 1.0, 21))
     return OrthogonalityReport(
@@ -161,7 +164,7 @@ def pairwise_cosine_stats(space, threshold: float = DEFAULT_THRESHOLD) -> Pairwi
         )
     if not np.isfinite(threshold):
         raise ValueError(f"threshold must be a finite number, got {threshold}")
-    unit = space.unit
+    unit = space.unit_rows()
     below, largest = 0, 0.0
     for start in range(0, len(unit), BLOCK_ROWS):
         block = unit[start : start + BLOCK_ROWS] @ unit[start:].T
@@ -183,21 +186,20 @@ def _top_rows(
     sims: np.ndarray,
     exclude: int,
     k: int,
-    unit: np.ndarray,
+    unit_rows: Callable[[np.ndarray], np.ndarray],
     query: np.ndarray,
-    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Positions of the k largest cosines to ``query``, leaving out ``exclude``,
     and those cosines.
 
-    ``sims`` screens: it is one BLAS product of ``query`` with the rows of
-    ``unit`` (row ``rows[i]`` at position i, or row i when ``rows`` is None),
-    in float64 or over both rounded to float32. BLAS sums a row in an order
-    that depends on where the row sits, so two identical rows can screen one
-    bit apart. Only the positions near the top-k boundary are re-scored in
-    float64, with a per-row product whose order is fixed, and the k are
-    picked by those scores. Positions follow sorted keys, so the stable sort
-    breaks exact ties by key.
+    ``sims`` screens: it is one BLAS product of ``query`` with unit rows, the
+    row at position i being ``unit_rows([i])[0]``, in float64 or over both
+    rounded to float32. BLAS sums a row in an order that depends on where the
+    row sits, so two identical rows can screen one bit apart. Only the
+    positions near the top-k boundary are re-scored in float64, with a
+    per-row product whose order is fixed, and the k are picked by those
+    scores. Positions follow sorted keys, so the stable sort breaks exact
+    ties by key.
 
     Any computed dot product of two n-vectors of norm 1 lies within
     gamma_n(u) = n*u/(1 - n*u) of the exact one, u the unit roundoff,
@@ -231,7 +233,7 @@ def _top_rows(
     else:
         picked = np.arange(count)
     picked = picked[picked != exclude]
-    exact = np.einsum("ij,j->i", unit[picked if rows is None else rows[picked]], query)
+    exact = np.einsum("ij,j->i", unit_rows(picked), query)
     order = np.argsort(-exact, kind="stable")[:k]
     return picked[order], exact[order]
 
@@ -242,7 +244,7 @@ def k_nearest(space, core: str, k: int = DEFAULT_K) -> list[tuple[str, float]]:
     Ordered by non-increasing cosine; exact ties resolve to the
     lexicographically smaller key. Returns fewer than k entries only when
     the space itself is smaller. Pass a `VectorSpace` built once (such as
-    ``vocab.as_space()``) to run many queries over one normalised matrix.
+    ``vocab.as_space()``) to run many queries over one screen.
     """
     space = VectorSpace.of(space)
     row = space.index.get(core)
@@ -261,8 +263,9 @@ def _nearest(space: VectorSpace, row: int, k: int) -> tuple[np.ndarray, list[tup
     are screened in float32 and the boundary rows re-scored in float64.
     """
     screen = space.screen
-    rows, cosines = _top_rows(screen @ screen[row], row, k, space.unit, space.unit[row])
-    return rows, list(zip([space.sorted_keys[i] for i in rows], cosines.tolist()))
+    query = space.unit_rows(row)
+    rows, cosines = _top_rows(screen @ screen[row], row, k, space.unit_rows, query)
+    return rows, list(zip(map(space.sorted_keys.__getitem__, rows.tolist()), cosines.tolist()))
 
 
 @dataclass
@@ -353,7 +356,7 @@ def _cosine_matrix(unit_rows: np.ndarray) -> list[list[float]]:
 def _classify_core(
     core_row: int,
     orig: VectorSpace,
-    comp: VectorSpace,
+    comp_unit: np.ndarray,
     segments: tuple[np.ndarray, np.ndarray, np.ndarray],
     k: int,
 ) -> CoreNeighborhood:
@@ -365,12 +368,12 @@ def _classify_core(
     # vector most similar to the core's own (lexicographically first) vector;
     # of equally similar composites, the first in the segment (smallest key)
     anchor = seg_rows[starts[core_row]]
-    query = comp.unit[anchor]
-    seg_sims = (comp.unit @ query)[seg_rows]
+    query = comp_unit[anchor]
+    seg_sims = (comp_unit @ query)[seg_rows]
     best = np.maximum.reduceat(seg_sims, starts)
     at_best = np.flatnonzero(seg_sims == best[seg_word])
     reps = seg_rows[at_best[np.searchsorted(at_best, starts)]]
-    comp_words, cosines = _top_rows(best, core_row, k, comp.unit, query, reps)
+    comp_words, cosines = _top_rows(best, core_row, k, lambda at: comp_unit[reps[at]], query)
     comp_nbrs = list(zip([words[i] for i in comp_words], cosines.tolist()))
 
     rank_orig = {key: rank for rank, (key, _) in enumerate(orig_nbrs, 1)}
@@ -394,10 +397,8 @@ def _classify_core(
         records=records,
         original_neighbors=orig_nbrs,
         compressed_neighbors=comp_nbrs,
-        original_cosine_matrix=_cosine_matrix(orig.unit[np.r_[core_row, orig_rows]]),
-        compressed_cosine_matrix=_cosine_matrix(
-            comp.unit[np.r_[anchor, reps[comp_words]]]
-        ),
+        original_cosine_matrix=_cosine_matrix(orig.unit_rows(np.r_[core_row, orig_rows])),
+        compressed_cosine_matrix=_cosine_matrix(comp_unit[np.r_[anchor, reps[comp_words]]]),
         same_position=same,
         shifted=shifted,
         disjoint=disjoint,
@@ -454,7 +455,11 @@ def classify_neighborhoods(
         np.cumsum([0] + lengths[:-1]),
         np.repeat(np.arange(len(lengths)), lengths),
     )
-    results = [_classify_core(orig.index[core], orig, comp, segments, k) for core in core_list]
+    # every core scans all the compressed rows in float64, so they are divided once
+    comp_unit = comp.unit_rows()
+    results = [
+        _classify_core(orig.index[core], orig, comp_unit, segments, k) for core in core_list
+    ]
 
     denominator = sum(c.k_effective for c in results)
     if denominator == 0:

@@ -7,9 +7,11 @@ from a single seeded generator in a fixed order, so (seed, dimension, tag
 lists) reproduce the codebook bit for bit.
 
 `VectorSpace` is the one cleanup memory of the package: keys in sorted
-order and a matrix of unit-norm rows. Each tag set's `FillerTable` is one,
-so cleanup of a decoded estimate is one product with its ``unit`` matrix;
-the analyses search the compressed space through the same structure.
+order, one float64 matrix holding each vector once, and the vectors' norms.
+Each tag set's `FillerTable` is one, whose rows are views of the codebook's
+own matrix, so cleanup of a decoded estimate is one product with its unit
+rows, divided by the norms once per call; the analyses search the compressed
+space through the same structure.
 """
 
 from __future__ import annotations
@@ -89,20 +91,27 @@ def default_ner_types() -> list[str]:
 class VectorSpace(Mapping[str, np.ndarray]):
     """Read-only snapshot of a key -> vector mapping, iterated in sorted key order.
 
-    ``sorted_keys`` is a tuple and ``index``, key -> row, a read-only mapping.
-    Holds references to the given vectors, not copies. `unit` stacks them
-    into rows of unit L2 norm on first use, so a zero-norm vector raises
-    there, in the search that needs it, not when the space is built.
-    `screen`, the same rows in float32, is also built on first use. Rows
-    follow the sorted keys, so the first of several equal maxima over a row
-    of cosines is the lexicographically smallest key: every search breaks
-    exact ties that way.
+    ``sorted_keys`` is a tuple and ``index``, key -> row, a read-only mapping;
+    a row is a key's position in sorted order. The space holds its vectors as
+    one read-only float64 matrix, their L2 ``norms`` and the float32
+    ``screen``, and nothing else. When every vector given is a row view of one
+    read-only float64 matrix, as the values of a `read_vectors` table and the
+    vectors of a vocabulary the library builds or reads are, the space holds
+    that matrix, not a copy, and a value is a view of its row there; any other
+    mapping is stacked once into a new read-only matrix.
+
+    `norms` and `screen` are built on first use, so a zero-norm vector raises
+    there, in the search that needs it, not when the space is built. No unit
+    matrix is kept: `unit_rows` divides rows by their norms where a search
+    needs them. Rows follow the sorted keys, so the first of several equal
+    maxima over a row of cosines is the lexicographically smallest key: every
+    search breaks exact ties that way.
     """
 
     def __init__(self, vectors: Mapping[str, np.ndarray]):
         self.sorted_keys = tuple(sorted(vectors))
         self.index = MappingProxyType({key: row for row, key in enumerate(self.sorted_keys)})
-        self._vectors = [vectors[key] for key in self.sorted_keys]
+        self._matrix, self._rows = _matrix_rows([vectors[key] for key in self.sorted_keys])
 
     @classmethod
     def of(cls, space) -> VectorSpace:
@@ -114,7 +123,7 @@ class VectorSpace(Mapping[str, np.ndarray]):
         return cls(space)
 
     def __getitem__(self, key: str) -> np.ndarray:
-        return self._vectors[self.index[key]]
+        return self._matrix[self._rows[self.index[key]]]
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.sorted_keys)
@@ -122,36 +131,96 @@ class VectorSpace(Mapping[str, np.ndarray]):
     def __len__(self) -> int:
         return len(self.sorted_keys)
 
+    @property
+    def dimension(self) -> int:
+        """The length of each vector."""
+        return self._matrix.shape[1]
+
     @cached_property
-    def unit(self) -> np.ndarray:
-        """float64 rows of unit L2 norm, one per key in sorted order."""
-        matrix = np.stack(self._vectors, dtype=np.float64)
-        norms = np.empty(len(matrix))
-        for start in range(0, len(matrix), BLOCK_ROWS):
-            norms[start : start + BLOCK_ROWS] = np.linalg.norm(
-                matrix[start : start + BLOCK_ROWS], axis=1
-            )
+    def norms(self) -> np.ndarray:
+        """The L2 norm of each row, in sorted key order; a zero norm raises `ValueError`."""
+        norms = np.empty(len(self))
+        for start in range(0, len(self), BLOCK_ROWS):
+            block = self._matrix.take(self._rows[start : start + BLOCK_ROWS], axis=0)
+            block *= block  # the sum of squares of `np.linalg.norm`, in the block's own copy
+            norms[start : start + BLOCK_ROWS] = np.sqrt(np.add.reduce(block, axis=1))
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:
             raise ValueError(f"vector {self.sorted_keys[zero[0]]!r} has zero norm")
-        matrix /= norms[:, None]
-        matrix.flags.writeable = False
-        return matrix
+        norms.flags.writeable = False
+        return norms
+
+    def unit_rows(self, rows=None) -> np.ndarray:
+        """float64 rows of unit L2 norm, each vector divided by its norm: every row in
+        sorted key order when ``rows`` is None, else those rows (an index or an index array).
+        """
+        if rows is None:
+            return self._every_unit_row(np.float64)
+        # a search calls this for every query, so each form is one gather and one division
+        if isinstance(rows, (int, np.integer)):
+            return self._matrix[self._rows[rows]] / self.norms[rows]
+        unit = self._matrix.take(self._rows.take(rows), axis=0)
+        unit /= self.norms[:, None].take(rows, axis=0)
+        return unit
 
     @cached_property
     def screen(self) -> np.ndarray:
-        """`unit` rounded to float32: half its bytes, for a search to screen rows with."""
-        matrix = self.unit.astype(np.float32)
-        matrix.flags.writeable = False
-        return matrix
+        """The unit rows rounded to float32, built a block at a time: for a search to
+        screen rows with."""
+        screen = self._every_unit_row(np.float32)
+        screen.flags.writeable = False
+        return screen
+
+    def _every_unit_row(self, dtype) -> np.ndarray:
+        """Every unit row in sorted key order, as ``dtype``, divided a block at a time."""
+        unit = np.empty((len(self), self.dimension), dtype=dtype)
+        for start in range(0, len(self), BLOCK_ROWS):
+            block = range(start, min(start + BLOCK_ROWS, len(self)))
+            unit[start : start + BLOCK_ROWS] = self.unit_rows(block)
+        return unit
+
+
+def _matrix_rows(vectors: list) -> tuple[np.ndarray, np.ndarray]:
+    """A read-only float64 matrix holding ``vectors``, and the row of each in it.
+
+    That is the matrix every vector is a row view of, when there is one, read-only,
+    float64 and C-contiguous; otherwise a new matrix of the vectors stacked in order.
+    """
+    base = getattr(vectors[0], "base", None) if vectors else None
+    if (
+        isinstance(base, np.ndarray)
+        and base.ndim == 2
+        and base.dtype == np.float64
+        and base.flags.c_contiguous
+        and not base.flags.writeable
+    ):
+        start, step = base.ctypes.data, base.strides[0]
+        rows = []
+        for vec in vectors:
+            if not (
+                isinstance(vec, np.ndarray)
+                and vec.base is base
+                and vec.shape == base.shape[1:]
+                and vec.strides == base.strides[1:]
+            ):
+                break
+            row, misaligned = divmod(vec.ctypes.data - start, step)
+            if misaligned:
+                break
+            rows.append(row)
+        else:
+            return base, np.array(rows, dtype=np.intp)
+    matrix = np.stack(vectors, dtype=np.float64) if vectors else np.empty((0, 0))
+    matrix.flags.writeable = False
+    return matrix, np.arange(len(matrix))
 
 
 class FillerTable(VectorSpace):
     """One tag set's fillers as a cleanup memory, plus their bound terms.
 
     ``bound`` holds slot ⊛ filler per tag, computed on first use, in the
-    row order of ``unit``, so ``index`` locates a tag in both: the encoder
-    gathers bound terms with it and the decoder cleans up against ``unit``.
+    space's row order, so ``index`` locates a tag in both: the encoder
+    gathers bound terms with it and the decoder cleans up against the unit rows.
     """
 
     def __init__(self, slot_label: np.ndarray, fillers: Mapping[str, np.ndarray]) -> None:
@@ -160,7 +229,7 @@ class FillerTable(VectorSpace):
 
     @cached_property
     def bound(self) -> np.ndarray:
-        bound = hrr.circular_convolve_fft(self.slot_label, np.stack(self._vectors))
+        bound = hrr.circular_convolve_fft(self.slot_label, self._matrix[self._rows])
         bound.flags.writeable = False
         return bound
 
@@ -378,9 +447,17 @@ def load_codebook(source: str | Path) -> Codebook:
 
 def cleanup_rows(queries: np.ndarray, space: VectorSpace) -> tuple[list[str], np.ndarray]:
     """For each query row, the nearest key of ``space`` by cosine, and that cosine."""
+    return _nearest_keys(queries, space.unit_rows(), space.sorted_keys)
+
+
+def _nearest_keys(
+    queries: np.ndarray, unit: np.ndarray, keys: Sequence[str]
+) -> tuple[list[str], np.ndarray]:
+    """`cleanup_rows` over a space's ``unit`` rows and ``sorted_keys``, derived once by
+    a caller that cleans up many blocks against one space."""
     norms = np.linalg.norm(queries, axis=1)
     if np.any(norms == 0.0):
-        raise ValueError("cleanup() query has zero norm")
-    sims = (queries @ space.unit.T) / norms[:, None]
+        raise ValueError("cleanup_rows() query has zero norm")
+    sims = (queries @ unit.T) / norms[:, None]
     best = np.argmax(sims, axis=1)
-    return [space.sorted_keys[i] for i in best], sims[np.arange(len(best)), best]
+    return [keys[i] for i in best], sims[np.arange(len(best)), best]

@@ -5,8 +5,8 @@ subtracts the frame label (known, so removing it cuts noise), and
 correlates with the slot label; cleanup against a candidate set then names
 the filler. `decode_vocabulary` (POS and NER) and `decode_token_identity`
 (the token) do this for blocks of vectors at once: one batched correlation
-per slot and one product with a unit-normalised candidate matrix. All
-functions are pure.
+per slot and one product with the candidates' unit rows. All functions are
+pure.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from . import hrr
-from .codebook import BLOCK_ROWS, SLOT_TOKEN, Codebook, VectorSpace, cleanup_rows
+from .codebook import BLOCK_ROWS, SLOT_TOKEN, Codebook, VectorSpace, _nearest_keys, cleanup_rows
 from .encoder import CompressedVocabulary
 from .errors import DimensionMismatchError
 
@@ -128,14 +128,16 @@ def decode_token_identity(
     space = VectorSpace.of(table)
     if not space:
         raise ValueError("decode_token_identity() requires a non-empty embedding table")
-    dimension = space.unit.shape[1]
-    if dimension != cb.dimension:
+    if space.dimension != cb.dimension:
         raise DimensionMismatchError(
-            f"embedding dimension {dimension} differs from codebook dimension {cb.dimension}"
+            f"embedding dimension {space.dimension} differs from codebook dimension {cb.dimension}"
         )
+    unit = space.unit_rows()  # once for every block
     slot = cb.slot_labels[SLOT_TOKEN]
     found: list[tuple[str, float]] = []
     for residual, _ in _residuals(vectors, m, cb):
-        keys, sims = cleanup_rows(hrr.circular_correlate_fft(slot, residual), space)
+        keys, sims = _nearest_keys(
+            hrr.circular_correlate_fft(slot, residual), unit, space.sorted_keys
+        )
         found += zip(keys, sims.tolist())
     return found

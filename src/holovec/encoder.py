@@ -142,7 +142,10 @@ class CompressedVocabulary:
         """Snapshot of the key -> vector map for similarity scans.
 
         Each call builds a new `VectorSpace`; build it once and reuse it
-        across queries, so the space is sorted and normalised only once.
+        across queries, so the space is sorted, and its norms and screen
+        computed, only once. The vectors of a vocabulary that `build_vocabulary`
+        or `load_vocabulary` made are rows of one read-only matrix, which the
+        space shares rather than copies.
         """
         return VectorSpace({key: entry.vector for key, entry in self.entries.items()})
 
@@ -212,7 +215,9 @@ def build_vocabulary(
 
     Vectors are computed once per key, in blocks of `BLOCK_ROWS` keys, so
     the result is independent of stream order beyond which occurrence is
-    first. Every table vector bound must have the codebook's dimension.
+    first. They are written into one read-only float64 matrix, one row per
+    key in first-occurrence order, and each entry's vector is a view of its
+    row. Every table vector bound must have the codebook's dimension.
     """
 
     firsts: dict[str, tuple[AnnotatedToken, tuple[int, int | None]]] = {}
@@ -225,17 +230,20 @@ def build_vocabulary(
             firsts[key] = (token, tag_rows)
 
     items = list(firsts.items())
-    entries: dict[str, VocabEntry] = {}
+    matrix = np.empty((len(items), cb.dimension))
+    sources: list[str] = []
     for start in range(0, len(items), BLOCK_ROWS):
         block = items[start : start + BLOCK_ROWS]
         found = [lookup_filler(token.surface, table, cb) for _, (token, _) in block]
-        vectors = _bind_rows(
+        matrix[start : start + len(block)] = _bind_rows(
             np.stack([filler for filler, _ in found]), [rows for _, (_, rows) in block], cb
         )
-        for (key, (token, _)), (_, source), vector in zip(block, found, vectors):
-            entries[key] = VocabEntry(
-                vector, source, token.surface.lower(), token.pos_tag, token.ner_type
-            )
+        sources += [source for _, source in found]
+    matrix.flags.writeable = False  # before the row views are taken, so they are read-only too
+    entries = {
+        key: VocabEntry(vector, source, token.surface.lower(), token.pos_tag, token.ner_type)
+        for (key, (token, _)), source, vector in zip(items, sources, matrix)
+    }
     return CompressedVocabulary(cb.dimension, entries, input_tokens=total)
 
 
@@ -276,11 +284,18 @@ def read_vectors(
     values. Lines come from `read_lines`, so a leading byte-order mark is
     skipped, and a malformed line, bytes that are not UTF-8 included, is
     reported by number.
+
+    The values are stored once, in one read-only float64 matrix with a row
+    per record in file order, and the table maps each key to a view of its
+    row. The matrix is sized from the header, or else estimated from the
+    file's size, and grown in place if the estimate falls short; the row
+    views are taken only after its last resize.
     """
     path = Path(path)
     dimension = expected_dimension
     declared = None
-    entries: dict[str, np.ndarray] = {}
+    entries: dict[str, np.ndarray | None] = {}  # the rows are filled in once the matrix is final
+    matrix = None
     for lineno, line in read_lines(path):
         fields = line.split(" ")
         if lineno == 1 and len(fields) == 2 and all(f.isascii() and f.isdigit() for f in fields):
@@ -313,12 +328,38 @@ def read_vectors(
             raise ParseError(f"{path}:{lineno}: non-finite value")
         if key in entries:
             raise IntegrityError(f"{path}:{lineno}: duplicate key {key!r}")
-        entries[key] = vec
+        if matrix is None:
+            matrix = np.empty((_expected_records(path, len(line), declared, dimension), dimension))
+        if len(entries) == len(matrix):
+            matrix.resize((len(matrix) * 5 // 4 + 16, dimension), refcheck=False)
+        matrix[len(entries)] = vec
+        entries[key] = None
     if declared is not None and declared != len(entries):
         raise ParseError(f"{path}: header declares {declared} records, file has {len(entries)}")
     if dimension is None:
         raise ParseError(f"{path}: file contains no records")
+    if matrix is None:
+        matrix = np.empty((0, dimension))
+    matrix.resize((len(entries), dimension), refcheck=False)
+    matrix.flags.writeable = False  # before the row views are taken, so they are read-only too
+    for key, row in zip(entries, matrix):
+        entries[key] = row
     return dimension, entries
+
+
+def _expected_records(path: Path, first_record: int, declared: int | None, dimension: int) -> int:
+    """Rows to allocate for a vector file's records, given the first record's length.
+
+    A record takes at least 2n + 2 bytes for n values, which bounds the count
+    from the file's size. Within that bound it is the header's count, or else
+    the file's size over the first record's, plus a quarter. Rows allocated
+    but never written are not touched, and `read_vectors` gives them back.
+    """
+    size = path.stat().st_size
+    most = size // (2 * dimension + 2) + 1
+    if declared is not None:
+        return min(declared, most)
+    return min(most, size * 5 // (4 * (first_record + 1)) + 1)
 
 
 def read_embeddings(path: str | Path) -> dict[str, np.ndarray]:

@@ -78,9 +78,9 @@ def cleanup(query, candidates) -> tuple[str, float]:
     if not space:
         raise ValueError("cleanup() requires a non-empty candidate set")
     q = np.asarray(query, dtype=np.float64)
-    if space.unit.shape[1] != q.shape[0]:
+    if space.dimension != q.shape[0]:
         raise DimensionMismatchError(
-            f"candidate length {space.unit.shape[1]} differs from query length {q.shape[0]}"
+            f"candidate length {space.dimension} differs from query length {q.shape[0]}"
         )
     found, sims = cleanup_rows(q[None, :], space)
     return found[0], float(sims[0])

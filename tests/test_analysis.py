@@ -29,7 +29,13 @@ from holovec.analysis import (
     sample_orthogonality,
 )
 from holovec.codebook import VectorSpace, build_codebook
-from holovec.encoder import CompressedVocabulary, VocabEntry, build_vocabulary
+from holovec.encoder import (
+    CompressedVocabulary,
+    VocabEntry,
+    build_vocabulary,
+    read_vectors,
+    write_vectors,
+)
 from holovec.errors import UnknownKeyError
 from holovec.selftest import synthetic_corpus, synthetic_embeddings
 
@@ -152,42 +158,98 @@ def twins_in_key_order(neighbors, twins) -> int:
 
 class TestVectorSpace:
     def test_is_a_sorted_read_only_mapping_of_references(self):
-        vectors = {"b": np.array([0.0, 2.0]), "a": np.array([3.0, 4.0])}
+        matrix = np.array([[0.0, 2.0], [3.0, 4.0]])
+        matrix.flags.writeable = False
+        vectors = {"b": matrix[0], "a": matrix[1]}
         space = VectorSpace(vectors)
         assert list(space) == ["a", "b"] and len(space) == 2
-        assert space["a"] is vectors["a"]
+        assert np.shares_memory(space["a"], vectors["a"])
+        assert space["a"].tobytes() == vectors["a"].tobytes()
         assert "a" in space and "z" not in space
-        assert dict(space) == {"a": vectors["a"], "b": vectors["b"]}
+        assert {key: vec.tobytes() for key, vec in space.items()} == {
+            "a": vectors["a"].tobytes(),
+            "b": vectors["b"].tobytes(),
+        }
         assert space.index == {"a": 0, "b": 1}
-        np.testing.assert_array_equal(space.unit, [[0.6, 0.8], [0.0, 1.0]])
-        assert space.unit is space.unit
-        assert not space.unit.flags.writeable
+        np.testing.assert_array_equal(space.unit_rows(), [[0.6, 0.8], [0.0, 1.0]])
+        assert space.norms is space.norms
+        assert not space.norms.flags.writeable
         with pytest.raises(TypeError):
             space["c"] = np.ones(2)
+
+    def test_holds_the_matrix_its_vectors_are_rows_of(self):
+        matrix = np.arange(1.0, 13.0).reshape(4, 3).copy()
+        matrix.flags.writeable = False
+        subset = {"d": matrix[3], "a": matrix[0], "c": matrix[2]}
+        space = VectorSpace(subset)
+        for key, vec in subset.items():
+            assert np.shares_memory(space[key], matrix)
+            assert space[key].tobytes() == vec.tobytes()
+        assert not space["a"].flags.writeable
+
+    def test_stacks_any_other_mapping_once_into_a_read_only_copy(self):
+        writable = np.arange(1.0, 7.0).reshape(2, 3)
+        for vectors in (
+            {"b": np.array([1.0, 2.0, 3.0]), "a": np.array([4.0, 5.0, 6.0])},
+            {"b": writable[0], "a": writable[1]},  # a writable matrix may change
+            {"b": [1, 2, 3], "a": [4, 5, 6]},
+        ):
+            space = VectorSpace(vectors)
+            for key, vec in vectors.items():
+                assert not np.shares_memory(space[key], np.asarray(vec))
+                assert space[key].tobytes() == np.asarray(vec, dtype=np.float64).tobytes()
+                assert not space[key].flags.writeable
+            assert space["a"].base is space["b"].base  # rows of one matrix
+
+    def test_keeps_no_unit_matrix(self):
+        space = VectorSpace(random_space(300, 16, seed=4))
+        k_nearest(space, "k0007", k=5)
+        held = {name for name, value in vars(space).items() if isinstance(value, np.ndarray)}
+        # the vectors, each key's row among them, their norms and the float32 screen
+        assert held == {"_matrix", "_rows", "norms", "screen"}
 
     @pytest.mark.parametrize("rows", [127, 128, 129])
     def test_unit_rows_equal_the_one_shot_formula(self, rows):
         space = VectorSpace(random_space(rows, 300, seed=rows))
         matrix = np.stack([space[key] for key in space])
         expected = matrix / np.linalg.norm(matrix, axis=1)[:, None]
-        assert space.unit.tobytes() == expected.tobytes()
+        assert space.unit_rows().tobytes() == expected.tobytes()
 
     def test_unit_is_built_without_full_size_temporaries(self):
         space = VectorSpace(random_space(2000, 300, seed=13))
         tracemalloc.start()
         try:
-            unit = space.unit
+            unit = space.unit_rows()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # the matrix itself, plus norms and one block's temporaries
         assert peak < 1.25 * unit.nbytes
 
+    def test_a_space_and_its_queries_allocate_no_copy_of_the_matrix(self, tmp_path):
+        rng = np.random.default_rng(21)
+        path = tmp_path / "vectors.txt"
+        write_vectors(path, {f"k{i:04d}": rng.normal(size=300) for i in range(4000)})
+        _, table = read_vectors(path)
+        tracemalloc.start()
+        try:
+            space = VectorSpace(table)
+            for key in list(table)[:100]:
+                k_nearest(space, key, k=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix = table["k0000"].base
+        assert space["k0000"].base is matrix  # the space shares the matrix it was given
+        # beside the screen, only keys, norms and one block's temporaries: a unit
+        # matrix, or any other float64 copy of the vectors, would be all of the matrix
+        assert peak - space.screen.nbytes < 0.25 * matrix.nbytes
+
     def test_screen_is_the_unit_rows_in_float32_built_once(self):
         space = VectorSpace(random_space(50, 16, seed=12))
         screen = space.screen
-        assert screen.dtype == np.float32 and screen.shape == space.unit.shape
-        assert screen.tobytes() == space.unit.astype(np.float32).tobytes()
+        assert screen.dtype == np.float32 and screen.shape == (50, 16)
+        assert screen.tobytes() == space.unit_rows().astype(np.float32).tobytes()
         assert not screen.flags.writeable
         k_nearest(space, "k0003", k=5)
         k_nearest(space, "k0040", k=5)
@@ -199,15 +261,18 @@ class TestVectorSpace:
         assert isinstance(VectorSpace.of({"a": np.ones(2)}), VectorSpace)
 
     def test_vocabulary_as_space_is_a_snapshot(self):
+        matrix = np.array([np.full(3, 1.0), np.full(3, 2.0)])
+        matrix.flags.writeable = False
         entries = {
-            key: VocabEntry(np.full(3, float(i + 1)), "exact", key, "NN", None)
+            key: VocabEntry(matrix[i], "exact", key, "NN", None)
             for i, key in enumerate(["zNN", "aNN"])
         }
         vocab = CompressedVocabulary(dimension=3, entries=entries)
         space = vocab.as_space()
         assert isinstance(space, VectorSpace)
         assert list(space) == ["aNN", "zNN"]
-        assert space["zNN"] is entries["zNN"].vector
+        assert np.shares_memory(space["zNN"], entries["zNN"].vector)
+        assert space["zNN"].tobytes() == entries["zNN"].vector.tobytes()
         assert vocab.as_space() is not space
 
     def test_zero_norm_raises_in_the_analysis_not_in_as_space(self):
@@ -261,7 +326,7 @@ class TestSampleOrthogonality:
     def test_blocked_cosines_equal_the_one_shot_formula(self, size):
         space = VectorSpace(random_space(600, 16, seed=11))
         picked = np.random.default_rng(12).choice(600, size=2 * size, replace=False)
-        unit = space.unit
+        unit = space.unit_rows()
         cosines = np.clip(np.abs(np.sum(unit[picked[:size]] * unit[picked[size:]], axis=1)), 0, 1)
         # a cosine one bit off lands on the other side of c or of the next float above c
         for c in cosines[:: max(1, size // 16)]:
@@ -346,7 +411,7 @@ class TestPairwiseStats:
 
     def test_scan_is_built_without_the_full_gram(self):
         space = VectorSpace(random_space(3000, 64, seed=14))
-        space.unit  # built before the measurement
+        space.norms  # built before the measurement
         tracemalloc.start()
         try:
             pairwise_cosine_stats(space)
@@ -491,7 +556,7 @@ class TestTopRows:
         exact = row_cosines(unit, query)
         exclude = int(np.argsort(-exact, kind="stable")[rank])
         sims = unit @ query
-        rows, cosines = _top_rows(sims, exclude, k, unit, query)
+        rows, cosines = _top_rows(sims, exclude, k, unit.__getitem__, query)
         want = sorted_top_rows(exact, exclude, k)
         assert rows.tolist() == want.tolist()
         assert [c.hex() for c in cosines.tolist()] == [c.hex() for c in exact[want].tolist()]
@@ -505,15 +570,15 @@ class TestTopRows:
         exact = row_cosines(unit, query)
         exclude = int(np.argsort(-exact, kind="stable")[rank])
         sims = unit.astype(np.float32) @ query.astype(np.float32)
-        rows, cosines = _top_rows(sims, exclude, k, unit, query)
+        rows, cosines = _top_rows(sims, exclude, k, unit.__getitem__, query)
         want = sorted_top_rows(exact, exclude, k)
         assert rows.tolist() == want.tolist()
         assert [c.hex() for c in cosines.tolist()] == [c.hex() for c in exact[want].tolist()]
 
     @pytest.mark.parametrize("k", [4, 5, 9])
     def test_k_past_the_boundary_ranks_every_other_row(self, k):
-        unit = VectorSpace(random_space(4, 8, seed=41)).unit[[0, 1, 2, 1, 3]]
-        rows, cosines = _top_rows(unit @ unit[4], 4, k, unit, unit[4])
+        unit = VectorSpace(random_space(4, 8, seed=41)).unit_rows()[[0, 1, 2, 1, 3]]
+        rows, cosines = _top_rows(unit @ unit[4], 4, k, unit.__getitem__, unit[4])
         assert rows.tolist() == sorted_top_rows(row_cosines(unit, unit[4]), 4, k).tolist()
         at = rows.tolist().index(1)  # row 3 repeats row 1: equal, and after it
         assert len(rows) == 4 and rows[at + 1] == 3 and cosines[at] == cosines[at + 1]
@@ -522,13 +587,15 @@ class TestTopRows:
     def test_a_rows_cosine_does_not_depend_on_where_it_sits(self, dimension):
         rng = np.random.default_rng(dimension)
         for _ in range(20):
-            others = VectorSpace(random_space(14, dimension, seed=int(rng.integers(1 << 30)))).unit
+            others = VectorSpace(
+                random_space(14, dimension, seed=int(rng.integers(1 << 30)))
+            ).unit_rows()
             row, query = others[0], others[13]
             alone = row_cosines(row[None, :], query)[0].hex()
             for at in range(13):
                 unit = others.copy()
                 unit[at] = row
-                rows, cosines = _top_rows(unit @ query, 13, 13, unit, query)
+                rows, cosines = _top_rows(unit @ query, 13, 13, unit.__getitem__, query)
                 assert cosines[rows.tolist().index(at)].hex() == alone
 
 

@@ -12,6 +12,7 @@ from holovec.codebook import (
     FillerTable,
     VectorSpace,
     build_codebook,
+    cleanup_rows,
     default_ner_types,
     default_pos_tags,
     load_codebook,
@@ -363,7 +364,7 @@ class TestReadOnly:
         arrays = [cb.vectors, cb.frame_label, cb.unknown_token, *cb.slot_labels.values()]
         arrays += [*cb.all_vectors().values()]
         for table in (cb.pos_table, cb.ner_table):
-            arrays += [*table.values(), table.slot_label, table.bound, table.unit, table.screen]
+            arrays += [*table.values(), table.slot_label, table.bound, table.norms, table.screen]
         for array in arrays:
             assert not array.flags.writeable
         for write in (
@@ -433,11 +434,10 @@ class TestFillerTable:
         named = small_codebook.all_vectors()
         for tag in small_codebook.pos_tags:
             filler = table[tag]  # a view of the codebook's row for the tag
-            assert filler.base is small_codebook.vectors
+            assert np.shares_memory(filler, small_codebook.vectors)
             assert filler.tobytes() == named[f"pos:{tag}"].tobytes()
-            np.testing.assert_allclose(
-                table.unit[table.index[tag]], filler / np.linalg.norm(filler), rtol=0, atol=1e-15
-            )
+            unit = table.unit_rows(table.index[tag])
+            np.testing.assert_allclose(unit, filler / np.linalg.norm(filler), rtol=0, atol=1e-15)
 
     def test_bound_rows_follow_the_index_bit_for_bit(self, default_codebook):
         for table in (default_codebook.pos_table, default_codebook.ner_table):
@@ -501,6 +501,11 @@ class TestCleanup:
     def test_zero_norm_query_rejected(self):
         with pytest.raises(ValueError):
             cleanup(np.zeros(3), {"a": np.ones(3)})
+
+    def test_a_zero_norm_query_is_reported_by_cleanup_rows(self, small_codebook):
+        queries = np.stack([small_codebook.pos_table["VB"], np.zeros(16)])
+        with pytest.raises(ValueError, match=r"^cleanup_rows\(\) query has zero norm$"):
+            cleanup_rows(queries, small_codebook.pos_table)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):

@@ -292,11 +292,11 @@ class TestDecodeTokenIdentity:
         vectors, counts = [vec for vec, _ in compressed], [m for _, m in compressed]
         space = VectorSpace(table)
         first = decode_token_identity(vectors, counts, cb, space)
-        unit = space.unit
+        norms = space.norms
         built = []
         monkeypatch.setattr(VectorSpace, "__init__", lambda *args: built.append(args))
         assert decode_token_identity(vectors, counts, cb, space) == first
-        assert space.unit is unit and built == []
+        assert space.norms is norms and built == []
         monkeypatch.undo()
         assert decode_token_identity(vectors, counts, cb, table) == first
 

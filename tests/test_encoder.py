@@ -420,6 +420,14 @@ class TestVectorFiles:
         with pytest.raises(ParseError, match="header declares 3 records, file has 2"):
             read_vectors(path)
 
+    @pytest.mark.parametrize("declared", [0, 1])
+    def test_a_header_that_declares_too_few_records_is_reported(self, tmp_path, declared):
+        # the matrix sized from the header grows to hold the records
+        path = tmp_path / "vecs.txt"
+        path.write_text(f"{declared} 2\na 1.0 2.0\nb 3.0 4.0\n")
+        with pytest.raises(ParseError, match=f"header declares {declared} records, file has 2$"):
+            read_vectors(path)
+
     def test_word2vec_header_dimension_is_enforced(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("2 3\na 1.0 2.0\nb 3.0 4.0\n")
@@ -507,6 +515,85 @@ class TestVectorFiles:
         with pytest.raises(ParseError) as info:
             read_vectors(path)
         assert str(info.value) == f"{path}:3: {message}"
+
+    def test_the_values_are_read_only_rows_of_one_float64_matrix(self, tmp_path):
+        rng = np.random.default_rng(18)
+        entries = {f"k{i}": rng.normal(size=5) for i in range(40)}
+        path = tmp_path / "vecs.txt"
+        write_vectors(path, entries)
+        _, loaded = read_vectors(path)
+        matrix = loaded["k0"].base
+        assert matrix.dtype == np.float64 and matrix.shape == (40, 5)
+        assert not matrix.flags.writeable
+        for row, (key, vec) in enumerate(loaded.items()):
+            assert vec.base is matrix and np.shares_memory(vec, matrix[row])
+            assert not vec.flags.writeable
+            assert vec.tobytes() == entries[key].tobytes()
+
+    def test_a_read_holds_no_second_copy_of_its_values(self, tmp_path):
+        rng = np.random.default_rng(19)
+        path = tmp_path / "vecs.txt"
+        write_vectors(path, {f"w{i}": rng.normal(size=300) for i in range(2000)})
+        tracemalloc.start()
+        try:
+            _, loaded = read_vectors(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix = loaded["w0"].base
+        assert matrix.shape == (2000, 300)
+        assert peak < 2.1 * matrix.nbytes
+
+    def test_a_word2vec_header_sizes_the_matrix_exactly(self, tmp_path):
+        rng = np.random.default_rng(20)
+        table = {f"w{i}": rng.normal(size=300) for i in range(1000)}
+        path = tmp_path / "vecs.txt"
+        write_vectors(path, table)
+        path.write_text("1000 300\n" + path.read_text())
+        tracemalloc.start()
+        try:
+            _, loaded = read_vectors(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # no row to spare: the rest is the keys and one line's fields
+        assert peak < 1.1 * loaded["w0"].base.nbytes
+        assert [vec.tobytes() for vec in loaded.values()] == [v.tobytes() for v in table.values()]
+
+    def test_a_file_longer_than_its_first_record_suggests_grows_the_matrix(self, tmp_path):
+        # a long first record makes the size estimate fall short, so the matrix grows
+        records = ["first " + " ".join(["-1.2345678901234567"] * 4)]
+        records += [f"k{i} {i}.0 1.0 2.0 3.0" for i in range(200)]
+        path = tmp_path / "vecs.txt"
+        path.write_text("\n".join(records) + "\n")
+        dimension, loaded = read_vectors(path)
+        assert (dimension, len(loaded)) == (4, 201)
+        assert loaded["first"].tolist() == [-1.2345678901234567] * 4
+        assert loaded["k199"].tolist() == [199.0, 1.0, 2.0, 3.0]
+        assert loaded["first"].base is loaded["k199"].base
+        assert loaded["first"].base.shape == (201, 4)
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ("b", "expected 'key value...' fields"),
+            (" 1.0 2.0 3.0 4.0", "empty key"),
+            ("b 1.0 2.0", "expected 4 values, got 2"),
+            ("b 1.0 2.0 oops 4.0", "non-numeric value"),
+            ("b 1.0 nan 3.0 4.0", "non-finite value"),
+            ("k7 1.0 2.0 3.0 4.0", "duplicate key 'k7'"),
+        ],
+    )
+    def test_every_parse_error_names_its_line_after_the_matrix_grows(
+        self, tmp_path, record, message
+    ):
+        records = ["first " + " ".join(["-1.2345678901234567"] * 4)]
+        records += [f"k{i} {i}.0 1.0 2.0 3.0" for i in range(200)]
+        path = tmp_path / "vecs.txt"
+        path.write_text("\n".join(records + [record]) + "\n")
+        with pytest.raises((ParseError, IntegrityError)) as info:
+            read_vectors(path)
+        assert str(info.value).startswith(f"{path}:202: {message}")
 
     def test_read_embeddings_wraps_read_vectors(self, tmp_path):
         path = tmp_path / "emb.txt"
