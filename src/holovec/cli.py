@@ -60,6 +60,7 @@ def cmd_compress(args) -> int:
     table = read_embeddings(args.embeddings)
     tokens = read_annotations(args.annotations)
     vocab = build_vocabulary(tokens, table, cb)
+    del table, tokens  # the vocabulary holds its own vectors: free the inputs before writing
     sidecar = args.sidecar or args.output + ".meta.json"
     with atomic_writes():
         write_vocabulary(args.output, vocab)

@@ -1,4 +1,4 @@
-"""Label-vector codebook: deterministic generation, persistence, cleanup lookup.
+"""Label-vector codebook: deterministic generation and persistence.
 
 A codebook holds every random label vector the encoder needs: one frame
 label, three slot labels (token, pos, ner), one filler per POS tag, one
@@ -6,12 +6,11 @@ filler per NER type, and the unknown-token vector. All of them are drawn
 from a single seeded generator in a fixed order, so (seed, dimension, tag
 lists) reproduce the codebook bit for bit.
 
-`VectorSpace` is the one cleanup memory of the package: keys in sorted
+`VectorSpace` is the one search structure of the package: keys in sorted
 order, one float64 matrix holding each vector once, and the vectors' norms.
 Each tag set's `FillerTable` is one, whose rows are views of the codebook's
-own matrix, so cleanup of a decoded estimate is one product with its unit
-rows, divided by the norms once per call; the analyses search the compressed
-space through the same structure.
+own matrix: the memory that `decoder` cleans a slot's estimate up against.
+The analyses search the compressed space through the same structure.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ __all__ = [
     "SLOT_TOKEN",
     "VectorSpace",
     "build_codebook",
-    "cleanup_rows",
     "default_ner_types",
     "default_pos_tags",
     "load_codebook",
@@ -443,21 +441,3 @@ def load_codebook(source: str | Path) -> Codebook:
         return Codebook(seed, pos_tags, ner_types, rows)
     except ValueError as exc:
         raise IntegrityError(f"{source}: {exc}") from exc
-
-
-def cleanup_rows(queries: np.ndarray, space: VectorSpace) -> tuple[list[str], np.ndarray]:
-    """For each query row, the nearest key of ``space`` by cosine, and that cosine."""
-    return _nearest_keys(queries, space.unit_rows(), space.sorted_keys)
-
-
-def _nearest_keys(
-    queries: np.ndarray, unit: np.ndarray, keys: Sequence[str]
-) -> tuple[list[str], np.ndarray]:
-    """`cleanup_rows` over a space's ``unit`` rows and ``sorted_keys``, derived once by
-    a caller that cleans up many blocks against one space."""
-    norms = np.linalg.norm(queries, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("cleanup_rows() query has zero norm")
-    sims = (queries @ unit.T) / norms[:, None]
-    best = np.argmax(sims, axis=1)
-    return [keys[i] for i in best], sims[np.arange(len(best)), best]

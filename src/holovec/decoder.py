@@ -1,12 +1,11 @@
-"""Recover POS, NER, and token identity from compressed vectors.
+"""Recover POS, NER, and token identity from compressed vectors; this module owns cleanup.
 
 Unbinding multiplies the compressed vector back up by its component count,
 subtracts the frame label (known, so removing it cuts noise), and
 correlates with the slot label; cleanup against a candidate set then names
 the filler. `decode_vocabulary` (POS and NER) and `decode_token_identity`
-(the token) do this for blocks of vectors at once: one batched correlation
-per slot and one product with the candidates' unit rows. All functions are
-pure.
+(the token) do both for blocks of vectors at once, in one helper, against
+the candidates' unit rows, derived once per call. All functions are pure.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from . import hrr
-from .codebook import BLOCK_ROWS, SLOT_TOKEN, Codebook, VectorSpace, _nearest_keys, cleanup_rows
+from .codebook import BLOCK_ROWS, SLOT_TOKEN, Codebook, VectorSpace
 from .encoder import CompressedVocabulary
 from .errors import DimensionMismatchError
 
@@ -68,6 +67,21 @@ def _residuals(
             yield counts[:, None] * rows - cb.frame_label, counts
 
 
+def _cleanup(
+    slot_label: np.ndarray, residual: np.ndarray, unit: np.ndarray, keys: Sequence[str]
+) -> tuple[list[str], np.ndarray]:
+    """Unbind ``slot_label`` from each ``residual`` row and name the nearest of ``keys`` by
+    cosine, over their ``unit`` rows in the same order, with that cosine; the first of
+    equal maxima wins."""
+    estimates = hrr.circular_correlate_fft(slot_label, residual)
+    norms = np.linalg.norm(estimates, axis=1)
+    if np.any(norms == 0.0):
+        raise ValueError("an unbound slot estimate has zero norm")
+    sims = (estimates @ unit.T) / norms[:, None]
+    best = np.argmax(sims, axis=1)
+    return [keys[i] for i in best], sims[np.arange(len(best)), best]
+
+
 def decode_vocabulary(vectors: _Rows, m: _Counts | None, cb: Codebook) -> list[DecodedToken]:
     """Decode the POS tag, and the NER type, of every vector, in blocks.
 
@@ -77,22 +91,18 @@ def decode_vocabulary(vectors: _Rows, m: _Counts | None, cb: Codebook) -> list[D
     unbound as they are, and both tags are decoded for every vector.
     """
     pos, ner = cb.pos_table, cb.ner_table
+    pos_unit, ner_unit = pos.unit_rows(), ner.unit_rows()  # once for every block
     decoded: list[DecodedToken] = []
     for residual, counts in _residuals(vectors, m, cb):
         tagged = np.arange(len(residual)) if counts is None else np.flatnonzero(counts == 4)
-        pos_tags, pos_sims = cleanup_rows(hrr.circular_correlate_fft(pos.slot_label, residual), pos)
+        pos_tags, pos_sims = _cleanup(pos.slot_label, residual, pos_unit, pos.sorted_keys)
         ner_types: list[str | None] = [None] * len(residual)
         ner_sims: list[float | None] = [None] * len(residual)
         if tagged.size:
-            found, sims = cleanup_rows(
-                hrr.circular_correlate_fft(ner.slot_label, residual[tagged]), ner
-            )
+            found, sims = _cleanup(ner.slot_label, residual[tagged], ner_unit, ner.sorted_keys)
             for i, tag, sim in zip(tagged, found, sims):
                 ner_types[i], ner_sims[i] = tag, float(sim)
-        decoded += [
-            DecodedToken(*fields)
-            for fields in zip(pos_tags, map(float, pos_sims), ner_types, ner_sims)
-        ]
+        decoded += map(DecodedToken, pos_tags, map(float, pos_sims), ner_types, ner_sims)
     return decoded
 
 
@@ -133,11 +143,8 @@ def decode_token_identity(
             f"embedding dimension {space.dimension} differs from codebook dimension {cb.dimension}"
         )
     unit = space.unit_rows()  # once for every block
-    slot = cb.slot_labels[SLOT_TOKEN]
     found: list[tuple[str, float]] = []
     for residual, _ in _residuals(vectors, m, cb):
-        keys, sims = _nearest_keys(
-            hrr.circular_correlate_fft(slot, residual), unit, space.sorted_keys
-        )
+        keys, sims = _cleanup(cb.slot_labels[SLOT_TOKEN], residual, unit, space.sorted_keys)
         found += zip(keys, sims.tolist())
     return found

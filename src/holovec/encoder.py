@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "read_embeddings",
     "read_vectors",
     "write_sidecar",
-    "write_vectors",
     "write_vocabulary",
 ]
 
@@ -69,6 +68,18 @@ _STATS_FIELDS = dict.fromkeys(
 _TYPE_NAMES = {int: "an integer", str: "a string", type(None): "null"}
 
 
+def _key_fault(key: str) -> str | None:
+    """Why the text vector format cannot hold ``key``, or None: it ends a key at a space and
+    a record at a line break, and a reader drops a byte-order mark that starts the file."""
+    faults = {
+        "is empty": not key,
+        "contains a space": " " in key,
+        "contains a line break": "\n" in key or "\r" in key,
+        "starts with a byte-order mark": key.startswith("\ufeff"),
+    }
+    return next((fault for fault, found in faults.items() if found), None)
+
+
 @dataclass(frozen=True)
 class AnnotatedToken:
     """One token occurrence; ``line`` is source-file provenance for diagnostics."""
@@ -81,14 +92,9 @@ class AnnotatedToken:
     def __post_init__(self):
         if not self.surface:
             raise ValueError("token surface must be non-empty")
-        # the vector format ends a key at a space and a record at a line
-        # break, and a reader drops a byte-order mark that starts the file
-        if " " in self.surface:
-            raise ValueError(f"surface {self.surface!r} contains a space")
-        if "\n" in self.surface or "\r" in self.surface:
-            raise ValueError(f"surface {self.surface!r} contains a line break")
-        if self.surface.startswith("\ufeff"):
-            raise ValueError(f"surface {self.surface!r} starts with a byte-order mark")
+        fault = _key_fault(self.surface)
+        if fault:
+            raise ValueError(f"surface {self.surface!r} {fault}")
         if not self.pos_tag:
             raise ValueError(f"token {self.surface!r} has an empty POS tag")
         if self.ner_type == "":
@@ -367,13 +373,6 @@ def read_embeddings(path: str | Path) -> dict[str, np.ndarray]:
     return read_vectors(path)[1]
 
 
-def write_vectors(path: str | Path, entries: dict[str, np.ndarray]) -> None:
-    """Write the text vector format with full-precision decimal values, one record at a time."""
-    atomic_write_lines(
-        path, (f"{key} {' '.join(map(repr, vec.tolist()))}\n" for key, vec in entries.items())
-    )
-
-
 def read_annotations(path: str | Path) -> list[AnnotatedToken]:
     """Read tab-separated annotations: surface, POS tag, NER type or ``-``.
 
@@ -407,18 +406,28 @@ def read_annotations(path: str | Path) -> list[AnnotatedToken]:
 
 
 def write_vocabulary(path: str | Path, vocab: CompressedVocabulary) -> None:
-    """Write compressed vectors keyed by composite key, in build order.
+    """Write the text vector format, one record per entry in build order, each value the
+    shortest decimal that reads back as its float.
 
-    A vector whose shape is not ``(vocab.dimension,)``, or that holds a NaN or
-    an infinity, raises `IntegrityError` before any file is written.
+    A key the format cannot hold, or a vector whose shape is not
+    ``(vocab.dimension,)`` or that holds a NaN or an infinity, raises
+    `IntegrityError` when its record comes up, and no file lands.
     """
-    for key, entry in vocab.entries.items():
-        shape, where = np.shape(entry.vector), f"{path}: entry {key!r}: vector"
-        if shape != (vocab.dimension,):
-            raise IntegrityError(f"{where} has shape {shape}, expected ({vocab.dimension},)")
-        if not np.isfinite(entry.vector).all():
-            raise IntegrityError(f"{where} holds a NaN or an infinity")
-    write_vectors(path, {key: entry.vector for key, entry in vocab.entries.items()})
+
+    def records() -> Iterator[str]:
+        for key, entry in vocab.entries.items():
+            vec, where = entry.vector, f"{path}: entry {key!r}"
+            fault = _key_fault(key)
+            if fault:
+                raise IntegrityError(f"{where}: key {fault}")
+            shape, expected = np.shape(vec), (vocab.dimension,)
+            if shape != expected:
+                raise IntegrityError(f"{where}: vector has shape {shape}, expected {expected}")
+            if not np.isfinite(vec).all():
+                raise IntegrityError(f"{where}: vector holds a NaN or an infinity")
+            yield f"{key} {' '.join(map(repr, vec.tolist()))}\n"
+
+    atomic_write_lines(path, records())
 
 
 def write_sidecar(path: str | Path, vocab: CompressedVocabulary) -> None:

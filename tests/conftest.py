@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from holovec.codebook import Codebook, VectorSpace, build_codebook, cleanup_rows
+from holovec.codebook import Codebook, build_codebook
 from holovec.decoder import decode_vocabulary
 from holovec.encoder import AnnotatedToken, build_vocabulary, composite_key
 from holovec.errors import DimensionMismatchError
@@ -72,18 +72,26 @@ def decode_attributes(compressed, m, cb):
 
 
 def cleanup(query, candidates) -> tuple[str, float]:
-    """Oracle for one row's cleanup: the nearest candidate by cosine, and that cosine,
-    whatever the candidates' insertion order; a one-row `cleanup_rows`."""
-    space = VectorSpace.of(candidates)
-    if not space:
+    """Oracle for one row's cleanup, by the rule with numpy alone: over the candidates'
+    keys in sorted order, the query's cosine with each candidate's unit row, by a
+    fixed-order per-row product; the first maximum wins, so exact ties go to the
+    smaller key, whatever the candidates' insertion order."""
+    keys = sorted(candidates)
+    if not keys:
         raise ValueError("cleanup() requires a non-empty candidate set")
-    q = np.asarray(query, dtype=np.float64)
-    if space.dimension != q.shape[0]:
+    q = _as_vector(query)
+    unit = np.stack([np.asarray(candidates[key], dtype=np.float64) for key in keys])
+    if unit.shape[1] != q.shape[0]:
         raise DimensionMismatchError(
-            f"candidate length {space.dimension} differs from query length {q.shape[0]}"
+            f"candidate length {unit.shape[1]} differs from query length {q.shape[0]}"
         )
-    found, sims = cleanup_rows(q[None, :], space)
-    return found[0], float(sims[0])
+    norms, norm = np.linalg.norm(unit, axis=1), np.linalg.norm(q)
+    if norm == 0.0 or not norms.all():
+        raise ValueError("cleanup() is undefined for a zero-norm query or candidate")
+    unit /= norms[:, None]
+    sims = row_cosines(unit, q) / norm
+    best = int(np.argmax(sims))
+    return keys[best], float(sims[best])
 
 
 def with_vectors(cb: Codebook, edits: dict[str, np.ndarray]) -> Codebook:
@@ -273,6 +281,7 @@ def vector_text(entries: dict[str, np.ndarray]) -> str:
 
 
 def write_vector_file(path, entries: dict[str, np.ndarray]) -> None:
+    """The suite's own writer of the text vector format, for input files: no checks."""
     with open(path, "w", encoding="utf-8") as fh:
         for key, vec in entries.items():
             fh.write(key + " " + " ".join(repr(v) for v in np.asarray(vec).tolist()) + "\n")

@@ -19,6 +19,7 @@ from conftest import (
     reference_neighborhoods,
     row_cosines,
     sorted_top_rows,
+    write_vector_file,
 )
 from holovec import hrr
 from holovec.analysis import (
@@ -34,7 +35,6 @@ from holovec.encoder import (
     VocabEntry,
     build_vocabulary,
     read_vectors,
-    write_vectors,
 )
 from holovec.errors import UnknownKeyError
 from holovec.selftest import synthetic_corpus, synthetic_embeddings
@@ -229,7 +229,7 @@ class TestVectorSpace:
     def test_a_space_and_its_queries_allocate_no_copy_of_the_matrix(self, tmp_path):
         rng = np.random.default_rng(21)
         path = tmp_path / "vectors.txt"
-        write_vectors(path, {f"k{i:04d}": rng.normal(size=300) for i in range(4000)})
+        write_vector_file(path, {f"k{i:04d}": rng.normal(size=300) for i in range(4000)})
         _, table = read_vectors(path)
         tracemalloc.start()
         try:

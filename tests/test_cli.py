@@ -1,6 +1,7 @@
 """End-to-end CLI tests: every subcommand, failure exits, reproducibility."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from conftest import (
     write_annotation_file,
     write_vector_file,
 )
+from holovec import cli
 from holovec.cli import main
 from holovec.codebook import load_codebook
 from holovec.decoder import decode_vocabulary
@@ -228,6 +230,29 @@ class TestCompress:
         assert sorted(p.name for p in tmp.iterdir()) == before
         if existing:
             assert (tmp / "vocab.txt").read_bytes() == b"old vocabulary\n"
+
+    def test_the_embedding_table_is_freed_before_the_vocabulary_is_written(
+        self, pipeline_setup, capsys, monkeypatch
+    ):
+        tmp = pipeline_setup
+        read_embeddings, write_vocabulary = cli.read_embeddings, cli.write_vocabulary
+        refs, alive = [], []
+
+        def reading(path):
+            table = read_embeddings(path)
+            refs.append(weakref.ref(next(iter(table.values())).base))
+            return table
+
+        def writing(path, vocab):
+            alive.append(refs[0]() is not None)
+            write_vocabulary(path, vocab)
+
+        monkeypatch.setattr(cli, "read_embeddings", reading)
+        monkeypatch.setattr(cli, "write_vocabulary", writing)
+        args = [str(tmp / name) for name in ("cb.json", "emb.txt", "ann.tsv", "out.txt")]
+        code, _, err = run(capsys, "compress", *args)
+        assert (code, err) == (0, "")
+        assert alive == [False]
 
     def test_dimension_mismatch_is_the_library_message(self, tmp_path, capsys):
         write_vector_file(tmp_path / "emb.txt", {"a": np.ones(8)})

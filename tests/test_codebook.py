@@ -12,7 +12,6 @@ from holovec.codebook import (
     FillerTable,
     VectorSpace,
     build_codebook,
-    cleanup_rows,
     default_ner_types,
     default_pos_tags,
     load_codebook,
@@ -501,11 +500,6 @@ class TestCleanup:
     def test_zero_norm_query_rejected(self):
         with pytest.raises(ValueError):
             cleanup(np.zeros(3), {"a": np.ones(3)})
-
-    def test_a_zero_norm_query_is_reported_by_cleanup_rows(self, small_codebook):
-        queries = np.stack([small_codebook.pos_table["VB"], np.zeros(16)])
-        with pytest.raises(ValueError, match=r"^cleanup_rows\(\) query has zero norm$"):
-            cleanup_rows(queries, small_codebook.pos_table)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):

@@ -204,6 +204,26 @@ class TestDecodeVocabulary:
         with pytest.raises(ValueError, match="zero norm"):
             decode_vocabulary(np.zeros((1, 16)), None, small_codebook)
 
+    def test_each_table_is_normalised_once_per_call(self, default_codebook, monkeypatch):
+        cb = default_codebook
+        rng = np.random.default_rng(71)
+        vectors = rng.normal(size=(2 * BLOCK_ROWS + 1, 300))
+        counts = rng.integers(3, 5, size=len(vectors))
+        expected = [decode_vocabulary(vectors, m, cb) for m in (counts, None)]
+        derived = []
+        unit_rows = VectorSpace.unit_rows
+
+        def counted(self, rows=None):
+            if rows is None:  # every row: a table's whole cleanup memory
+                derived.append(self)
+            return unit_rows(self, rows)
+
+        monkeypatch.setattr(VectorSpace, "unit_rows", counted)
+        for m, want in zip((counts, None), expected):
+            derived.clear()
+            assert decode_vocabulary(vectors, m, cb) == want
+            assert [id(table) for table in derived] == [id(cb.pos_table), id(cb.ner_table)]
+
     def test_zero_norm_filler_rejected_at_decode_not_at_compress(self):
         cb = build_codebook(["NN", "VB"], ["ORG"], dimension=16, seed=4)
         cb = with_vectors(cb, {"pos:VB": np.zeros(16)})

@@ -1,5 +1,6 @@
 """Encoder tests: composite keys, filler lookup, compression, vocabulary builds, file I/O."""
 
+import contextlib
 import json
 import tempfile
 import tracemalloc
@@ -21,6 +22,7 @@ from conftest import (
     make_surrogate_table,
     superpose,
     vector_text,
+    write_vector_file,
 )
 from holovec import hrr
 from holovec._fileio import atomic_writes
@@ -41,7 +43,6 @@ from holovec.encoder import (
     read_embeddings,
     read_vectors,
     write_sidecar,
-    write_vectors,
     write_vocabulary,
 )
 from holovec.errors import (
@@ -369,7 +370,7 @@ class TestVectorFiles:
         rng = np.random.default_rng(17)
         entries = {f"k{i}": rng.normal(size=12) for i in range(20)}
         path = tmp_path / "vecs.txt"
-        write_vectors(path, entries)
+        write_vector_file(path, entries)
         dimension, loaded = read_vectors(path)
         assert dimension == 12
         assert list(loaded) == list(entries)
@@ -520,7 +521,7 @@ class TestVectorFiles:
         rng = np.random.default_rng(18)
         entries = {f"k{i}": rng.normal(size=5) for i in range(40)}
         path = tmp_path / "vecs.txt"
-        write_vectors(path, entries)
+        write_vector_file(path, entries)
         _, loaded = read_vectors(path)
         matrix = loaded["k0"].base
         assert matrix.dtype == np.float64 and matrix.shape == (40, 5)
@@ -533,7 +534,7 @@ class TestVectorFiles:
     def test_a_read_holds_no_second_copy_of_its_values(self, tmp_path):
         rng = np.random.default_rng(19)
         path = tmp_path / "vecs.txt"
-        write_vectors(path, {f"w{i}": rng.normal(size=300) for i in range(2000)})
+        write_vector_file(path, {f"w{i}": rng.normal(size=300) for i in range(2000)})
         tracemalloc.start()
         try:
             _, loaded = read_vectors(path)
@@ -548,7 +549,7 @@ class TestVectorFiles:
         rng = np.random.default_rng(20)
         table = {f"w{i}": rng.normal(size=300) for i in range(1000)}
         path = tmp_path / "vecs.txt"
-        write_vectors(path, table)
+        write_vector_file(path, table)
         path.write_text("1000 300\n" + path.read_text())
         tracemalloc.start()
         try:
@@ -802,6 +803,43 @@ class TestVocabularyPersistence:
             write_sidecar(meta_path, vocab)
         assert str(info.value) == f"{vec_path}: entry 'fishNN': {message}"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "key, fault",
+        [
+            ("", "is empty"),
+            ("new yorkNNP", "contains a space"),
+            ("new\nyorkNNP", "contains a line break"),
+            ("new\ryorkNNP", "contains a line break"),
+            ("\ufeffyorkNNP", "starts with a byte-order mark"),
+        ],
+    )
+    def test_a_key_the_vector_format_cannot_hold_is_refused(self, tmp_path, key, fault):
+        entries = {
+            "fishNN": VocabEntry(np.ones(16), FILLER_EXACT, "fish", "NN", None),
+            key: VocabEntry(np.ones(16), FILLER_EXACT, key[:-3], "NNP", None),
+        }
+        vec_path = tmp_path / "v.txt"
+        with pytest.raises(IntegrityError) as info:
+            write_vocabulary(vec_path, CompressedVocabulary(16, entries))
+        assert str(info.value) == f"{vec_path}: entry {key!r}: key {fault}"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("block", [contextlib.nullcontext, atomic_writes])
+    def test_a_refused_write_leaves_an_existing_file_byte_identical(self, tmp_path, block):
+        # the bad record comes after a good one that differs from the file's, so a
+        # write that failed mid-stream in place would change the file
+        old = VocabEntry(np.ones(16), FILLER_EXACT, "fish", "NN", None)
+        good = VocabEntry(np.ones(16) / 3, FILLER_EXACT, "fish", "NN", None)
+        bad = VocabEntry(np.full(16, np.nan), FILLER_EXACT, "york", "NNP", None)
+        vec_path = tmp_path / "v.txt"
+        write_vocabulary(vec_path, CompressedVocabulary(16, {"fishNN": old}))
+        before = vec_path.read_bytes()
+        vocab = CompressedVocabulary(16, {"fishNN": good, "yorkNNP": bad})
+        with pytest.raises(IntegrityError, match="'yorkNNP': vector holds a NaN"), block():
+            write_vocabulary(vec_path, vocab)
+        assert vec_path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [vec_path]
 
     def test_sidecar_for_missing_key_is_integrity_error(self, tmp_path, default_codebook):
         vocab = build_vocabulary(FISH_ANNOTATIONS, fish_table(300), default_codebook)
