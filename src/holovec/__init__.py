@@ -41,7 +41,7 @@ from .encoder import (
     load_vocabulary,
     lookup_filler,
     read_annotations,
-    read_embeddings,
+    read_vectors,
     write_sidecar,
     write_vocabulary,
 )
@@ -95,7 +95,7 @@ __all__ = [
     "pairwise_cosine_stats",
     "random_vector",
     "read_annotations",
-    "read_embeddings",
+    "read_vectors",
     "sample_orthogonality",
     "save_codebook",
     "write_sidecar",

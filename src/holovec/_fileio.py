@@ -104,10 +104,13 @@ def atomic_write_lines(path: str | Path, chunks: Iterable[str]) -> None:
 
     Each chunk is written as it is produced, so a file of many records never
     exists whole in memory. The file gets the mode a plain write gives a new
-    file, 0o666 less the umask.
+    file, 0o666 less the umask. A ``path`` that resolves to a file already
+    written in the block raises `ValueError` before a temp file is opened.
     """
     target = Path(path)
     with atomic_writes():
+        if any(target.resolve() == other.resolve() for _, other in _pending.get()):
+            raise ValueError(f"{target}: already the path of another output")
         tmp = target.parent / f"{target.name}.{os.urandom(4).hex()}.tmp"
         try:
             fh = open(tmp, "x", encoding="utf-8", newline="\n")

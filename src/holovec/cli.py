@@ -33,7 +33,6 @@ from .encoder import (
     build_vocabulary,
     load_vocabulary,
     read_annotations,
-    read_embeddings,
     read_vectors,
     write_sidecar,
     write_vocabulary,
@@ -57,7 +56,7 @@ def cmd_build_codebook(args) -> int:
 
 def cmd_compress(args) -> int:
     cb = load_codebook(args.codebook)
-    table = read_embeddings(args.embeddings)
+    table = read_vectors(args.embeddings)
     tokens = read_annotations(args.annotations)
     vocab = build_vocabulary(tokens, table, cb)
     del table, tokens  # the vocabulary holds its own vectors: free the inputs before writing
@@ -92,7 +91,7 @@ def cmd_decode(args) -> int:
     else:
         # without the sidecar the component count is unknown, so unbind
         # without the frame subtraction (cosine cleanup is scale-invariant)
-        _, vectors = read_vectors(args.vocabulary, expected_dimension=cb.dimension)
+        vectors = read_vectors(args.vocabulary)
         keys = list(vectors)
         counts = ["-"] * len(keys)
         decoded_all = decode_vocabulary(list(vectors.values()), None, cb)
@@ -122,7 +121,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_analyze_orthogonality(args) -> int:
-    _, vectors = read_vectors(args.vectors)
+    vectors = read_vectors(args.vectors)
     report = sample_orthogonality(
         vectors, sample_size=args.sample_size, threshold=args.threshold, seed=args.seed
     )
@@ -135,7 +134,7 @@ def cmd_analyze_orthogonality(args) -> int:
 
 
 def cmd_analyze_neighborhoods(args) -> int:
-    table = read_embeddings(args.embeddings)
+    table = read_vectors(args.embeddings)
     vocab = load_vocabulary(args.vocabulary, args.sidecar)
     cores = read_tag_list(args.cores)
     key_to_word = {key: e.word_type for key, e in vocab.entries.items()}

@@ -43,7 +43,6 @@ __all__ = [
     "load_vocabulary",
     "lookup_filler",
     "read_annotations",
-    "read_embeddings",
     "read_vectors",
     "write_sidecar",
     "write_vocabulary",
@@ -275,21 +274,22 @@ def _is_number(field: str) -> bool:
     return True
 
 
-def read_vectors(
-    path: str | Path, expected_dimension: int | None = None
-) -> tuple[int, dict[str, np.ndarray]]:
+def read_vectors(path: str | Path) -> dict[str, np.ndarray]:
     """Read a text vector file: ``key v1 v2 ... vn`` per line, single spaces.
 
+    Spaces that end a line are dropped first, as the word2vec C tool and
+    fastText end every record with one, and a line left empty is skipped.
     A first line of exactly two non-negative integers is a word2vec text
     header, ``count dimension``: the dimension is taken from it and the
-    record count checked against it. Otherwise the dimension is inferred
-    from the first record unless ``expected_dimension`` pins it. Once the
-    dimension n is known, a record's values are its last n fields and its
-    key is the fields before them joined by single spaces, unless one of
-    those after the first reads as a number: such a record has too many
-    values. Lines come from `read_lines`, so a leading byte-order mark is
-    skipped, and a malformed line, bytes that are not UTF-8 included, is
-    reported by number.
+    record count checked against it. Otherwise the dimension is that of the
+    first record. Once the dimension n is known, a record's values are its
+    last n fields and its key is the fields before them joined by single
+    spaces, unless one of those after the first reads as a number: such a
+    record has too many values. Lines come from `read_lines`, so a leading
+    byte-order mark is skipped, and a malformed line, bytes that are not
+    UTF-8 included, is reported by number. A file with no records, with a
+    header or without, reads as an empty table. The reader takes no
+    dimension: whatever uses the vectors checks theirs.
 
     The values are stored once, in one read-only float64 matrix with a row
     per record in file order, and the table maps each key to a view of its
@@ -298,19 +298,16 @@ def read_vectors(
     views are taken only after its last resize.
     """
     path = Path(path)
-    dimension = expected_dimension
-    declared = None
+    dimension = declared = None
     entries: dict[str, np.ndarray | None] = {}  # the rows are filled in once the matrix is final
     matrix = None
     for lineno, line in read_lines(path):
+        line = line.rstrip(" ")
+        if not line:
+            continue
         fields = line.split(" ")
         if lineno == 1 and len(fields) == 2 and all(f.isascii() and f.isdigit() for f in fields):
-            declared, header_dimension = int(fields[0]), int(fields[1])
-            if dimension is not None and header_dimension != dimension:
-                raise ParseError(
-                    f"{path}:1: header declares dimension {header_dimension}, expected {dimension}"
-                )
-            dimension = header_dimension
+            declared, dimension = int(fields[0]), int(fields[1])
             continue
         if len(fields) < 2:
             raise ParseError(f"{path}:{lineno}: expected 'key value...' fields")
@@ -342,15 +339,13 @@ def read_vectors(
         entries[key] = None
     if declared is not None and declared != len(entries):
         raise ParseError(f"{path}: header declares {declared} records, file has {len(entries)}")
-    if dimension is None:
-        raise ParseError(f"{path}: file contains no records")
     if matrix is None:
-        matrix = np.empty((0, dimension))
+        return {}
     matrix.resize((len(entries), dimension), refcheck=False)
     matrix.flags.writeable = False  # before the row views are taken, so they are read-only too
     for key, row in zip(entries, matrix):
         entries[key] = row
-    return dimension, entries
+    return entries
 
 
 def _expected_records(path: Path, first_record: int, declared: int | None, dimension: int) -> int:
@@ -366,11 +361,6 @@ def _expected_records(path: Path, first_record: int, declared: int | None, dimen
     if declared is not None:
         return min(declared, most)
     return min(most, size * 5 // (4 * (first_record + 1)) + 1)
-
-
-def read_embeddings(path: str | Path) -> dict[str, np.ndarray]:
-    """The table of a text vector file: each key's vector, as `read_vectors` reads them."""
-    return read_vectors(path)[1]
 
 
 def read_annotations(path: str | Path) -> list[AnnotatedToken]:
@@ -490,8 +480,10 @@ def load_vocabulary(
 ) -> CompressedVocabulary:
     """Rebuild a CompressedVocabulary from its vector file and sidecar.
 
-    The sidecar is read and checked first. When it lists no entries, an
-    empty vector file reads as the empty vocabulary of the sidecar's dimension.
+    The sidecar is read and checked first, then the vector file is read with
+    `read_vectors`, whose vectors must have the sidecar's dimension and
+    whose keys must be the sidecar's. An empty vector file with a sidecar of
+    no entries is the empty vocabulary of the sidecar's dimension.
     """
     doc = read_document(sidecar_path, _SIDECAR_FORMAT, ("dimension", "stats", "entries"))
     declared, meta, st = doc["dimension"], doc["entries"], doc["stats"]
@@ -502,10 +494,11 @@ def load_vocabulary(
     for key, entry in meta.items():
         _check_entry(key, entry, f"{sidecar_path}: entry {key!r}")
 
-    dimension, vectors = read_vectors(vectors_path, None if meta else declared)
-    if declared != dimension:
+    vectors = read_vectors(vectors_path)
+    first = next(iter(vectors.values()), None)  # every row has the same length
+    if first is not None and len(first) != declared:
         raise IntegrityError(
-            f"{sidecar_path}: declares dimension {declared}, vector file has {dimension}"
+            f"{sidecar_path}: declares dimension {declared}, vector file has {len(first)}"
         )
     missing = set(vectors) - set(meta)
     if missing:
@@ -527,4 +520,4 @@ def load_vocabulary(
             raise IntegrityError(
                 f"{sidecar_path}: stats: {name} is {st[name]}, entries give {count}"
             )
-    return CompressedVocabulary(dimension, entries, input_tokens=st["input_tokens"])
+    return CompressedVocabulary(declared, entries, input_tokens=st["input_tokens"])

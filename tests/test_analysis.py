@@ -230,7 +230,7 @@ class TestVectorSpace:
         rng = np.random.default_rng(21)
         path = tmp_path / "vectors.txt"
         write_vector_file(path, {f"k{i:04d}": rng.normal(size=300) for i in range(4000)})
-        _, table = read_vectors(path)
+        table = read_vectors(path)
         tracemalloc.start()
         try:
             space = VectorSpace(table)

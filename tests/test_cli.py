@@ -167,6 +167,53 @@ class TestCompress:
         capsys.readouterr()
         assert (tmp / "w2v_vocab.txt").read_bytes() == (tmp / "plain.txt").read_bytes()
 
+    def test_records_that_end_in_a_space_give_the_same_vocabulary(self, fish_setup, capsys):
+        # the word2vec C tool and fastText end every record with a space
+        tmp = fish_setup
+        emb = (tmp / "emb.txt").read_text()
+        (tmp / "spaced.txt").write_text("1 32\n" + emb.replace("\n", " \n"))
+        assert main(["build-codebook", str(tmp / "cb.json"), "--dim", "32"]) == 0
+        for embeddings, out in (("emb.txt", "plain.txt"), ("spaced.txt", "spaced_vocab.txt")):
+            args = [str(tmp / "cb.json"), str(tmp / embeddings), str(tmp / "ann.tsv"), str(tmp / out)]
+            assert main(["compress", *args]) == 0
+        capsys.readouterr()
+        assert (tmp / "spaced_vocab.txt").read_bytes() == (tmp / "plain.txt").read_bytes()
+        sidecar = json.loads((tmp / "spaced_vocab.txt.meta.json").read_text())
+        assert sidecar["stats"]["unknown_filler_entries"] == 0
+
+    def test_an_empty_embeddings_file_builds_every_key_from_the_unknown_filler(
+        self, fish_setup, capsys
+    ):
+        tmp = fish_setup
+        (tmp / "empty.txt").write_text("")
+        write_vector_file(tmp / "other.txt", {"zebra": np.ones(32)})
+        assert main(["build-codebook", str(tmp / "cb.json"), "--dim", "32"]) == 0
+        for embeddings in ("empty.txt", "other.txt"):
+            args = [str(tmp / "cb.json"), str(tmp / embeddings), str(tmp / "ann.tsv")]
+            assert main(["compress", *args, str(tmp / f"{embeddings}.vocab")]) == 0
+        out = capsys.readouterr().out
+        assert out.count("unknown fillers:     3\n") == 2
+        sidecar = json.loads((tmp / "empty.txt.vocab.meta.json").read_text())
+        assert {e["filler_source"] for e in sidecar["entries"].values()} == {"unknown"}
+        assert (tmp / "empty.txt.vocab").read_bytes() == (tmp / "other.txt.vocab").read_bytes()
+
+    def test_one_path_for_both_outputs_exits_one_and_lands_nothing(
+        self, fish_setup, capsys, monkeypatch
+    ):
+        tmp = fish_setup
+        assert main(["build-codebook", str(tmp / "cb.json"), "--dim", "32"]) == 0
+        (tmp / "out.txt").write_bytes(b"old vocabulary\n")
+        before = sorted(p.name for p in tmp.iterdir())
+        monkeypatch.chdir(tmp)
+        capsys.readouterr()
+        code, out, err = run(
+            capsys, "compress", "cb.json", "emb.txt", "ann.tsv", "out.txt", "--sidecar", "./out.txt"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: out.txt: already the path of another output\n"
+        assert (tmp / "out.txt").read_bytes() == b"old vocabulary\n"
+        assert sorted(p.name for p in tmp.iterdir()) == before
+
     def test_empty_annotations_report_null_growth(self, tmp_path, capsys):
         rng = np.random.default_rng(43)
         write_vector_file(tmp_path / "emb.txt", {"a": rng.normal(size=16)})
@@ -235,11 +282,11 @@ class TestCompress:
         self, pipeline_setup, capsys, monkeypatch
     ):
         tmp = pipeline_setup
-        read_embeddings, write_vocabulary = cli.read_embeddings, cli.write_vocabulary
+        read_vectors, write_vocabulary = cli.read_vectors, cli.write_vocabulary
         refs, alive = [], []
 
         def reading(path):
-            table = read_embeddings(path)
+            table = read_vectors(path)
             refs.append(weakref.ref(next(iter(table.values())).base))
             return table
 
@@ -247,7 +294,7 @@ class TestCompress:
             alive.append(refs[0]() is not None)
             write_vocabulary(path, vocab)
 
-        monkeypatch.setattr(cli, "read_embeddings", reading)
+        monkeypatch.setattr(cli, "read_vectors", reading)
         monkeypatch.setattr(cli, "write_vocabulary", writing)
         args = [str(tmp / name) for name in ("cb.json", "emb.txt", "ann.tsv", "out.txt")]
         code, _, err = run(capsys, "compress", *args)
@@ -418,6 +465,24 @@ class TestDecode:
         assert err == "error: vocabulary dimension 32 differs from codebook dimension 16\n"
         assert not (tmp / "decoded.tsv").exists()
 
+    def test_a_bare_decode_with_a_codebook_of_another_dimension_exits_one(
+        self, pipeline_setup, capsys
+    ):
+        tmp = pipeline_setup
+        assert main(["build-codebook", str(tmp / "cb16.json"), "--dim", "16"]) == 0
+        capsys.readouterr()
+        code, out, err = run(
+            capsys,
+            "decode",
+            str(tmp / "cb16.json"),
+            str(tmp / "vocab.txt"),
+            "--out",
+            str(tmp / "decoded.tsv"),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: vectors of shape (32,) differ from codebook dimension 16\n"
+        assert not (tmp / "decoded.tsv").exists()
+
     def test_corrupt_vector_length_names_the_line(self, pipeline_setup, capsys):
         tmp = pipeline_setup
         lines = (tmp / "vocab.txt").read_text().splitlines()
@@ -453,6 +518,20 @@ class TestAnalyze:
         assert 0.0 <= doc["fraction_below"] <= 1.0
         assert sum(doc["histogram"]["counts"]) == 40
         assert "fraction with |cosine| < 0.25" in out
+
+    def test_orthogonality_of_an_empty_vector_file_exits_one(self, tmp_path, capsys):
+        (tmp_path / "vocab.txt").write_text("")
+        code, out, err = run(
+            capsys,
+            "analyze",
+            "orthogonality",
+            str(tmp_path / "vocab.txt"),
+            "--out",
+            str(tmp_path / "orth.json"),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: orthogonality sampling needs >= 2 vectors, got 0\n"
+        assert not (tmp_path / "orth.json").exists()
 
     @pytest.mark.parametrize("threshold", ["nan", "inf"])
     def test_a_threshold_that_is_not_finite_exits_one_without_a_report(

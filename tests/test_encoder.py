@@ -40,7 +40,6 @@ from holovec.encoder import (
     load_vocabulary,
     lookup_filler,
     read_annotations,
-    read_embeddings,
     read_vectors,
     write_sidecar,
     write_vocabulary,
@@ -371,9 +370,9 @@ class TestVectorFiles:
         entries = {f"k{i}": rng.normal(size=12) for i in range(20)}
         path = tmp_path / "vecs.txt"
         write_vector_file(path, entries)
-        dimension, loaded = read_vectors(path)
-        assert dimension == 12
+        loaded = read_vectors(path)
         assert list(loaded) == list(entries)
+        assert all(vec.shape == (12,) for vec in loaded.values())
         for key in entries:
             np.testing.assert_array_equal(loaded[key], entries[key])
 
@@ -395,24 +394,18 @@ class TestVectorFiles:
         with pytest.raises(IntegrityError, match="duplicate"):
             read_vectors(path)
 
-    def test_empty_file_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text", ["", "\n\n \n", "0 3\n"], ids=["empty", "blank", "header"])
+    def test_a_file_with_no_records_reads_as_an_empty_table(self, tmp_path, text):
         path = tmp_path / "vecs.txt"
-        path.write_text("")
-        with pytest.raises(ParseError):
-            read_vectors(path)
-
-    def test_expected_dimension_enforced(self, tmp_path):
-        path = tmp_path / "vecs.txt"
-        path.write_text("a 1.0 2.0\n")
-        with pytest.raises(ParseError, match=":1"):
-            read_vectors(path, expected_dimension=5)
+        path.write_text(text)
+        assert read_vectors(path) == {}
 
     def test_word2vec_header_sets_the_dimension(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("2 3\na 1.0 2.0 3.0\nb 4.0 5.0 6.0\n")
-        dimension, loaded = read_vectors(path)
-        assert dimension == 3
+        loaded = read_vectors(path)
         assert list(loaded) == ["a", "b"]
+        assert loaded["a"].shape == (3,)
         np.testing.assert_array_equal(loaded["b"], [4.0, 5.0, 6.0])
 
     def test_word2vec_header_count_is_checked(self, tmp_path):
@@ -434,33 +427,25 @@ class TestVectorFiles:
         path.write_text("2 3\na 1.0 2.0\nb 3.0 4.0\n")
         with pytest.raises(ParseError, match=":2: expected 3 values, got 2"):
             read_vectors(path)
-        with pytest.raises(ParseError, match=":1: header declares dimension 3, expected 2"):
-            read_vectors(path, expected_dimension=2)
 
     def test_first_record_with_a_numeric_value_is_not_a_header(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("7 1.5\n8 2.5\n")
-        dimension, loaded = read_vectors(path)
-        assert dimension == 1
+        loaded = read_vectors(path)
         assert list(loaded) == ["7", "8"]
+        assert loaded["7"].shape == (1,)
 
     def test_utf8_bom_is_not_part_of_the_first_key(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("\ufeffnew 1.0 2.0\nyork 3.0 4.0\n", encoding="utf-8")
-        dimension, loaded = read_vectors(path)
-        assert dimension == 2
+        loaded = read_vectors(path)
         assert list(loaded) == ["new", "york"]
+        assert loaded["new"].shape == (2,)
         path.write_text("\ufeff2 2\nnew 1.0 2.0\nyork 3.0 4.0\n", encoding="utf-8")
-        assert list(read_vectors(path)[1]) == ["new", "york"]
+        assert list(read_vectors(path)) == ["new", "york"]
 
-    @pytest.mark.parametrize(
-        "header, expected_dimension",
-        [("", None), ("5 3\n", None), ("", 3)],
-        ids=["earlier-record", "header", "expected-dimension"],
-    )
-    def test_keys_with_spaces_take_the_last_n_fields_as_values(
-        self, tmp_path, header, expected_dimension
-    ):
+    @pytest.mark.parametrize("header", ["", "5 3\n"], ids=["earlier-record", "header"])
+    def test_keys_with_spaces_take_the_last_n_fields_as_values(self, tmp_path, header):
         # GloVe 840B has keys such as ". . ." and "at name@domain.com"
         records = {
             ". . .": "4.0 5.0 6.0",
@@ -470,15 +455,54 @@ class TestVectorFiles:
             "a": "1.0 2.0 3.0",
         }
         keys = list(records)
-        if not header and expected_dimension is None:
+        if not header:
             keys = keys[-1:] + keys[:-1]  # the dimension comes from a plain first record
         path = tmp_path / "vecs.txt"
         path.write_text(header + "".join(f"{key} {records[key]}\n" for key in keys))
-        dimension, loaded = read_vectors(path, expected_dimension)
-        assert dimension == 3
+        loaded = read_vectors(path)
         assert list(loaded) == keys
+        assert all(vec.shape == (3,) for vec in loaded.values())
         for key, values in records.items():
             np.testing.assert_array_equal(loaded[key], [float(v) for v in values.split(" ")])
+
+    @pytest.mark.parametrize(
+        "header, values",
+        [
+            # word2vec.c prints each value with "%lf ", fastText's .vec writer "v[j] << ' '"
+            ("2 3\n", ["0.100000", "-0.250000", "3.000000"]),
+            ("2 3\n", ["0.1", "-0.25", "3"]),
+            ("2 3 \n", ["0.1", "-0.25", "3"]),
+            ("", ["0.1", "-2.5e-05", "1234.5678"]),
+        ],
+        ids=["word2vec-c", "fasttext", "spaced-header", "glove-style"],
+    )
+    def test_records_that_end_in_a_space_read_bit_exactly(self, tmp_path, header, values):
+        path = tmp_path / "vecs.txt"
+        path.write_text(header + f"the {' '.join(values)} \nof {' '.join(values[::-1])} \n")
+        loaded = read_vectors(path)
+        assert list(loaded) == ["the", "of"]
+        expected = np.array([float(v) for v in values])
+        assert loaded["the"].tobytes() == expected.tobytes()
+        assert loaded["of"].tobytes() == expected[::-1].tobytes()
+
+    def test_a_key_with_spaces_and_a_trailing_space_keeps_its_spaces(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("a 1.0 2.0 3.0 \n. . . 4.0 5.0 6.0 \nx  y -0.5 0.25 7.0  \n")
+        loaded = read_vectors(path)
+        assert list(loaded) == ["a", ". . .", "x  y"]
+        assert loaded[". . ."].tobytes() == np.array([4.0, 5.0, 6.0]).tobytes()
+        assert loaded["x  y"].tobytes() == np.array([-0.5, 0.25, 7.0]).tobytes()
+
+    def test_a_line_of_only_spaces_is_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("a 1.0 2.0\n   \nb 3.0 4.0\n")
+        loaded = read_vectors(path)
+        assert list(loaded) == ["a", "b"]
+        assert loaded["b"].tobytes() == np.array([3.0, 4.0]).tobytes()
+        path.write_text("a 1.0 2.0\n   \nb 3.0\n")
+        with pytest.raises(ParseError) as info:
+            read_vectors(path)
+        assert str(info.value) == f"{path}:3: expected 2 values, got 1"
 
     @pytest.mark.parametrize(
         "record, got",
@@ -493,8 +517,8 @@ class TestVectorFiles:
     def test_blank_lines_are_skipped_and_counted(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("\na 1.0 2.0\n\r\n\nb 3.0 4.0\n\n")
-        dimension, loaded = read_vectors(path)
-        assert (dimension, list(loaded)) == (2, ["a", "b"])
+        loaded = read_vectors(path)
+        assert list(loaded) == ["a", "b"] and loaded["a"].shape == (2,)
         path.write_text("\na 1.0 2.0\n\r\n\nb 3.0\n")
         with pytest.raises(ParseError) as info:
             read_vectors(path)
@@ -522,7 +546,7 @@ class TestVectorFiles:
         entries = {f"k{i}": rng.normal(size=5) for i in range(40)}
         path = tmp_path / "vecs.txt"
         write_vector_file(path, entries)
-        _, loaded = read_vectors(path)
+        loaded = read_vectors(path)
         matrix = loaded["k0"].base
         assert matrix.dtype == np.float64 and matrix.shape == (40, 5)
         assert not matrix.flags.writeable
@@ -537,7 +561,7 @@ class TestVectorFiles:
         write_vector_file(path, {f"w{i}": rng.normal(size=300) for i in range(2000)})
         tracemalloc.start()
         try:
-            _, loaded = read_vectors(path)
+            loaded = read_vectors(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -553,7 +577,7 @@ class TestVectorFiles:
         path.write_text("1000 300\n" + path.read_text())
         tracemalloc.start()
         try:
-            _, loaded = read_vectors(path)
+            loaded = read_vectors(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -567,8 +591,8 @@ class TestVectorFiles:
         records += [f"k{i} {i}.0 1.0 2.0 3.0" for i in range(200)]
         path = tmp_path / "vecs.txt"
         path.write_text("\n".join(records) + "\n")
-        dimension, loaded = read_vectors(path)
-        assert (dimension, len(loaded)) == (4, 201)
+        loaded = read_vectors(path)
+        assert len(loaded) == 201 and loaded["k0"].shape == (4,)
         assert loaded["first"].tolist() == [-1.2345678901234567] * 4
         assert loaded["k199"].tolist() == [199.0, 1.0, 2.0, 3.0]
         assert loaded["first"].base is loaded["k199"].base
@@ -595,15 +619,6 @@ class TestVectorFiles:
         with pytest.raises((ParseError, IntegrityError)) as info:
             read_vectors(path)
         assert str(info.value).startswith(f"{path}:202: {message}")
-
-    def test_read_embeddings_wraps_read_vectors(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("cat 1.0 0.0\ndog 0.0 1.0\n")
-        table = read_embeddings(path)
-        assert {key: vec.tolist() for key, vec in table.items()} == {
-            "cat": [1.0, 0.0],
-            "dog": [0.0, 1.0],
-        }
 
 
 class TestStreamedVocabularyWrite:
@@ -962,5 +977,6 @@ class TestVocabularyPersistence:
         with pytest.raises(IntegrityError, match="no metadata for key 'fishNN'"):
             load_vocabulary(vec_path, meta_path)
         vec_path.write_text("fishNN 0.5 0.5\n")
-        with pytest.raises(ParseError, match=r"vocab\.txt:1: expected 16 values, got 2"):
+        with pytest.raises(IntegrityError) as info:
             load_vocabulary(vec_path, meta_path)
+        assert str(info.value) == f"{meta_path}: declares dimension 16, vector file has 2"

@@ -285,6 +285,21 @@ def test_a_failed_file_in_a_block_lands_none_of_them(tmp_path, failing):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["vocab.txt"]
 
 
+def test_a_second_file_to_one_path_in_a_block_is_refused_and_lands_nothing(tmp_path):
+    path, other = tmp_path / "out.txt", tmp_path / "other.txt"
+    path.write_bytes(b"old contents\n")
+    (tmp_path / "sub").mkdir()
+    respelled = tmp_path / "sub" / ".." / "out.txt"
+    with pytest.raises(ValueError) as info:
+        with atomic_writes():
+            atomic_write_lines(path, ["a 1.0\n"])
+            atomic_write_text(other, "b 2.0\n")
+            atomic_write_text(respelled, "{}\n")
+    assert str(info.value) == f"{respelled}: already the path of another output"
+    assert path.read_bytes() == b"old contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "sub"]
+
+
 def test_an_error_after_the_writes_in_a_block_lands_none_of_them(tmp_path):
     path = tmp_path / "vocab.txt"
     with pytest.raises(KeyError):
