@@ -21,6 +21,7 @@ from .codebook import (
     DEFAULT_SEED,
     Codebook,
     VectorSpace,
+    VectorTable,
     build_codebook,
     default_ner_types,
     default_pos_tags,
@@ -35,7 +36,6 @@ from .decoder import (
 from .encoder import (
     AnnotatedToken,
     CompressedVocabulary,
-    VocabEntry,
     build_vocabulary,
     composite_key,
     load_vocabulary,
@@ -76,7 +76,7 @@ __all__ = [
     "UnknownKeyError",
     "UnknownTagError",
     "VectorSpace",
-    "VocabEntry",
+    "VectorTable",
     "build_codebook",
     "build_vocabulary",
     "circular_convolve",

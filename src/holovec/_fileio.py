@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+from collections import Counter
 from contextvars import ContextVar
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -136,12 +137,15 @@ def write_document(path: str | Path, format_name: str, body: dict) -> None:
 def read_document(path: str | Path, format_name: str, fields: tuple[str, ...]) -> dict:
     """Parse a current-version ``format_name`` document that has every field in ``fields``.
 
-    Anything else raises a one-line `ParseError` naming ``path``; checking the
-    fields' values is the caller's part.
+    A leading byte-order mark is skipped. Anything else, an object that names
+    a member twice included, raises a one-line `ParseError` naming ``path``;
+    checking the fields' values is the caller's part.
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8-sig"), object_pairs_hook=_unique_members)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     except ValueError as exc:  # bad UTF-8 or JSON, or an integer of too many digits
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
@@ -155,3 +159,12 @@ def read_document(path: str | Path, format_name: str, fields: tuple[str, ...]) -
         if field not in doc:
             raise ParseError(f"{path}: missing field {field!r}")
     return doc
+
+
+def _unique_members(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict; a name given twice raises `ParseError`."""
+    members = dict(pairs)
+    if len(members) < len(pairs):
+        repeated = next(name for name, n in Counter(name for name, _ in pairs).items() if n > 1)
+        raise ParseError(f"duplicate member {repeated!r}")
+    return members

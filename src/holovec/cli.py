@@ -23,6 +23,8 @@ from .analysis import (
 from .codebook import (
     DEFAULT_DIMENSION,
     DEFAULT_SEED,
+    VectorSpace,
+    VectorTable,
     build_codebook,
     load_codebook,
     read_tag_list,
@@ -85,16 +87,14 @@ def cmd_decode(args) -> int:
                 f"vocabulary dimension {vocab.dimension} differs from "
                 f"codebook dimension {cb.dimension}"
             )
-        keys = list(vocab.entries)
-        counts = [e.component_count for e in vocab.entries.values()]
+        keys, counts = vocab.keys, vocab.component_counts.tolist()
         decoded_all, (pos_ok, pos_total, ner_ok, ner_total) = decode_and_score(vocab, cb)
     else:
         # without the sidecar the component count is unknown, so unbind
         # without the frame subtraction (cosine cleanup is scale-invariant)
-        vectors = read_vectors(args.vocabulary)
-        keys = list(vectors)
-        counts = ["-"] * len(keys)
-        decoded_all = decode_vocabulary(list(vectors.values()), None, cb)
+        table = read_vectors(args.vocabulary)
+        keys, counts = tuple(table), ["-"] * len(table)
+        decoded_all = decode_vocabulary(table.matrix, None, cb)
 
     def rows():
         yield "#key\tm\tpos\tpos_similarity\tner\tner_similarity\n"
@@ -137,24 +137,23 @@ def cmd_analyze_neighborhoods(args) -> int:
     table = read_vectors(args.embeddings)
     vocab = load_vocabulary(args.vocabulary, args.sidecar)
     cores = read_tag_list(args.cores)
-    key_to_word = {key: e.word_type for key, e in vocab.entries.items()}
-    vocab_words = set(key_to_word.values())
+    vocab_words = set(vocab.word_types)
     for word in cores:
         if word not in table:
             raise UnknownKeyError(f"core word {word!r} is not in the original embeddings")
         if word not in vocab_words:
             raise UnknownKeyError(f"core word {word!r} is not in the compressed vocabulary")
-    universe = vocab_words & set(table)
-    original = {w: table[w] for w in universe}
-    compressed = {
-        key: e.vector for key, e in vocab.entries.items() if e.word_type in universe
-    }
+    # both spaces take their rows from the matrices read, not copies of them
+    universe = vocab_words & table.index.keys()
+    original = VectorSpace(VectorTable({w: table.index[w] for w in universe}, table.matrix))
+    picked = [row for row, word in enumerate(vocab.word_types) if word in universe]
+    compressed = VectorSpace(VectorTable({vocab.keys[row]: row for row in picked}, vocab.vectors))
     report = classify_neighborhoods(
         original,
         compressed,
         cores,
         k=args.k,
-        compressed_key_to_word=key_to_word,
+        compressed_key_to_word=dict(zip(vocab.keys, vocab.word_types)),
     )
     report.write(args.out)
     print(f"neighborhood report written to {args.out}")

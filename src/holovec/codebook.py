@@ -38,6 +38,7 @@ __all__ = [
     "SLOT_POS",
     "SLOT_TOKEN",
     "VectorSpace",
+    "VectorTable",
     "build_codebook",
     "default_ner_types",
     "default_pos_tags",
@@ -86,17 +87,38 @@ def default_ner_types() -> list[str]:
     return _shipped_tags("ner_types.txt")
 
 
+class VectorTable(Mapping[str, np.ndarray]):
+    """Read-only mapping of keys, in the order given, to rows of one read-only float64
+    ``matrix``: ``index`` maps each key to its row, and a key's value is a view of it."""
+
+    def __init__(self, index: Mapping[str, int], matrix: np.ndarray):
+        if matrix.dtype != np.float64 or matrix.flags.writeable:
+            raise ValueError("a vector table's matrix must be read-only float64")
+        self.matrix = matrix
+        self.index = MappingProxyType(dict(index))
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        return self.matrix[self.index[key]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+
 class VectorSpace(Mapping[str, np.ndarray]):
     """Read-only snapshot of a key -> vector mapping, iterated in sorted key order.
 
     ``sorted_keys`` is a tuple and ``index``, key -> row, a read-only mapping;
     a row is a key's position in sorted order. The space holds its vectors as
     one read-only float64 matrix, their L2 ``norms`` and the float32
-    ``screen``, and nothing else. When every vector given is a row view of one
-    read-only float64 matrix, as the values of a `read_vectors` table and the
-    vectors of a vocabulary the library builds or reads are, the space holds
-    that matrix, not a copy, and a value is a view of its row there; any other
-    mapping is stacked once into a new read-only matrix.
+    ``screen``, and nothing else. A space is built from keys, a matrix and
+    the keys' rows in it, by sorting the keys: a `VectorTable` gives all
+    three, so the space of a `read_vectors` table or of a vocabulary's
+    ``as_space()`` holds the file's or the vocabulary's matrix, not a copy, and
+    a value is a view of its row there. Any other mapping is stacked once, in
+    sorted key order, into a new read-only matrix.
 
     `norms` and `screen` are built on first use, so a zero-norm vector raises
     there, in the search that needs it, not when the space is built. No unit
@@ -107,18 +129,21 @@ class VectorSpace(Mapping[str, np.ndarray]):
     """
 
     def __init__(self, vectors: Mapping[str, np.ndarray]):
-        self.sorted_keys = tuple(sorted(vectors))
+        if not isinstance(vectors, VectorTable):  # stacked once, in sorted key order
+            keys = sorted(vectors)
+            rows = [vectors[key] for key in keys]
+            matrix = np.stack(rows, dtype=np.float64) if rows else np.empty((0, 0))
+            matrix.flags.writeable = False
+            vectors = VectorTable(dict(zip(keys, range(len(keys)))), matrix)
+        self.sorted_keys = tuple(sorted(vectors.index))
         self.index = MappingProxyType({key: row for row, key in enumerate(self.sorted_keys)})
-        self._matrix, self._rows = _matrix_rows([vectors[key] for key in self.sorted_keys])
+        self._matrix = vectors.matrix
+        self._rows = np.array([vectors.index[key] for key in self.sorted_keys], dtype=np.intp)
 
     @classmethod
     def of(cls, space) -> VectorSpace:
-        """``space`` itself, a vocabulary's ``as_space()``, or a snapshot of a mapping."""
-        if isinstance(space, VectorSpace):
-            return space
-        if hasattr(space, "as_space"):
-            return space.as_space()
-        return cls(space)
+        """``space`` itself if it is a `VectorSpace`, else a snapshot of the mapping."""
+        return space if isinstance(space, VectorSpace) else cls(space)
 
     def __getitem__(self, key: str) -> np.ndarray:
         return self._matrix[self._rows[self.index[key]]]
@@ -176,41 +201,6 @@ class VectorSpace(Mapping[str, np.ndarray]):
             block = range(start, min(start + BLOCK_ROWS, len(self)))
             unit[start : start + BLOCK_ROWS] = self.unit_rows(block)
         return unit
-
-
-def _matrix_rows(vectors: list) -> tuple[np.ndarray, np.ndarray]:
-    """A read-only float64 matrix holding ``vectors``, and the row of each in it.
-
-    That is the matrix every vector is a row view of, when there is one, read-only,
-    float64 and C-contiguous; otherwise a new matrix of the vectors stacked in order.
-    """
-    base = getattr(vectors[0], "base", None) if vectors else None
-    if (
-        isinstance(base, np.ndarray)
-        and base.ndim == 2
-        and base.dtype == np.float64
-        and base.flags.c_contiguous
-        and not base.flags.writeable
-    ):
-        start, step = base.ctypes.data, base.strides[0]
-        rows = []
-        for vec in vectors:
-            if not (
-                isinstance(vec, np.ndarray)
-                and vec.base is base
-                and vec.shape == base.shape[1:]
-                and vec.strides == base.strides[1:]
-            ):
-                break
-            row, misaligned = divmod(vec.ctypes.data - start, step)
-            if misaligned:
-                break
-            rows.append(row)
-        else:
-            return base, np.array(rows, dtype=np.intp)
-    matrix = np.stack(vectors, dtype=np.float64) if vectors else np.empty((0, 0))
-    matrix.flags.writeable = False
-    return matrix, np.arange(len(matrix))
 
 
 class FillerTable(VectorSpace):
@@ -279,15 +269,17 @@ class Codebook:
 
     @cached_property
     def pos_table(self) -> FillerTable:
-        named = self.all_vectors()
-        fillers = {tag: named[f"pos:{tag}"] for tag in self.pos_tags}
-        return FillerTable(self.slot_labels[SLOT_POS], fillers)
+        return self._filler_table(SLOT_POS, self.pos_tags)
 
     @cached_property
     def ner_table(self) -> FillerTable:
-        named = self.all_vectors()
-        fillers = {typ: named[f"ner:{typ}"] for typ in self.ner_types}
-        return FillerTable(self.slot_labels[SLOT_NER], fillers)
+        return self._filler_table(SLOT_NER, self.ner_types)
+
+    def _filler_table(self, slot: str, tags: tuple[str, ...]) -> FillerTable:
+        """The fillers of ``tags`` as a table over the codebook's own rows, not a copy."""
+        rows = {name: row for row, name in enumerate(_layout(self.pos_tags, self.ner_types))}
+        fillers = VectorTable({tag: rows[f"{slot}:{tag}"] for tag in tags}, self.vectors)
+        return FillerTable(self.slot_labels[slot], fillers)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Codebook):

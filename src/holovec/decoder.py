@@ -109,21 +109,17 @@ def decode_vocabulary(vectors: _Rows, m: _Counts | None, cb: Codebook) -> list[D
 def decode_and_score(
     vocab: CompressedVocabulary, cb: Codebook
 ) -> tuple[list[DecodedToken], tuple[int, int, int, int]]:
-    """Decode every entry with its own m, and score it against its own tags.
+    """Decode every key with its own m, and score it against its own tags.
 
-    Returns the decoded entries in vocabulary order, and the hit counts
-    (POS hits, entries, NER hits, m=4 entries): POS is scored on every
-    entry, NER only where one was bound.
+    Returns the decoded keys in vocabulary order, and the hit counts
+    (POS hits, keys, NER hits, m=4 keys): POS is scored on every key, NER
+    only where one was bound.
     """
-    entries = list(vocab.entries.values())
-    decoded = decode_vocabulary(
-        [e.vector for e in entries], [e.component_count for e in entries], cb
-    )
-    pairs = list(zip(entries, decoded))
-    tagged = [(e, d) for e, d in pairs if e.component_count == 4]
-    pos_ok = sum(d.pos_tag == e.pos_tag for e, d in pairs)
-    ner_ok = sum(d.ner_type == e.ner_type for e, d in tagged)
-    return decoded, (pos_ok, len(pairs), ner_ok, len(tagged))
+    decoded = decode_vocabulary(vocab.vectors, vocab.component_counts, cb)
+    pos_ok = sum(d.pos_tag == tag for d, tag in zip(decoded, vocab.pos_tags))
+    tagged = [(d, ner) for d, ner in zip(decoded, vocab.ner_types) if ner is not None]
+    ner_ok = sum(d.ner_type == ner for d, ner in tagged)
+    return decoded, (pos_ok, len(decoded), ner_ok, len(tagged))
 
 
 def decode_token_identity(

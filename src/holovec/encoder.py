@@ -10,11 +10,15 @@ Binding is linear, so a block of tokens is encoded at once: the token
 fillers of the block are bound to the token slot in one batched transform,
 and the POS and NER terms are gathered from the codebook's precomputed
 bound terms.
+
+A vocabulary is held as columns, with no object per key: a tuple of keys,
+one read-only matrix with a row per key, and a tuple per sidecar field. The
+vector file is read into one matrix too, which a `VectorTable` maps by key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import hrr
 from ._fileio import atomic_write_lines, read_document, read_lines, write_document
-from .codebook import BLOCK_ROWS, SLOT_TOKEN, Codebook, VectorSpace
+from .codebook import BLOCK_ROWS, SLOT_TOKEN, Codebook, VectorSpace, VectorTable
 from .errors import (
     DimensionMismatchError,
     IntegrityError,
@@ -37,7 +41,6 @@ __all__ = [
     "FILLER_EXACT",
     "FILLER_LOWERCASED",
     "FILLER_UNKNOWN",
-    "VocabEntry",
     "build_vocabulary",
     "composite_key",
     "load_vocabulary",
@@ -65,6 +68,8 @@ _STATS_FIELDS = dict.fromkeys(
     ("input_tokens", "distinct_word_types", "distinct_keys", "unknown_filler_entries"), (int,)
 )
 _TYPE_NAMES = {int: "an integer", str: "a string", type(None): "null"}
+# a vocabulary's columns: one item per key, in the keys' order
+_COLUMNS = ("keys", "word_types", "pos_tags", "ner_types", "filler_sources")
 
 
 def _key_fault(key: str) -> str | None:
@@ -100,20 +105,6 @@ class AnnotatedToken:
             raise ValueError(f"token {self.surface!r} has an empty NER type")
 
 
-@dataclass(frozen=True)
-class VocabEntry:
-    vector: np.ndarray
-    filler_source: str
-    word_type: str
-    pos_tag: str
-    ner_type: str | None
-
-    @property
-    def component_count(self) -> int:
-        """m, the summands averaged into the vector: frame, token and POS, plus NER when set."""
-        return 3 if self.ner_type is None else 4
-
-
 @dataclass
 class BuildStats:
     input_tokens: int = 0
@@ -128,31 +119,64 @@ class BuildStats:
         return self.distinct_keys / self.distinct_word_types
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CompressedVocabulary:
-    """Entries by composite key; ``stats`` is computed from them and ``input_tokens``."""
+    """Columns, item i of each for key i: ``vectors`` row i, and the sidecar fields.
 
-    dimension: int
-    entries: dict[str, VocabEntry] = field(default_factory=dict)
+    The columns are stored as tuples and ``vectors`` as a read-only float64
+    matrix, a copy of one that can still be written. `ValueError` is raised
+    unless every column has one item per row and the keys are distinct.
+    """
+
+    keys: tuple[str, ...]
+    vectors: np.ndarray
+    word_types: tuple[str, ...]
+    pos_tags: tuple[str, ...]
+    ner_types: tuple[str | None, ...]
+    filler_sources: tuple[str, ...]
     input_tokens: int = 0
 
+    def __post_init__(self) -> None:
+        vectors = np.asarray(self.vectors, dtype=np.float64)
+        if vectors.flags.writeable:
+            vectors = vectors.copy()
+            vectors.flags.writeable = False
+        if vectors.ndim != 2:
+            raise ValueError(f"vectors must be a matrix, got shape {vectors.shape}")
+        columns = {name: tuple(getattr(self, name)) for name in _COLUMNS}
+        for name, column in columns.items():
+            if len(column) != len(vectors):
+                raise ValueError(f"{len(vectors)} vectors but {len(column)} {name}")
+        if len(set(columns["keys"])) != len(vectors):
+            raise ValueError("keys must be distinct")
+        for name, value in {**columns, "vectors": vectors}.items():  # the dataclass is frozen
+            object.__setattr__(self, name, value)
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.keys)
+
+    @property
+    def dimension(self) -> int:
+        return self.vectors.shape[1]
+
+    @property
+    def component_counts(self) -> np.ndarray:
+        """m per key, from its NER type: 3 summands (frame, token, POS) without one, 4 with."""
+        return np.array([3 if ner is None else 4 for ner in self.ner_types])
 
     @property
     def stats(self) -> BuildStats:
-        return BuildStats(input_tokens=self.input_tokens, **_entry_counts(self.entries))
+        unknown = self.filler_sources.count(FILLER_UNKNOWN)
+        return BuildStats(self.input_tokens, len(set(self.word_types)), len(self.keys), unknown)
 
     def as_space(self) -> VectorSpace:
-        """Snapshot of the key -> vector map for similarity scans.
+        """Snapshot of the key -> vector map for similarity scans, over this matrix.
 
         Each call builds a new `VectorSpace`; build it once and reuse it
         across queries, so the space is sorted, and its norms and screen
-        computed, only once. The vectors of a vocabulary that `build_vocabulary`
-        or `load_vocabulary` made are rows of one read-only matrix, which the
-        space shares rather than copies.
+        computed, only once.
         """
-        return VectorSpace({key: entry.vector for key, entry in self.entries.items()})
+        return VectorSpace(VectorTable(dict(zip(self.keys, range(len(self.keys)))), self.vectors))
 
 
 def composite_key(token: AnnotatedToken) -> str:
@@ -216,13 +240,13 @@ def build_vocabulary(
     table: Mapping[str, np.ndarray],
     cb: Codebook,
 ) -> CompressedVocabulary:
-    """One entry per distinct composite key; the first occurrence wins.
+    """One key per distinct composite key; the first occurrence wins.
 
     Vectors are computed once per key, in blocks of `BLOCK_ROWS` keys, so
     the result is independent of stream order beyond which occurrence is
     first. They are written into one read-only float64 matrix, one row per
-    key in first-occurrence order, and each entry's vector is a view of its
-    row. Every table vector bound must have the codebook's dimension.
+    key in first-occurrence order, and the first occurrence gives each key's
+    column items. Every table vector bound must have the codebook's dimension.
     """
 
     firsts: dict[str, tuple[AnnotatedToken, tuple[int, int | None]]] = {}
@@ -234,31 +258,22 @@ def build_vocabulary(
         if key not in firsts:
             firsts[key] = (token, tag_rows)
 
-    items = list(firsts.items())
-    matrix = np.empty((len(items), cb.dimension))
+    matrix = np.empty((len(firsts), cb.dimension))
     sources: list[str] = []
-    for start in range(0, len(items), BLOCK_ROWS):
-        block = items[start : start + BLOCK_ROWS]
-        found = [lookup_filler(token.surface, table, cb) for _, (token, _) in block]
+    picked = list(firsts.values())  # each key's first token and its tag rows
+    for start in range(0, len(picked), BLOCK_ROWS):
+        block = picked[start : start + BLOCK_ROWS]
+        found = [lookup_filler(token.surface, table, cb) for token, _ in block]
         matrix[start : start + len(block)] = _bind_rows(
-            np.stack([filler for filler, _ in found]), [rows for _, (_, rows) in block], cb
+            np.stack([filler for filler, _ in found]), [rows for _, rows in block], cb
         )
         sources += [source for _, source in found]
-    matrix.flags.writeable = False  # before the row views are taken, so they are read-only too
-    entries = {
-        key: VocabEntry(vector, source, token.surface.lower(), token.pos_tag, token.ner_type)
-        for (key, (token, _)), source, vector in zip(items, sources, matrix)
-    }
-    return CompressedVocabulary(cb.dimension, entries, input_tokens=total)
-
-
-def _entry_counts(entries: dict[str, VocabEntry]) -> dict[str, int]:
-    """The build stats that follow from the entries: all of them but ``input_tokens``."""
-    return {
-        "distinct_word_types": len({e.word_type for e in entries.values()}),
-        "distinct_keys": len(entries),
-        "unknown_filler_entries": sum(e.filler_source == FILLER_UNKNOWN for e in entries.values()),
-    }
+    matrix.flags.writeable = False
+    word_types = tuple(token.surface.lower() for token, _ in picked)
+    pos_tags = tuple(token.pos_tag for token, _ in picked)
+    ner_types = tuple(token.ner_type for token, _ in picked)
+    columns = (word_types, pos_tags, ner_types, tuple(sources))
+    return CompressedVocabulary(tuple(firsts), matrix, *columns, input_tokens=total)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +289,7 @@ def _is_number(field: str) -> bool:
     return True
 
 
-def read_vectors(path: str | Path) -> dict[str, np.ndarray]:
+def read_vectors(path: str | Path) -> VectorTable:
     """Read a text vector file: ``key v1 v2 ... vn`` per line, single spaces.
 
     Spaces that end a line are dropped first, as the word2vec C tool and
@@ -292,14 +307,14 @@ def read_vectors(path: str | Path) -> dict[str, np.ndarray]:
     dimension: whatever uses the vectors checks theirs.
 
     The values are stored once, in one read-only float64 matrix with a row
-    per record in file order, and the table maps each key to a view of its
+    per record in file order. The table is a read-only `VectorTable` over
+    the keys, in file order, and that matrix: a key's value is a view of its
     row. The matrix is sized from the header, or else estimated from the
-    file's size, and grown in place if the estimate falls short; the row
-    views are taken only after its last resize.
+    file's size, and grown in place if the estimate falls short.
     """
     path = Path(path)
     dimension = declared = None
-    entries: dict[str, np.ndarray | None] = {}  # the rows are filled in once the matrix is final
+    rows: dict[str, int] = {}
     matrix = None
     for lineno, line in read_lines(path):
         line = line.rstrip(" ")
@@ -329,23 +344,20 @@ def read_vectors(path: str | Path) -> dict[str, np.ndarray]:
             raise ParseError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
         if not np.all(np.isfinite(vec)):
             raise ParseError(f"{path}:{lineno}: non-finite value")
-        if key in entries:
+        if key in rows:
             raise IntegrityError(f"{path}:{lineno}: duplicate key {key!r}")
         if matrix is None:
             matrix = np.empty((_expected_records(path, len(line), declared, dimension), dimension))
-        if len(entries) == len(matrix):
+        if len(rows) == len(matrix):
             matrix.resize((len(matrix) * 5 // 4 + 16, dimension), refcheck=False)
-        matrix[len(entries)] = vec
-        entries[key] = None
-    if declared is not None and declared != len(entries):
-        raise ParseError(f"{path}: header declares {declared} records, file has {len(entries)}")
-    if matrix is None:
-        return {}
-    matrix.resize((len(entries), dimension), refcheck=False)
-    matrix.flags.writeable = False  # before the row views are taken, so they are read-only too
-    for key, row in zip(entries, matrix):
-        entries[key] = row
-    return entries
+        matrix[len(rows)] = vec
+        rows[key] = len(rows)
+    if declared is not None and declared != len(rows):
+        raise ParseError(f"{path}: header declares {declared} records, file has {len(rows)}")
+    matrix = np.empty((0, dimension or 0)) if matrix is None else matrix  # None: no records
+    matrix.resize((len(rows), matrix.shape[1]), refcheck=False)
+    matrix.flags.writeable = False
+    return VectorTable(rows, matrix)
 
 
 def _expected_records(path: Path, first_record: int, declared: int | None, dimension: int) -> int:
@@ -396,23 +408,20 @@ def read_annotations(path: str | Path) -> list[AnnotatedToken]:
 
 
 def write_vocabulary(path: str | Path, vocab: CompressedVocabulary) -> None:
-    """Write the text vector format, one record per entry in build order, each value the
+    """Write the text vector format, one record per key in build order, each value the
     shortest decimal that reads back as its float.
 
-    A key the format cannot hold, or a vector whose shape is not
-    ``(vocab.dimension,)`` or that holds a NaN or an infinity, raises
-    `IntegrityError` when its record comes up, and no file lands.
+    A key the format cannot hold, or a vector that holds a NaN or an
+    infinity, raises `IntegrityError` when its record comes up, and no file
+    lands.
     """
 
     def records() -> Iterator[str]:
-        for key, entry in vocab.entries.items():
-            vec, where = entry.vector, f"{path}: entry {key!r}"
+        for key, vec in zip(vocab.keys, vocab.vectors):
+            where = f"{path}: entry {key!r}"
             fault = _key_fault(key)
             if fault:
                 raise IntegrityError(f"{where}: key {fault}")
-            shape, expected = np.shape(vec), (vocab.dimension,)
-            if shape != expected:
-                raise IntegrityError(f"{where}: vector has shape {shape}, expected {expected}")
             if not np.isfinite(vec).all():
                 raise IntegrityError(f"{where}: vector holds a NaN or an infinity")
             yield f"{key} {' '.join(map(repr, vec.tolist()))}\n"
@@ -423,24 +432,15 @@ def write_vocabulary(path: str | Path, vocab: CompressedVocabulary) -> None:
 def write_sidecar(path: str | Path, vocab: CompressedVocabulary) -> None:
     """Write the vocabulary metadata document (per-key facts plus build stats); an entry
     `load_vocabulary` would reject raises its `IntegrityError` before any file is written."""
-    records = {
-        key: {name: getattr(e, name) for name in _ENTRY_FIELDS}
-        for key, e in vocab.entries.items()
-    }
+    counts = vocab.component_counts.tolist()
+    columns = (counts, vocab.filler_sources, vocab.word_types, vocab.pos_tags, vocab.ner_types)
+    records = {key: dict(zip(_ENTRY_FIELDS, row)) for key, *row in zip(vocab.keys, *columns)}
     for key, record in records.items():
         _check_entry(key, record, f"{path}: entry {key!r}")
     st = vocab.stats
-    body = {
-        "dimension": vocab.dimension,
-        "stats": {
-            "input_tokens": st.input_tokens,
-            "distinct_word_types": st.distinct_word_types,
-            "distinct_keys": st.distinct_keys,
-            "growth_ratio": st.growth_ratio,
-            "unknown_filler_entries": st.unknown_filler_entries,
-        },
-        "entries": records,
-    }
+    names = "input_tokens distinct_word_types distinct_keys growth_ratio unknown_filler_entries"
+    stats = {name: getattr(st, name) for name in names.split()}
+    body = {"dimension": vocab.dimension, "stats": stats, "entries": records}
     write_document(path, _SIDECAR_FORMAT, body)
 
 
@@ -494,30 +494,24 @@ def load_vocabulary(
     for key, entry in meta.items():
         _check_entry(key, entry, f"{sidecar_path}: entry {key!r}")
 
-    vectors = read_vectors(vectors_path)
-    first = next(iter(vectors.values()), None)  # every row has the same length
-    if first is not None and len(first) != declared:
-        raise IntegrityError(
-            f"{sidecar_path}: declares dimension {declared}, vector file has {len(first)}"
-        )
-    missing = set(vectors) - set(meta)
+    table = read_vectors(vectors_path)
+    if table and table.matrix.shape[1] != declared:
+        mismatch = f"declares dimension {declared}, vector file has {table.matrix.shape[1]}"
+        raise IntegrityError(f"{sidecar_path}: {mismatch}")
+    missing = table.index.keys() - meta.keys()
     if missing:
-        raise IntegrityError(
-            f"{sidecar_path}: no metadata for key {sorted(missing)[0]!r}"
-        )
-    extra = set(meta) - set(vectors)
+        raise IntegrityError(f"{sidecar_path}: no metadata for key {sorted(missing)[0]!r}")
+    extra = meta.keys() - table.index.keys()
     if extra:
-        raise IntegrityError(
-            f"{sidecar_path}: metadata for absent key {sorted(extra)[0]!r}"
-        )
-    # component_count was checked against ner_type, from which the entry derives it
-    entries = {
-        key: VocabEntry(vec, **{n: meta[key][n] for n in _ENTRY_FIELDS if n != "component_count"})
-        for key, vec in vectors.items()
-    }
-    for name, count in _entry_counts(entries).items():
+        raise IntegrityError(f"{sidecar_path}: metadata for absent key {sorted(extra)[0]!r}")
+    # the columns in file order; component_count, checked against ner_type, is derived
+    keys, vectors = tuple(table), table.matrix if table else np.empty((0, declared))
+    fields = ("word_type", "pos_tag", "ner_type", "filler_source")
+    columns = (tuple(meta[key][name] for key in keys) for name in fields)
+    vocab = CompressedVocabulary(keys, vectors, *columns, input_tokens=st["input_tokens"])
+    for name, count in vars(vocab.stats).items():  # input_tokens is the sidecar's own
         if st[name] != count:
             raise IntegrityError(
                 f"{sidecar_path}: stats: {name} is {st[name]}, entries give {count}"
             )
-    return CompressedVocabulary(declared, entries, input_tokens=st["input_tokens"])
+    return vocab

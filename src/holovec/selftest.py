@@ -146,8 +146,8 @@ def run_self_test(
     # orthogonality of the compressed space is a property of embedding-scale
     # filler norms; rebuild the same corpus over norm-5 fillers to measure it
     scaled = {w: 5.0 * v for w, v in table.items()}
-    scaled_vocab = build_vocabulary(corpus, scaled, cb)
-    report = sample_orthogonality(scaled_vocab, sample_size=len(scaled_vocab) // 2, seed=seed)
+    scaled_space = build_vocabulary(corpus, scaled, cb).as_space()
+    report = sample_orthogonality(scaled_space, sample_size=len(scaled_space) // 2, seed=seed)
     results.append(
         CheckResult(
             "compressed-vocabulary orthogonality",

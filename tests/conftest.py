@@ -62,8 +62,9 @@ def unbind_slot(compressed, slot_label, m, frame_label) -> np.ndarray:
 
 def compress_token(token, table, cb) -> tuple[np.ndarray, int]:
     """One token as (vector, component count m): a one-token `build_vocabulary`."""
-    entry = build_vocabulary([token], table, cb).entries[composite_key(token)]
-    return entry.vector, entry.component_count
+    vocab = build_vocabulary([token], table, cb)
+    assert vocab.keys == (composite_key(token),)
+    return vocab.vectors[0], int(vocab.component_counts[0])
 
 
 def decode_attributes(compressed, m, cb):

@@ -193,7 +193,7 @@ def test_criterion_5_orthogonality_methodology(default_codebook):
     )
     vocab = build_vocabulary(corpus, table, cb)
     assert len(vocab) >= 10_000  # enough keys for an unclamped 5000-pair sample
-    report = sample_orthogonality(vocab, sample_size=5000, threshold=0.25, seed=5002)
+    report = sample_orthogonality(vocab.as_space(), sample_size=5000, threshold=0.25, seed=5002)
     original = sample_orthogonality(
         table, sample_size=2500, threshold=0.25, seed=5002
     )
@@ -278,11 +278,11 @@ def test_criterion_7_vocabulary_growth_mechanics(default_codebook):
     start = time.perf_counter()
     cb = default_codebook
     vocab = build_vocabulary(FISH_ANNOTATIONS, fish_table(300), cb)
-    fish_ok = set(vocab.entries) == {"fishVB", "fishNN", "fishNNPPERSON"}
+    fish_ok = set(vocab.keys) == {"fishVB", "fishNN", "fishNNPPERSON"}
 
     m_ok = all(
-        (entry.component_count == 4) == (entry.ner_type is not None)
-        for entry in vocab.entries.values()
+        (m == 4) == (ner_type is not None)
+        for m, ner_type in zip(vocab.component_counts, vocab.ner_types)
     )
     growth_ok = vocab.stats.distinct_keys >= vocab.stats.distinct_word_types
     for seed in (70, 71, 72):
@@ -292,8 +292,8 @@ def test_criterion_7_vocabulary_growth_mechanics(default_codebook):
         sweep = build_vocabulary(corpus, {}, cb)
         growth_ok &= sweep.stats.distinct_keys >= sweep.stats.distinct_word_types
         m_ok &= all(
-            (e.component_count == 4) == (e.ner_type is not None)
-            for e in sweep.entries.values()
+            (m == 4) == (ner_type is not None)
+            for m, ner_type in zip(sweep.component_counts, sweep.ner_types)
         )
     elapsed = time.perf_counter() - start
     ok = fish_ok and m_ok and growth_ok and elapsed < 1.0

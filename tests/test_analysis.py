@@ -29,10 +29,9 @@ from holovec.analysis import (
     pairwise_cosine_stats,
     sample_orthogonality,
 )
-from holovec.codebook import VectorSpace, build_codebook
+from holovec.codebook import VectorSpace, VectorTable, build_codebook
 from holovec.encoder import (
     CompressedVocabulary,
-    VocabEntry,
     build_vocabulary,
     read_vectors,
 )
@@ -160,7 +159,7 @@ class TestVectorSpace:
     def test_is_a_sorted_read_only_mapping_of_references(self):
         matrix = np.array([[0.0, 2.0], [3.0, 4.0]])
         matrix.flags.writeable = False
-        vectors = {"b": matrix[0], "a": matrix[1]}
+        vectors = VectorTable({"b": 0, "a": 1}, matrix)
         space = VectorSpace(vectors)
         assert list(space) == ["a", "b"] and len(space) == 2
         assert np.shares_memory(space["a"], vectors["a"])
@@ -180,18 +179,28 @@ class TestVectorSpace:
     def test_holds_the_matrix_its_vectors_are_rows_of(self):
         matrix = np.arange(1.0, 13.0).reshape(4, 3).copy()
         matrix.flags.writeable = False
-        subset = {"d": matrix[3], "a": matrix[0], "c": matrix[2]}
+        subset = VectorTable({"d": 3, "a": 0, "c": 2}, matrix)
+        assert subset.matrix is matrix and list(subset) == ["d", "a", "c"]
         space = VectorSpace(subset)
         for key, vec in subset.items():
             assert np.shares_memory(space[key], matrix)
             assert space[key].tobytes() == vec.tobytes()
         assert not space["a"].flags.writeable
+        # a table holds its matrix as it is given, so it takes only a read-only float64 one
+        float32 = matrix.astype(np.float32)
+        float32.flags.writeable = False
+        for other in (matrix.copy(), float32):
+            with pytest.raises(ValueError, match="must be read-only float64"):
+                VectorTable({"a": 0}, other)
 
     def test_stacks_any_other_mapping_once_into_a_read_only_copy(self):
         writable = np.arange(1.0, 7.0).reshape(2, 3)
+        read_only = writable.copy()
+        read_only.flags.writeable = False
         for vectors in (
             {"b": np.array([1.0, 2.0, 3.0]), "a": np.array([4.0, 5.0, 6.0])},
             {"b": writable[0], "a": writable[1]},  # a writable matrix may change
+            {"b": read_only[0], "a": read_only[1]},  # row views outside a VectorTable
             {"b": [1, 2, 3], "a": [4, 5, 6]},
         ):
             space = VectorSpace(vectors)
@@ -263,25 +272,21 @@ class TestVectorSpace:
     def test_vocabulary_as_space_is_a_snapshot(self):
         matrix = np.array([np.full(3, 1.0), np.full(3, 2.0)])
         matrix.flags.writeable = False
-        entries = {
-            key: VocabEntry(matrix[i], "exact", key, "NN", None)
-            for i, key in enumerate(["zNN", "aNN"])
-        }
-        vocab = CompressedVocabulary(dimension=3, entries=entries)
+        columns = (("z", "a"), ("NN", "NN"), (None, None), ("exact", "exact"))
+        vocab = CompressedVocabulary(("zNN", "aNN"), matrix, *columns)
+        assert vocab.vectors is matrix  # a read-only matrix is held, not copied
         space = vocab.as_space()
         assert isinstance(space, VectorSpace)
         assert list(space) == ["aNN", "zNN"]
-        assert np.shares_memory(space["zNN"], entries["zNN"].vector)
-        assert space["zNN"].tobytes() == entries["zNN"].vector.tobytes()
+        assert np.shares_memory(space["zNN"], matrix)
+        assert space["zNN"].tobytes() == matrix[0].tobytes()
         assert vocab.as_space() is not space
 
     def test_zero_norm_raises_in_the_analysis_not_in_as_space(self):
-        entries = {
-            key: VocabEntry(vec, "exact", key, "NN", None)
-            for key, vec in (("aNN", np.ones(3)), ("bNN", np.zeros(3)), ("cNN", np.arange(3.0)))
-        }
-        space = CompressedVocabulary(dimension=3, entries=entries).as_space()
-        plain = {key: e.vector for key, e in entries.items()}
+        keys, vectors = ("aNN", "bNN", "cNN"), np.array([np.ones(3), np.zeros(3), np.arange(3.0)])
+        columns = (("a", "b", "c"), ("NN",) * 3, (None,) * 3, ("exact",) * 3)
+        space = CompressedVocabulary(keys, vectors, *columns).as_space()
+        plain = dict(zip(keys, vectors))
         calls = [
             (lambda s: k_nearest(s, "aNN", k=1), "vector 'bNN' has zero norm"),
             (lambda s: k_nearest(s, "bNN", k=1), "vector 'bNN' has zero norm"),

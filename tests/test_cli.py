@@ -14,7 +14,7 @@ from conftest import (
 )
 from holovec import cli
 from holovec.cli import main
-from holovec.codebook import load_codebook
+from holovec.codebook import VectorSpace, load_codebook
 from holovec.decoder import decode_vocabulary
 
 
@@ -580,6 +580,47 @@ class TestAnalyze:
             labels = core["original_cosine_matrix"]["labels"]
             matrix = core["original_cosine_matrix"]["matrix"]
             assert len(labels) == len(matrix) == 11
+
+    def test_neighborhoods_compares_spaces_over_the_matrices_it_read(
+        self, pipeline_setup, capsys, monkeypatch
+    ):
+        tmp = pipeline_setup
+        read, load, classify = cli.read_vectors, cli.load_vocabulary, cli.classify_neighborhoods
+        matrices, spaces = [], []
+
+        def reading(path):
+            table = read(path)
+            matrices.append(table.matrix)
+            return table
+
+        def loading(*paths):
+            vocab = load(*paths)
+            matrices.append(vocab.vectors)
+            return vocab
+
+        def classifying(original, compressed, *args, **kwargs):
+            spaces.extend((original, compressed))
+            return classify(original, compressed, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_vectors", reading)
+        monkeypatch.setattr(cli, "load_vocabulary", loading)
+        monkeypatch.setattr(cli, "classify_neighborhoods", classifying)
+        inputs = [str(tmp / name) for name in ("emb.txt", "vocab.txt", "vocab.txt.meta.json")]
+        code, _, err = run(
+            capsys,
+            "analyze",
+            "neighborhoods",
+            *inputs,
+            "--cores",
+            str(tmp / "cores.txt"),
+            "--out",
+            str(tmp / "nbr.json"),
+        )
+        assert (code, err) == (0, "")
+        assert len(spaces) == len(matrices) == 2
+        for space, matrix in zip(spaces, matrices):  # the embeddings, then the vocabulary
+            assert isinstance(space, VectorSpace) and len(space) > 0
+            assert all(np.shares_memory(space[key], matrix) for key in space)
 
     def test_bom_prefixed_cores_file_reads_as_its_words(self, pipeline_setup, capsys):
         tmp = pipeline_setup

@@ -143,6 +143,30 @@ class TestPersistence:
         assert loaded.pos_tags == ("VB", "NN", "DT")
         assert loaded.ner_types == ("GPE", "ORG")
 
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path, small_codebook):
+        path = tmp_path / "cb.json"
+        save_codebook(small_codebook, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_codebook(path) == small_codebook
+
+    @pytest.mark.parametrize(
+        "before, after, member",
+        [
+            ('"seed":3,', '"seed":1,"seed":3,', "seed"),  # read as seed 3 before
+            ('"vectors":{', '"vectors":{"unknown":[0.5],', "unknown"),
+        ],
+        ids=["seed", "vector"],
+    )
+    def test_a_member_named_twice_is_refused(self, tmp_path, small_codebook, before, after, member):
+        path = tmp_path / "cb.json"
+        save_codebook(small_codebook, path)
+        text = path.read_text()
+        assert text.count(before) == 1
+        path.write_text(text.replace(before, after))
+        with pytest.raises(ParseError) as info:
+            load_codebook(path)
+        assert str(info.value) == f"{path}: duplicate member {member!r}"
+
     def test_tag_with_whitespace_is_integrity_error(self, tmp_path):
         cb = build_codebook(["NN", "VB"], ["ORG"], dimension=16, seed=7)
         path = tmp_path / "cb.json"

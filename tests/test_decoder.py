@@ -30,13 +30,15 @@ def _accuracy(dimension: int, seed: int, n_tokens: int = 300):
     corpus = synthetic_corpus(sorted(table), cb, n_tokens, rng)
     vocab = build_vocabulary(corpus, table, cb)
     pos_ok = ner_ok = ner_total = 0
-    for entry in vocab.entries.values():
-        decoded = decode_attributes(entry.vector, entry.component_count, cb)
-        pos_ok += int(decoded.pos_tag == entry.pos_tag)
-        if entry.component_count == 4:
+    for vector, m, pos_tag, ner_type in zip(
+        vocab.vectors, vocab.component_counts, vocab.pos_tags, vocab.ner_types
+    ):
+        decoded = decode_attributes(vector, m, cb)
+        pos_ok += int(decoded.pos_tag == pos_tag)
+        if m == 4:
             ner_total += 1
-            ner_ok += int(decoded.ner_type == entry.ner_type)
-    return pos_ok / len(vocab.entries), (ner_ok / ner_total if ner_total else None)
+            ner_ok += int(decoded.ner_type == ner_type)
+    return pos_ok / len(vocab), (ner_ok / ner_total if ner_total else None)
 
 
 class TestUnbindSlot:
@@ -240,25 +242,24 @@ class TestDecodeAndScore:
         corpus = synthetic_corpus(sorted(table), cb, 400, rng)
         vocab = build_vocabulary(corpus, table, cb)
         decoded, hits = decode_and_score(vocab, cb)
-        entries = list(vocab.entries.values())
-        assert decoded == decode_vocabulary(
-            [e.vector for e in entries], [e.component_count for e in entries], cb
-        )
+        counts = vocab.component_counts
+        assert decoded == decode_vocabulary(list(vocab.vectors), counts.tolist(), cb)
         pos_ok = ner_ok = ner_total = 0
-        for entry, got in zip(entries, decoded):
-            pos_ok += got.pos_tag == entry.pos_tag
-            if entry.component_count == 4:
+        for got, m, pos_tag, ner_type in zip(decoded, counts, vocab.pos_tags, vocab.ner_types):
+            pos_ok += got.pos_tag == pos_tag
+            if m == 4:
                 ner_total += 1
-                ner_ok += got.ner_type == entry.ner_type
-        assert hits == (pos_ok, len(entries), ner_ok, ner_total)
-        assert 0 < pos_ok < len(entries) and 0 < ner_ok < ner_total  # misses are counted
+                ner_ok += got.ner_type == ner_type
+        assert hits == (pos_ok, len(vocab), ner_ok, ner_total)
+        assert 0 < pos_ok < len(vocab) and 0 < ner_ok < ner_total  # misses are counted
 
     def test_no_entity_entries_give_no_ner_total(self, small_codebook):
         tokens = [AnnotatedToken("a", "NN"), AnnotatedToken("b", "VB")]
         vocab = build_vocabulary(tokens, {}, small_codebook)
         _, hits = decode_and_score(vocab, small_codebook)
         assert hits[1:] == (2, 0, 0)
-        assert decode_and_score(CompressedVocabulary(16), small_codebook) == ([], (0, 0, 0, 0))
+        empty = CompressedVocabulary((), np.empty((0, 16)), (), (), (), ())
+        assert decode_and_score(empty, small_codebook) == ([], (0, 0, 0, 0))
 
 
 class TestDecodeTokenIdentity:

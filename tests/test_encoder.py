@@ -4,7 +4,7 @@ import contextlib
 import json
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 from types import MappingProxyType
 
@@ -24,9 +24,9 @@ from conftest import (
     vector_text,
     write_vector_file,
 )
-from holovec import hrr
+from holovec import encoder, hrr
 from holovec._fileio import atomic_writes
-from holovec.codebook import BLOCK_ROWS, VectorSpace, build_codebook
+from holovec.codebook import BLOCK_ROWS, VectorSpace, VectorTable, build_codebook
 from holovec.encoder import (
     FILLER_EXACT,
     FILLER_LOWERCASED,
@@ -34,7 +34,6 @@ from holovec.encoder import (
     AnnotatedToken,
     BuildStats,
     CompressedVocabulary,
-    VocabEntry,
     build_vocabulary,
     composite_key,
     load_vocabulary,
@@ -53,6 +52,15 @@ from holovec.errors import (
 
 
 DROP = object()  # a sidecar edit that deletes the field
+
+
+def code_vocabulary(rows, vectors) -> CompressedVocabulary:
+    """A vocabulary built in code: one (key, word type, POS tag, NER type) per row of
+    ``vectors``, every filler exact."""
+    keys, word_types, pos_tags, ner_types = zip(*rows)
+    return CompressedVocabulary(
+        keys, vectors, word_types, pos_tags, ner_types, (FILLER_EXACT,) * len(rows)
+    )
 
 
 class TestCompositeKey:
@@ -191,28 +199,34 @@ class TestBuildVocabulary:
             assert str(info.value) == "embedding dimension 8 differs from codebook dimension 16"
         # a vector that no token binds is not read
         vocab = build_vocabulary(tokens, {"known": np.ones(16), "other": np.ones(8)}, small_codebook)
-        assert [e.filler_source for e in vocab.entries.values()] == [FILLER_EXACT, FILLER_UNKNOWN]
+        assert vocab.filler_sources == (FILLER_EXACT, FILLER_UNKNOWN)
 
     def test_any_mapping_is_a_table(self, small_codebook):
         tokens = [AnnotatedToken("Known", "NN"), AnnotatedToken("mystery", "VB", "ORG")]
         table = {"known": np.arange(16.0)}
         built = build_vocabulary(tokens, table, small_codebook)
-        for other in (MappingProxyType(table), VectorSpace(table)):
+        read_only = np.arange(16.0)[None]
+        read_only.flags.writeable = False
+        for other in (
+            MappingProxyType(table),
+            VectorSpace(table),
+            VectorTable({"known": 0}, read_only),
+        ):
             vocab = build_vocabulary(tokens, other, small_codebook)
-            assert list(vocab.entries) == list(built.entries)
-            for key, entry in vocab.entries.items():
-                assert entry.vector.tobytes() == built.entries[key].vector.tobytes()
-                assert entry.filler_source == built.entries[key].filler_source
+            assert vocab.keys == built.keys
+            assert vocab.vectors.tobytes() == built.vectors.tobytes()
+            assert vocab.filler_sources == built.filler_sources
 
     def test_fish_fixture(self, default_codebook):
         vocab = build_vocabulary(FISH_ANNOTATIONS, fish_table(300), default_codebook)
-        assert set(vocab.entries) == {"fishVB", "fishNN", "fishNNPPERSON"}
+        assert set(vocab.keys) == {"fishVB", "fishNN", "fishNNPPERSON"}
         assert vocab.stats.input_tokens == 3
         assert vocab.stats.distinct_word_types == 1
         assert vocab.stats.distinct_keys == 3
         assert vocab.stats.growth_ratio == pytest.approx(3.0)
-        assert vocab.entries["fishNNPPERSON"].component_count == 4
-        assert vocab.entries["fishVB"].component_count == 3
+        counts = dict(zip(vocab.keys, vocab.component_counts.tolist()))
+        assert counts["fishNNPPERSON"] == 4
+        assert counts["fishVB"] == 3
 
     def test_empty_stream(self, small_codebook):
         vocab = build_vocabulary([], {}, small_codebook)
@@ -235,8 +249,8 @@ class TestBuildVocabulary:
             AnnotatedToken("a", "NNP", "PERSON"),
         ]
         vocab = build_vocabulary(tokens, table, small_codebook)
-        for key, entry in vocab.entries.items():
-            assert (entry.component_count == 4) == (entry.ner_type is not None), key
+        for key, m, ner_type in zip(vocab.keys, vocab.component_counts, vocab.ner_types):
+            assert (m == 4) == (ner_type is not None), key
 
     def test_unknown_tag_error_carries_line_number(self, small_codebook):
         tokens = [
@@ -251,7 +265,7 @@ class TestBuildVocabulary:
         tokens = [AnnotatedToken("known", "NN"), AnnotatedToken("mystery", "NN")]
         vocab = build_vocabulary(tokens, table, small_codebook)
         assert vocab.stats.unknown_filler_entries == 1
-        assert vocab.entries["mysteryNN"].filler_source == FILLER_UNKNOWN
+        assert vocab.filler_sources[vocab.keys.index("mysteryNN")] == FILLER_UNKNOWN
 
     def test_vectors_match_compress_token(self, small_codebook):
         table = {"a": np.ones(16), "b": np.arange(16, dtype=float)}
@@ -263,9 +277,9 @@ class TestBuildVocabulary:
         vocab = build_vocabulary(tokens, table, small_codebook)
         for token in tokens:
             vec, m = compress_token(token, table, small_codebook)
-            entry = vocab.entries[composite_key(token)]
-            np.testing.assert_array_equal(entry.vector, vec)
-            assert entry.component_count == m
+            row = vocab.keys.index(composite_key(token))
+            np.testing.assert_array_equal(vocab.vectors[row], vec)
+            assert vocab.component_counts[row] == m
 
     def test_growth_bounds(self, small_codebook):
         corpus = make_annotated_corpus(
@@ -291,7 +305,7 @@ class TestBuildVocabulary:
         tagged = [AnnotatedToken(f"w{i}", "NN", "ORG") for i in range(60)]
         for tokens, m in ((plain, 3), (tagged, 4)):
             vocab = build_vocabulary(tokens, table, default_codebook)
-            msn = float(np.mean([np.sum(e.vector**2) for e in vocab.entries.values()]))
+            msn = float(np.mean([np.sum(vector**2) for vector in vocab.vectors]))
             assert 0.8 / m <= msn <= 1.2 / m
 
 
@@ -333,7 +347,8 @@ class TestBatchedBuild:
         firsts = {}
         for token in tokens:
             firsts.setdefault(composite_key(token), token)
-        for key, entry in vocab.entries.items():
+        columns = (vocab.keys, vocab.vectors, vocab.component_counts, vocab.filler_sources)
+        for key, vector, m, filler_source in zip(*columns):
             token = firsts[key]
             filler, source = lookup_filler(token.surface, table, cb)
             terms = [
@@ -346,9 +361,9 @@ class TestBatchedBuild:
                 terms.append(hrr.circular_convolve(cb.slot_labels["ner"], ner_filler))
             expected = sum(terms) / len(terms)
             scale = max(float(np.max(np.abs(t))) for t in terms)
-            assert float(np.max(np.abs(entry.vector - expected))) <= 1e-12 * scale, key
-            assert entry.component_count == len(terms)
-            assert entry.filler_source == source
+            assert float(np.max(np.abs(vector - expected))) <= 1e-12 * scale, key
+            assert m == len(terms)
+            assert filler_source == source
             # the scalar formula, term by term in the same order: equal to the last bit
             fast = [cb.frame_label] + [
                 hrr.circular_convolve_fft(cb.slot_labels[slot], vec)
@@ -359,9 +374,9 @@ class TestBatchedBuild:
                 )
                 if vec is not None
             ]
-            np.testing.assert_array_equal(entry.vector, superpose(fast, len(fast)))
+            np.testing.assert_array_equal(vector, superpose(fast, len(fast)))
             vec, _ = compress_token(token, table, cb)
-            np.testing.assert_array_equal(entry.vector, vec)
+            np.testing.assert_array_equal(vector, vec)
 
 
 class TestVectorFiles:
@@ -635,7 +650,7 @@ class TestStreamedVocabularyWrite:
     def test_writes_the_bytes_of_the_whole_text_formatter(self, tmp_path, vocab):
         path = tmp_path / "vocab.txt"
         write_vocabulary(path, vocab)
-        vectors = {key: entry.vector for key, entry in vocab.entries.items()}
+        vectors = dict(zip(vocab.keys, vocab.vectors))
         assert path.read_bytes() == vector_text(vectors).encode("utf-8")
 
     def test_peak_memory_is_a_sliver_of_the_file(self, tmp_path, vocab):
@@ -702,15 +717,13 @@ class TestVocabularyPersistence:
         write_sidecar(meta_path, vocab)
         loaded = load_vocabulary(vec_path, meta_path)
         assert loaded.dimension == vocab.dimension
-        assert list(loaded.entries) == list(vocab.entries)
-        for key, entry in vocab.entries.items():
-            got = loaded.entries[key]
-            np.testing.assert_array_equal(got.vector, entry.vector)
-            assert got.component_count == entry.component_count
-            assert got.filler_source == entry.filler_source
-            assert got.word_type == entry.word_type
-            assert got.pos_tag == entry.pos_tag
-            assert got.ner_type == entry.ner_type
+        assert loaded.keys == vocab.keys
+        np.testing.assert_array_equal(loaded.vectors, vocab.vectors)
+        np.testing.assert_array_equal(loaded.component_counts, vocab.component_counts)
+        assert loaded.filler_sources == vocab.filler_sources
+        assert loaded.word_types == vocab.word_types
+        assert loaded.pos_tags == vocab.pos_tags
+        assert loaded.ner_types == vocab.ner_types
         assert loaded.stats.growth_ratio == pytest.approx(3.0)
 
     def test_a_loaded_space_keeps_its_keys_and_index_read_only(self, tmp_path, default_codebook):
@@ -725,6 +738,74 @@ class TestVocabularyPersistence:
                 space.sorted_keys[0] = "fishVB"
             assert space.index == {"fishNN": 0, "fishNNPPERSON": 1, "fishVB": 2}
             assert space.sorted_keys == ("fishNN", "fishNNPPERSON", "fishVB")
+
+    def test_a_loaded_vocabulary_and_both_spaces_hold_the_matrix_read_vectors_filled(
+        self, tmp_path, default_codebook, monkeypatch
+    ):
+        vocab = build_vocabulary(FISH_ANNOTATIONS, fish_table(300), default_codebook)
+        write_vocabulary(tmp_path / "vocab.txt", vocab)
+        write_sidecar(tmp_path / "vocab.meta.json", vocab)
+        tables = []
+
+        def reading(path):
+            tables.append(read_vectors(path))
+            return tables[-1]
+
+        monkeypatch.setattr(encoder, "read_vectors", reading)
+        loaded = load_vocabulary(tmp_path / "vocab.txt", tmp_path / "vocab.meta.json")
+        [table] = tables
+        assert loaded.vectors is table.matrix
+        for space in (loaded.as_space(), VectorSpace(table)):
+            for key in loaded.keys:
+                assert np.shares_memory(space[key], table.matrix)
+                assert space[key].tobytes() == table[key].tobytes()
+
+    def test_a_vocabulary_cannot_be_edited_into_files_load_vocabulary_rejects(
+        self, tmp_path, small_codebook
+    ):
+        tokens = [AnnotatedToken("fish", "NN"), AnnotatedToken("york", "NNP", "ORG")]
+        keys, vectors = ["fishNN", "yorkNNP"], np.ones((2, 16))
+        columns = (["fish", "york"], ["NN", "NNP"], [None, None], [FILLER_EXACT] * 2)
+        in_code = CompressedVocabulary(keys, vectors, *columns)
+        # lists and a writable matrix are copied: editing them later changes nothing
+        keys.append("birdNN")
+        vectors[0, 0] = np.nan
+        for vocab in (build_vocabulary(tokens, {}, small_codebook), in_code):
+            for name in ("keys", "word_types", "pos_tags", "ner_types", "filler_sources"):
+                assert type(getattr(vocab, name)) is tuple, name
+            assert not vocab.vectors.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                vocab.vectors[0, 0] = np.nan
+            with pytest.raises(FrozenInstanceError):
+                vocab.keys = ("birdNN",)
+        assert in_code.keys == ("fishNN", "yorkNNP")
+        assert np.isfinite(in_code.vectors).all()
+        write_vocabulary(tmp_path / "v.txt", in_code)
+        write_sidecar(tmp_path / "v.meta.json", in_code)
+        assert load_vocabulary(tmp_path / "v.txt", tmp_path / "v.meta.json").keys == in_code.keys
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"vectors": np.ones(16)}, "vectors must be a matrix, got shape (16,)"),
+            ({"vectors": np.ones((3, 16))}, "3 vectors but 2 keys"),
+            ({"pos_tags": ("NN",)}, "2 vectors but 1 pos_tags"),
+            ({"filler_sources": ()}, "2 vectors but 0 filler_sources"),
+            ({"keys": ("fishNN", "fishNN")}, "keys must be distinct"),
+        ],
+    )
+    def test_columns_that_do_not_line_up_raise_value_error(self, change, message):
+        columns = {
+            "keys": ("fishNN", "yorkNNP"),
+            "vectors": np.ones((2, 16)),
+            "word_types": ("fish", "york"),
+            "pos_tags": ("NN", "NNP"),
+            "ner_types": (None, None),
+            "filler_sources": (FILLER_EXACT, FILLER_EXACT),
+        }
+        with pytest.raises(ValueError) as info:
+            CompressedVocabulary(**{**columns, **change})
+        assert str(info.value) == message
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -744,7 +825,8 @@ class TestVocabularyPersistence:
     def test_whatever_build_vocabulary_accepts_round_trips(
         self, small_codebook, rows, seed, dropped
     ):
-        """Also after the entries are edited: ``dropped`` picks entries deleted before writing."""
+        """Also for a vocabulary built in code from some of its keys: ``dropped`` picks the
+        rows left out."""
         tokens = []
         for line, (surface, pos, ner, _) in enumerate(rows, 1):
             try:
@@ -754,38 +836,48 @@ class TestVocabularyPersistence:
         rng = np.random.default_rng(seed)
         embedded = {row[0] for row in rows if row[3]}
         table = {s: rng.normal(size=16) for s in sorted(embedded)}
-        vocab = build_vocabulary(tokens, table, small_codebook)
-        for i, key in enumerate(list(vocab.entries)):
-            if i in dropped:
-                del vocab.entries[key]
+        built = build_vocabulary(tokens, table, small_codebook)
+        kept = [row for row in range(len(built)) if row not in dropped]
+
+        def column(values: tuple) -> tuple:
+            return tuple(values[row] for row in kept)
+
+        vocab = CompressedVocabulary(
+            column(built.keys),
+            built.vectors[kept],
+            column(built.word_types),
+            column(built.pos_tags),
+            column(built.ner_types),
+            column(built.filler_sources),
+            built.input_tokens,
+        )
         with tempfile.TemporaryDirectory() as tmp:
             vec_path, meta_path = Path(tmp) / "vocab.txt", Path(tmp) / "vocab.meta.json"
             write_vocabulary(vec_path, vocab)
             write_sidecar(meta_path, vocab)
             loaded = load_vocabulary(vec_path, meta_path)
-        assert list(loaded.entries) == list(vocab.entries)
-        for key, entry in vocab.entries.items():
-            got = loaded.entries[key]
-            assert got.vector.tobytes() == entry.vector.tobytes()
-            assert replace(got, vector=None) == replace(entry, vector=None)
+        assert loaded.keys == vocab.keys
+        assert loaded.vectors.tobytes() == vocab.vectors.tobytes()
+        for name in ("word_types", "pos_tags", "ner_types", "filler_sources"):
+            assert getattr(loaded, name) == getattr(vocab, name), name
+        assert loaded.component_counts.tolist() == vocab.component_counts.tolist()
         assert loaded.stats == vocab.stats
         assert loaded.input_tokens == vocab.input_tokens == len(tokens)
 
     def test_an_entry_built_in_code_round_trips_with_its_derived_count(self, tmp_path):
-        entry = VocabEntry(np.ones(16), FILLER_EXACT, "york", "NNP", "GPE")
-        assert entry.component_count == 4
-        vocab = CompressedVocabulary(16, {"yorkNNPGPE": entry})
+        vocab = code_vocabulary([("yorkNNPGPE", "york", "NNP", "GPE")], np.ones((1, 16)))
+        assert vocab.component_counts.tolist() == [4]
         vec_path, meta_path = tmp_path / "v.txt", tmp_path / "v.txt.meta.json"
         write_vocabulary(vec_path, vocab)
         write_sidecar(meta_path, vocab)
         loaded = load_vocabulary(vec_path, meta_path)
-        assert loaded.entries["yorkNNPGPE"].component_count == 4
-        assert replace(loaded.entries["yorkNNPGPE"], vector=None) == replace(entry, vector=None)
+        assert loaded.component_counts.tolist() == [4]
+        for name in ("keys", "word_types", "pos_tags", "ner_types", "filler_sources"):
+            assert getattr(loaded, name) == getattr(vocab, name), name
         assert loaded.stats == vocab.stats == BuildStats(0, 1, 1, 0)
 
     def test_a_key_its_entry_does_not_spell_is_refused_before_any_file_lands(self, tmp_path):
-        entry = VocabEntry(np.ones(16), FILLER_EXACT, "york", "VB", None)
-        vocab = CompressedVocabulary(16, {"fishNN": entry})
+        vocab = code_vocabulary([("fishNN", "york", "VB", None)], np.ones((1, 16)))
         vec_path, meta_path = tmp_path / "v.txt", tmp_path / "v.txt.meta.json"
         with pytest.raises(IntegrityError) as info, atomic_writes():
             write_vocabulary(vec_path, vocab)
@@ -796,27 +888,19 @@ class TestVocabularyPersistence:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "vector, message",
-        [
-            (np.ones(3), "vector has shape (3,), expected (16,)"),
-            (np.ones((1, 16)), "vector has shape (1, 16), expected (16,)"),
-            (np.full(16, np.nan), "vector holds a NaN or an infinity"),
-            (np.append(np.ones(15), -np.inf), "vector holds a NaN or an infinity"),
-        ],
+        "vector",
+        [np.full(16, np.nan), np.append(np.ones(15), -np.inf)],
     )
     def test_a_vector_load_vocabulary_rejects_is_refused_before_any_file_lands(
-        self, tmp_path, vector, message
+        self, tmp_path, vector
     ):
-        entries = {
-            "yorkNNP": VocabEntry(np.ones(16), FILLER_EXACT, "york", "NNP", None),
-            "fishNN": VocabEntry(vector, FILLER_EXACT, "fish", "NN", None),
-        }
-        vocab = CompressedVocabulary(16, entries)
+        rows = [("yorkNNP", "york", "NNP", None), ("fishNN", "fish", "NN", None)]
+        vocab = code_vocabulary(rows, np.stack([np.ones(16), vector]))
         vec_path, meta_path = tmp_path / "v.txt", tmp_path / "v.txt.meta.json"
         with pytest.raises(IntegrityError) as info, atomic_writes():
             write_vocabulary(vec_path, vocab)
             write_sidecar(meta_path, vocab)
-        assert str(info.value) == f"{vec_path}: entry 'fishNN': {message}"
+        assert str(info.value) == f"{vec_path}: entry 'fishNN': vector holds a NaN or an infinity"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -830,13 +914,10 @@ class TestVocabularyPersistence:
         ],
     )
     def test_a_key_the_vector_format_cannot_hold_is_refused(self, tmp_path, key, fault):
-        entries = {
-            "fishNN": VocabEntry(np.ones(16), FILLER_EXACT, "fish", "NN", None),
-            key: VocabEntry(np.ones(16), FILLER_EXACT, key[:-3], "NNP", None),
-        }
+        rows = [("fishNN", "fish", "NN", None), (key, key[:-3], "NNP", None)]
         vec_path = tmp_path / "v.txt"
         with pytest.raises(IntegrityError) as info:
-            write_vocabulary(vec_path, CompressedVocabulary(16, entries))
+            write_vocabulary(vec_path, code_vocabulary(rows, np.ones((2, 16))))
         assert str(info.value) == f"{vec_path}: entry {key!r}: key {fault}"
         assert list(tmp_path.iterdir()) == []
 
@@ -844,13 +925,11 @@ class TestVocabularyPersistence:
     def test_a_refused_write_leaves_an_existing_file_byte_identical(self, tmp_path, block):
         # the bad record comes after a good one that differs from the file's, so a
         # write that failed mid-stream in place would change the file
-        old = VocabEntry(np.ones(16), FILLER_EXACT, "fish", "NN", None)
-        good = VocabEntry(np.ones(16) / 3, FILLER_EXACT, "fish", "NN", None)
-        bad = VocabEntry(np.full(16, np.nan), FILLER_EXACT, "york", "NNP", None)
+        fish, york = ("fishNN", "fish", "NN", None), ("yorkNNP", "york", "NNP", None)
         vec_path = tmp_path / "v.txt"
-        write_vocabulary(vec_path, CompressedVocabulary(16, {"fishNN": old}))
+        write_vocabulary(vec_path, code_vocabulary([fish], np.ones((1, 16))))
         before = vec_path.read_bytes()
-        vocab = CompressedVocabulary(16, {"fishNN": good, "yorkNNP": bad})
+        vocab = code_vocabulary([fish, york], np.stack([np.ones(16) / 3, np.full(16, np.nan)]))
         with pytest.raises(IntegrityError, match="'yorkNNP': vector holds a NaN"), block():
             write_vocabulary(vec_path, vocab)
         assert vec_path.read_bytes() == before
@@ -867,6 +946,23 @@ class TestVocabularyPersistence:
         meta_path.write_text(json.dumps(doc))
         with pytest.raises(IntegrityError, match="fishVB"):
             load_vocabulary(vec_path, meta_path)
+
+    def test_a_key_given_twice_in_the_sidecar_is_refused(self, tmp_path, small_codebook):
+        vocab = build_vocabulary([AnnotatedToken("york", "NN")], {}, small_codebook)
+        vec_path, meta_path = tmp_path / "vocab.txt", tmp_path / "vocab.meta.json"
+        write_vocabulary(vec_path, vocab)
+        write_sidecar(meta_path, vocab)
+        text = meta_path.read_text()
+        assert text.count('"filler_source":"unknown"') == 1
+        # an exact-filler record ahead of the one written, which the reader kept before
+        record = (
+            '"yorkNN":{"component_count":3,"filler_source":"exact",'
+            '"word_type":"york","pos_tag":"NN","ner_type":null},'
+        )
+        meta_path.write_text(text.replace('"entries":{', '"entries":{' + record, 1))
+        with pytest.raises(ParseError) as info:
+            load_vocabulary(vec_path, meta_path)
+        assert str(info.value) == f"{meta_path}: duplicate member 'yorkNN'"
 
     def test_sidecar_dimension_mismatch_is_integrity_error(self, tmp_path, default_codebook):
         vocab = build_vocabulary(FISH_ANNOTATIONS, fish_table(300), default_codebook)
@@ -968,7 +1064,7 @@ class TestVocabularyPersistence:
         write_sidecar(meta_path, vocab)
         assert vec_path.read_text() == ""
         loaded = load_vocabulary(vec_path, meta_path)
-        assert (loaded.dimension, loaded.entries, loaded.stats) == (16, {}, vocab.stats)
+        assert (loaded.dimension, loaded.keys, loaded.stats) == (16, (), vocab.stats)
 
     def test_empty_sidecar_still_checks_the_vector_file(self, tmp_path, small_codebook):
         vec_path, meta_path = tmp_path / "vocab.txt", tmp_path / "vocab.meta.json"

@@ -39,13 +39,20 @@ def _sidecar(path, cb):
     write_sidecar(path, vocab)
     entries = {
         key: {
-            "component_count": e.component_count,
-            "filler_source": e.filler_source,
-            "word_type": e.word_type,
-            "pos_tag": e.pos_tag,
-            "ner_type": e.ner_type,
+            "component_count": m,
+            "filler_source": source,
+            "word_type": word_type,
+            "pos_tag": pos_tag,
+            "ner_type": ner_type,
         }
-        for key, e in vocab.entries.items()
+        for key, m, source, word_type, pos_tag, ner_type in zip(
+            vocab.keys,
+            vocab.component_counts.tolist(),
+            vocab.filler_sources,
+            vocab.word_types,
+            vocab.pos_tags,
+            vocab.ner_types,
+        )
     }
     stats = {
         "input_tokens": 3,
@@ -124,6 +131,29 @@ def test_a_bad_document_is_one_line_naming_the_path(tmp_path, text, message):
         read_document(path, "holovec-test", ("a",))
     assert str(info.value).startswith(f"{path}: {message}")
     assert "\n" not in str(info.value)
+
+
+def test_a_leading_byte_order_mark_is_skipped(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text("\ufeff" + json.dumps(ENVELOPE), encoding="utf-8")
+    assert read_document(path, "holovec-test", ("a",)) == ENVELOPE
+
+
+@pytest.mark.parametrize(
+    "text, member",
+    [
+        ('{"format": "holovec-test", "format_version": 1, "a": 1, "a": 2}', "a"),
+        ('{"format": "holovec-test", "format_version": 1, "a": {"b": 1, "c": 2, "b": 1}}', "b"),
+        ('{"format": "holovec-test", "format": "holovec-test", "format_version": 1}', "format"),
+    ],
+    ids=["top-level", "nested", "envelope"],
+)
+def test_a_member_named_twice_is_one_line_naming_the_path_and_the_name(tmp_path, text, member):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(ParseError) as info:
+        read_document(path, "holovec-test", ("a",))
+    assert str(info.value) == f"{path}: duplicate member {member!r}"
 
 
 def test_undecodable_bytes_are_a_parse_error(tmp_path):
