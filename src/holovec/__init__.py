@@ -30,7 +30,6 @@ from .codebook import (
 )
 from .decoder import (
     DecodedToken,
-    decode_token_identity,
     decode_vocabulary,
 )
 from .encoder import (
@@ -84,7 +83,6 @@ __all__ = [
     "circular_correlate_fft",
     "classify_neighborhoods",
     "composite_key",
-    "decode_token_identity",
     "decode_vocabulary",
     "default_ner_types",
     "default_pos_tags",

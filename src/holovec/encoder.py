@@ -54,6 +54,7 @@ __all__ = [
 FILLER_EXACT = "exact"
 FILLER_LOWERCASED = "lowercased"
 FILLER_UNKNOWN = "unknown"
+_FILLER_SOURCES = (FILLER_EXACT, FILLER_LOWERCASED, FILLER_UNKNOWN)
 
 _SIDECAR_FORMAT = "holovec-vocabulary-meta"
 # the JSON types each sidecar record field may take
@@ -70,6 +71,8 @@ _STATS_FIELDS = dict.fromkeys(
 _TYPE_NAMES = {int: "an integer", str: "a string", type(None): "null"}
 # a vocabulary's columns: one item per key, in the keys' order
 _COLUMNS = ("keys", "word_types", "pos_tags", "ner_types", "filler_sources")
+# the sidecar record fields that are columns, in the columns' order
+_COLUMN_FIELDS = ("word_type", "pos_tag", "ner_type", "filler_source")
 
 
 def _key_fault(key: str) -> str | None:
@@ -246,7 +249,8 @@ def build_vocabulary(
     the result is independent of stream order beyond which occurrence is
     first. They are written into one read-only float64 matrix, one row per
     key in first-occurrence order, and the first occurrence gives each key's
-    column items. Every table vector bound must have the codebook's dimension.
+    column items, each distinct value one string object: the codebook's own for
+    the tags. Every table vector bound must have the codebook's dimension.
     """
 
     firsts: dict[str, tuple[AnnotatedToken, tuple[int, int | None]]] = {}
@@ -269,9 +273,12 @@ def build_vocabulary(
         )
         sources += [source for _, source in found]
     matrix.flags.writeable = False
-    word_types = tuple(token.surface.lower() for token, _ in picked)
-    pos_tags = tuple(token.pos_tag for token, _ in picked)
-    ner_types = tuple(token.ner_type for token, _ in picked)
+    # one string object per distinct value: the codebook's tags, and a dict's word types
+    words: dict[str, str] = {}
+    word_types = tuple(words.setdefault(w, w) for w in (t.surface.lower() for t, _ in picked))
+    pos_keys, ner_keys = cb.pos_table.sorted_keys, cb.ner_table.sorted_keys
+    pos_tags = tuple(pos_keys[pos] for _, (pos, _) in picked)
+    ner_types = tuple(None if ner is None else ner_keys[ner] for _, (_, ner) in picked)
     columns = (word_types, pos_tags, ner_types, tuple(sources))
     return CompressedVocabulary(tuple(firsts), matrix, *columns, input_tokens=total)
 
@@ -468,7 +475,7 @@ def _check_entry(key: str, entry, where: str) -> None:
     if m != expected:
         bound = "no NER type" if ner_type is None else f"NER type {ner_type!r}"
         raise IntegrityError(f"{where}: component_count must be {expected} with {bound}, got {m}")
-    if entry["filler_source"] not in (FILLER_EXACT, FILLER_LOWERCASED, FILLER_UNKNOWN):
+    if entry["filler_source"] not in _FILLER_SOURCES:
         raise IntegrityError(f"{where}: unknown filler_source {entry['filler_source']!r}")
     spelled = entry["word_type"] + entry["pos_tag"] + (ner_type or "")
     if key != spelled:
@@ -482,8 +489,9 @@ def load_vocabulary(
 
     The sidecar is read and checked first, then the vector file is read with
     `read_vectors`, whose vectors must have the sidecar's dimension and
-    whose keys must be the sidecar's. An empty vector file with a sidecar of
-    no entries is the empty vocabulary of the sidecar's dimension.
+    whose keys must be the sidecar's, in any order. Equal items of a column
+    are one string object. An empty vector file with a sidecar of no entries
+    is the empty vocabulary of the sidecar's dimension.
     """
     doc = read_document(sidecar_path, _SIDECAR_FORMAT, ("dimension", "stats", "entries"))
     declared, meta, st = doc["dimension"], doc["entries"], doc["stats"]
@@ -491,8 +499,12 @@ def load_vocabulary(
         raise IntegrityError(f"{sidecar_path}: dimension must be a positive integer")
     _check_record(st, _STATS_FIELDS, f"{sidecar_path}: stats")
     _check_record(meta, {}, f"{sidecar_path}: entries")
+    # each checked record gives way to its column items, so the records are gone before
+    # the vector file's matrix is allocated; one dict shares each distinct string
+    shared = {source: source for source in _FILLER_SOURCES}
     for key, entry in meta.items():
         _check_entry(key, entry, f"{sidecar_path}: entry {key!r}")
+        meta[key] = tuple(shared.setdefault(entry[name], entry[name]) for name in _COLUMN_FIELDS)
 
     table = read_vectors(vectors_path)
     if table and table.matrix.shape[1] != declared:
@@ -506,8 +518,7 @@ def load_vocabulary(
         raise IntegrityError(f"{sidecar_path}: metadata for absent key {sorted(extra)[0]!r}")
     # the columns in file order; component_count, checked against ner_type, is derived
     keys, vectors = tuple(table), table.matrix if table else np.empty((0, declared))
-    fields = ("word_type", "pos_tag", "ner_type", "filler_source")
-    columns = (tuple(meta[key][name] for key in keys) for name in fields)
+    columns = (tuple(meta[key][i] for key in keys) for i in range(len(_COLUMN_FIELDS)))
     vocab = CompressedVocabulary(keys, vectors, *columns, input_tokens=st["input_tokens"])
     for name, count in vars(vocab.stats).items():  # input_tokens is the sidecar's own
         if st[name] != count:

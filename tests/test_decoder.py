@@ -1,4 +1,4 @@
-"""Decoder tests: unbinding, attribute recovery, token identity, dimension trends."""
+"""Decoder tests: unbinding, attribute recovery, the token slot, dimension trends."""
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from conftest import (
 )
 from holovec import hrr
 from holovec.codebook import BLOCK_ROWS, VectorSpace, build_codebook
-from holovec.decoder import decode_and_score, decode_token_identity, decode_vocabulary
+from holovec.decoder import decode_and_score, decode_vocabulary
 from holovec.encoder import AnnotatedToken, CompressedVocabulary, build_vocabulary
 from holovec.errors import DimensionMismatchError
 from holovec.selftest import synthetic_corpus, synthetic_embeddings
@@ -198,9 +198,31 @@ class TestDecodeVocabulary:
         with pytest.raises(ValueError):
             decode_vocabulary(np.ones((2, 16)), [3], small_codebook)
 
+    def test_counts_of_another_shape_name_both(self, small_codebook):
+        for counts in ([3], np.full((2, 1), 3)):
+            shape = np.shape(counts)
+            with pytest.raises(ValueError) as info:
+                decode_vocabulary(np.ones((2, 16)), counts, small_codebook)
+            assert str(info.value) == f"2 vectors but component counts of shape {shape}"
+
     def test_dimension_mismatch_rejected(self, small_codebook):
         with pytest.raises(DimensionMismatchError):
             decode_vocabulary(np.ones((2, 8)), None, small_codebook)
+
+    def test_vectors_of_another_dimension_name_both(self, small_codebook):
+        with pytest.raises(DimensionMismatchError) as info:
+            decode_vocabulary(np.ones((2, 8)), [3, 4], small_codebook)
+        assert str(info.value) == "vectors of shape (8,) differ from codebook dimension 16"
+
+    def test_a_list_of_rows_decodes_as_its_matrix(self, default_codebook):
+        cb = default_codebook
+        rng = np.random.default_rng(72)
+        vectors = rng.normal(size=(BLOCK_ROWS + 3, 300))
+        counts = rng.integers(3, 5, size=len(vectors))
+        for m in (counts, None):
+            want = decode_vocabulary(vectors, m, cb)
+            listed = None if m is None else [int(c) for c in m]
+            assert decode_vocabulary(list(vectors), listed, cb) == want
 
     def test_zero_norm_query_rejected(self, small_codebook):
         with pytest.raises(ValueError, match="zero norm"):
@@ -262,14 +284,21 @@ class TestDecodeAndScore:
         assert decode_and_score(empty, small_codebook) == ([], (0, 0, 0, 0))
 
 
-class TestDecodeTokenIdentity:
+class TestTokenSlot:
+    """The token's own slot: its estimate by the direct-sum correlation, cleaned up against
+    the embedding table, names the token."""
+
+    @staticmethod
+    def _nearest(vec, m, cb, table):
+        return cleanup(unbind_slot(vec, cb.slot_labels["token"], m, cb.frame_label), table)
+
     def test_true_token_ranks_first(self, default_codebook):
         cb = default_codebook
         rng = np.random.default_rng(64)
         table = synthetic_embeddings(200, 300, rng)
         surface = "w00042"
         vec, m = compress_token(AnnotatedToken(surface, "NNP", "ORG"), table, cb)
-        [(key, sim)] = decode_token_identity([vec], [m], cb, table)
+        key, sim = self._nearest(vec, m, cb, table)
         assert key == surface
         assert sim > 0.3
 
@@ -279,7 +308,7 @@ class TestDecodeTokenIdentity:
         table = synthetic_embeddings(50, 300, rng)
         vec, m = compress_token(AnnotatedToken("w00007", "NN"), table, cb)
         reduced = {k: v for k, v in table.items() if k != "w00007"}
-        [(key, sim)] = decode_token_identity([vec], [m], cb, reduced)
+        key, sim = self._nearest(vec, m, cb, reduced)
         assert key in reduced
         assert -1.0 <= sim <= 1.0
 
@@ -289,79 +318,8 @@ class TestDecodeTokenIdentity:
         table = synthetic_embeddings(50, 300, rng)
         vec, m = compress_token(AnnotatedToken("notintable", "NN"), table, cb)
         candidates = {**table, "<unknown>": cb.unknown_token}
-        [(key, _)] = decode_token_identity([vec], [m], cb, candidates)
+        key, _ = self._nearest(vec, m, cb, candidates)
         assert key == "<unknown>"
-
-    def test_empty_table_rejected(self, default_codebook):
-        with pytest.raises(ValueError):
-            decode_token_identity([np.ones(300)], [3], default_codebook, {})
-
-    def test_table_of_another_dimension_rejected(self, default_codebook):
-        table = {"a": np.ones(16)}
-        with pytest.raises(DimensionMismatchError, match="embedding dimension 16"):
-            decode_token_identity([np.ones(300)], [3], default_codebook, table)
-
-    def test_a_table_of_another_dimension_names_both(self, small_codebook):
-        with pytest.raises(DimensionMismatchError) as info:
-            decode_token_identity([np.ones(16)], [3], small_codebook, {"a": np.ones(8)})
-        assert str(info.value) == "embedding dimension 8 differs from codebook dimension 16"
-
-    def test_a_space_built_once_is_reused_across_calls(self, default_codebook, monkeypatch):
-        cb = default_codebook
-        table = synthetic_embeddings(50, 300, np.random.default_rng(69))
-        compressed = [compress_token(AnnotatedToken(s, "NN"), table, cb) for s in table]
-        vectors, counts = [vec for vec, _ in compressed], [m for _, m in compressed]
-        space = VectorSpace(table)
-        first = decode_token_identity(vectors, counts, cb, space)
-        norms = space.norms
-        built = []
-        monkeypatch.setattr(VectorSpace, "__init__", lambda *args: built.append(args))
-        assert decode_token_identity(vectors, counts, cb, space) == first
-        assert space.norms is norms and built == []
-        monkeypatch.undo()
-        assert decode_token_identity(vectors, counts, cb, table) == first
-
-    def test_the_table_is_normalised_once_across_calls(self, default_codebook, monkeypatch):
-        # one call over both rows; the oracle's cosines may differ from the
-        # batch's in the last bits, as they do in test_single_rows_agree_with_the_batch
-        cb = default_codebook
-        table = synthetic_embeddings(50, 300, np.random.default_rng(68))
-        surfaces = ["w00001", "w00002"]
-        compressed = [compress_token(AnnotatedToken(s, "NN"), table, cb) for s in surfaces]
-        expected = [
-            cleanup(unbind_slot(vec, cb.slot_labels["token"], m, cb.frame_label), table)
-            for vec, m in compressed
-        ]
-        built = []
-        init = VectorSpace.__init__
-
-        def counted(self, vectors):
-            built.append(type(self))
-            init(self, vectors)
-
-        monkeypatch.setattr(VectorSpace, "__init__", counted)
-        found = decode_token_identity(
-            [vec for vec, _ in compressed], [m for _, m in compressed], cb, table
-        )
-        assert built == [VectorSpace]
-        assert [key for key, _ in found] == [key for key, _ in expected] == surfaces
-        for (_, sim), (_, want) in zip(found, expected):
-            assert sim == pytest.approx(want, abs=1e-12)
-
-    def test_matches_per_row_cleanup_across_a_block_boundary(self):
-        cb = build_codebook(dimension=32, seed=11)
-        rng = np.random.default_rng(12)
-        table = synthetic_embeddings(40, 32, rng, norm_scale=5.0)
-        vectors = rng.normal(size=(BLOCK_ROWS + 1, 32))
-        m = rng.integers(3, 5, size=len(vectors))
-        for counts in (m, None):
-            found = decode_token_identity(vectors, counts, cb, table)
-            assert len(found) == len(vectors)
-            for i in (0, BLOCK_ROWS - 1, BLOCK_ROWS):
-                residual = vectors[i] if counts is None else m[i] * vectors[i] - cb.frame_label
-                key, sim = cleanup(circular_correlate(cb.slot_labels["token"], residual), table)
-                assert found[i][0] == key
-                assert found[i][1] == pytest.approx(sim, abs=1e-12)
 
     def test_full_record_combines_attributes_and_identity(self, default_codebook):
         cb = default_codebook
@@ -369,7 +327,7 @@ class TestDecodeTokenIdentity:
         table = synthetic_embeddings(100, 300, rng)
         vec, m = compress_token(AnnotatedToken("w00003", "VB"), table, cb)
         decoded = decode_attributes(vec, m, cb)
-        [(key, sim)] = decode_token_identity([vec], [m], cb, table)
+        key, sim = self._nearest(vec, m, cb, table)
         assert key == "w00003"
         assert decoded.pos_tag == "VB"
         assert -1.0 <= sim <= 1.0

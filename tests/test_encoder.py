@@ -726,6 +726,43 @@ class TestVocabularyPersistence:
         assert loaded.ner_types == vocab.ner_types
         assert loaded.stats.growth_ratio == pytest.approx(3.0)
 
+    def test_equal_column_items_are_one_object(self, tmp_path, small_codebook):
+        cb = small_codebook
+        lines = ["fish\tNN\t-", "Fish\tNNP\tPERSON", "fish\tVB\t-", "york\tNN\t-",
+                 "York\tNNP\tORG", "bird\tNNP\tPERSON", "bird\tNN\tORG", "York\tVB\tORG"]
+        (tmp_path / "corpus.tsv").write_text("".join(line + "\n" for line in lines))
+        tokens = read_annotations(tmp_path / "corpus.tsv")  # every field its own string
+        table = {"fish": np.ones(16), "York": np.ones(16)}
+        built = build_vocabulary(tokens, table, cb)
+        write_vocabulary(tmp_path / "vocab.txt", built)
+        write_sidecar(tmp_path / "vocab.meta.json", built)
+        loaded = load_vocabulary(tmp_path / "vocab.txt", tmp_path / "vocab.meta.json")
+        for vocab in (built, loaded):
+            for name in ("word_types", "pos_tags", "ner_types", "filler_sources"):
+                column, first = getattr(vocab, name), {}
+                assert len(set(column)) < len(column), name  # values repeat
+                assert all(first.setdefault(item, item) is item for item in column), name
+            constants = (FILLER_EXACT, FILLER_LOWERCASED, FILLER_UNKNOWN)
+            assert all(any(s is c for c in constants) for s in vocab.filler_sources)
+            assert set(vocab.filler_sources) == set(constants)
+        assert all(any(tag is t for t in cb.pos_tags) for tag in built.pos_tags)
+        assert all(any(ner is t for t in cb.ner_types) for ner in built.ner_types if ner)
+
+    def test_a_sidecar_in_another_order_than_the_vector_file_loads(
+        self, tmp_path, default_codebook
+    ):
+        vocab = build_vocabulary(FISH_ANNOTATIONS, fish_table(300), default_codebook)
+        write_vocabulary(tmp_path / "vocab.txt", vocab)
+        meta_path = tmp_path / "vocab.meta.json"
+        write_sidecar(meta_path, vocab)
+        doc = json.loads(meta_path.read_text())
+        doc["entries"] = dict(reversed(doc["entries"].items()))
+        meta_path.write_text(json.dumps(doc))
+        loaded = load_vocabulary(tmp_path / "vocab.txt", meta_path)
+        assert loaded.keys == vocab.keys
+        for name in ("word_types", "pos_tags", "ner_types", "filler_sources"):
+            assert getattr(loaded, name) == getattr(vocab, name), name
+
     def test_a_loaded_space_keeps_its_keys_and_index_read_only(self, tmp_path, default_codebook):
         vocab = build_vocabulary(FISH_ANNOTATIONS, fish_table(300), default_codebook)
         write_vocabulary(tmp_path / "vocab.txt", vocab)
@@ -963,6 +1000,19 @@ class TestVocabularyPersistence:
         with pytest.raises(ParseError) as info:
             load_vocabulary(vec_path, meta_path)
         assert str(info.value) == f"{meta_path}: duplicate member 'yorkNN'"
+
+    def test_a_bad_sidecar_is_reported_before_the_vector_file_is_read(
+        self, tmp_path, small_codebook
+    ):
+        meta_path = tmp_path / "vocab.meta.json"
+        vocab = build_vocabulary([AnnotatedToken("york", "NN")], {}, small_codebook)
+        write_sidecar(meta_path, vocab)
+        doc = json.loads(meta_path.read_text())
+        doc["entries"]["yorkNN"]["filler_source"] = "guessed"
+        meta_path.write_text(json.dumps(doc))
+        with pytest.raises(IntegrityError) as info:
+            load_vocabulary(tmp_path / "absent.txt", meta_path)
+        assert str(info.value) == f"{meta_path}: entry 'yorkNN': unknown filler_source 'guessed'"
 
     def test_sidecar_dimension_mismatch_is_integrity_error(self, tmp_path, default_codebook):
         vocab = build_vocabulary(FISH_ANNOTATIONS, fish_table(300), default_codebook)
