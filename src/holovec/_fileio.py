@@ -1,6 +1,7 @@
 """File reading and writing shared by the persistence layers, and the one JSON document format.
 
-Every text input is read through `read_lines` and every output file written
+Every text input is read through `read_lines`, which opens it once and names
+the line of the first byte that is not UTF-8, and every output file is written
 through `atomic_write_lines`; the files written inside one `atomic_writes`
 block land together or not at all. A document is one compact JSON object whose
 first fields are its ``format`` name and ``format_version``, followed by a
@@ -35,38 +36,25 @@ FORMAT_VERSION = 1
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     r"""Yield (1-based line number, line without its line break) for each non-empty line.
 
-    The file is read as UTF-8, one line at a time. A leading byte-order mark
-    is dropped, and a line ends at ``\n``, ``\r\n`` or ``\r``. A byte
-    sequence that is not UTF-8 raises a one-line `ParseError` naming the line
-    that holds it.
+    The file is read once, as UTF-8, one line at a time. A leading byte-order
+    mark is dropped, and a line ends at ``\n``, ``\r\n`` or ``\r``. Bytes
+    that are not UTF-8 stay in the line that holds them until that line is
+    reached, which then raises a one-line `ParseError` naming it, so every
+    line before it is yielded first.
     """
     path = Path(path)
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if line:
-                    yield lineno, line
-        except UnicodeDecodeError as exc:
-            lineno, reason = _first_undecodable_line(path) or ("?", exc.reason)
-            raise ParseError(f"{path}:{lineno}: not valid UTF-8 ({reason})") from exc
-
-
-def _first_undecodable_line(path: Path) -> tuple[int, str] | None:
-    """The number of the first line that is not UTF-8, and why, by a second pass.
-
-    The text layer decodes ahead of the line it yields, so the failure does
-    not say which line holds the bad bytes. Latin-1 maps every byte to one
-    character and leaves the line breaks where UTF-8 has them, so each line
-    re-encodes to its own bytes; the file is streamed, never held whole.
-    """
-    with open(path, encoding="latin-1") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
-            try:
-                line.encode("latin-1").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return lineno, exc.reason
-    return None
+            # only a line with a non-ASCII byte can hold a bad one; it is decoded again
+            # with its line break, so a sequence cut by the break reads as in the file
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ParseError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})") from exc
+            line = line.rstrip("\n")
+            if line:
+                yield lineno, line
 
 
 # the (temp file, destination) pairs of the `atomic_writes` block open in this context

@@ -177,9 +177,11 @@ class VectorSpace(Mapping[str, np.ndarray]):
         """float64 rows of unit L2 norm, each vector divided by its norm: every row in
         sorted key order when ``rows`` is None, else those rows (an index or an index array).
         """
-        if rows is None:
-            return self._every_unit_row(np.float64)
         # a search calls this for every query, so each form is one gather and one division
+        if rows is None:
+            unit = self._matrix.take(self._rows, axis=0)
+            unit /= self.norms[:, None]
+            return unit
         if isinstance(rows, (int, np.integer)):
             return self._matrix[self._rows[rows]] / self.norms[rows]
         unit = self._matrix.take(self._rows.take(rows), axis=0)
@@ -188,19 +190,14 @@ class VectorSpace(Mapping[str, np.ndarray]):
 
     @cached_property
     def screen(self) -> np.ndarray:
-        """The unit rows rounded to float32, built a block at a time: for a search to
-        screen rows with."""
-        screen = self._every_unit_row(np.float32)
-        screen.flags.writeable = False
-        return screen
-
-    def _every_unit_row(self, dtype) -> np.ndarray:
-        """Every unit row in sorted key order, as ``dtype``, divided a block at a time."""
-        unit = np.empty((len(self), self.dimension), dtype=dtype)
+        """The unit rows rounded to float32, built a block at a time, so no float64 copy
+        of every row is made: for a search to screen rows with."""
+        screen = np.empty((len(self), self.dimension), dtype=np.float32)
         for start in range(0, len(self), BLOCK_ROWS):
             block = range(start, min(start + BLOCK_ROWS, len(self)))
-            unit[start : start + BLOCK_ROWS] = self.unit_rows(block)
-        return unit
+            screen[start : start + BLOCK_ROWS] = self.unit_rows(block)
+        screen.flags.writeable = False
+        return screen
 
 
 class FillerTable(VectorSpace):

@@ -52,16 +52,14 @@ def synthetic_embeddings(
     n_words: int,
     dimension: int,
     rng: np.random.Generator,
-    norm_scale: float = 1.0,
 ) -> dict[str, np.ndarray]:
-    """Quasi-orthogonal random fillers, one per generated surface form.
+    """Quasi-orthogonal random fillers of expected unit norm, one per generated surface form.
 
-    ``norm_scale`` sets the expected vector norm. Unit-norm fillers keep
-    binding crosstalk low (best decoding); pre-trained embeddings carry
-    norms around 5, which is what makes the shared frame label negligible
-    in pairwise cosines of the compressed space.
+    Unit-norm fillers keep binding crosstalk low (best decoding); pre-trained
+    embeddings carry norms around 5, which is what makes the shared frame
+    label negligible in pairwise cosines of the compressed space.
     """
-    return {f"w{i:05d}": norm_scale * hrr.random_vector(rng, dimension) for i in range(n_words)}
+    return {f"w{i:05d}": hrr.random_vector(rng, dimension) for i in range(n_words)}
 
 
 def synthetic_corpus(

@@ -53,7 +53,7 @@ def spaces_of_every_kind():
     """Two random spaces, of dimension 24 and 300, and a compressed vocabulary."""
     cb = build_codebook(dimension=64, seed=5)
     rng = np.random.default_rng(6)
-    table = synthetic_embeddings(150, 64, rng, norm_scale=5.0)
+    table = {w: 5.0 * v for w, v in synthetic_embeddings(150, 64, rng).items()}
     vocab = build_vocabulary(synthetic_corpus(sorted(table), cb, 400, rng), table, cb)
     return [random_space(200, 24, seed=7), random_space(150, 300, seed=8), vocab.as_space()]
 

@@ -1,7 +1,11 @@
 """End-to-end CLI tests: every subcommand, failure exits, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -741,7 +745,8 @@ class TestTextInputs:
         path = tmp / name
         lines = path.read_bytes().splitlines(keepends=True)
         lineno = len(lines) - 1
-        # past the ~8 KB the text layer decodes ahead of the line it yields
+        # past the first chunk the file is read in, so the line named is the one
+        # that holds the byte, not the one where a read happened to end
         assert sum(map(len, lines[: lineno - 1])) > 16_384
         lines[lineno - 1] = b"caf\xe9" + lines[lineno - 1]
         path.write_bytes(b"".join(lines))
@@ -760,6 +765,40 @@ class TestTextInputs:
         for suffix in ("", ".meta.json"):
             written = (tmp / f"out.txt{suffix}").read_bytes()
             assert written == (tmp / f"vocab.txt{suffix}").read_bytes()
+
+    def test_every_file_opened_names_its_encoding(self, tmp_path):
+        # a file opened without an encoding would read or write in the locale's
+        # encoding; under these flags that open raises, and the step exits 1
+        rng = np.random.default_rng(44)
+        words = ["caf\u00e9", "fish", "tea"]
+        write_vector_file(tmp_path / "emb.txt", {w: rng.normal(size=16) for w in words})
+        (tmp_path / "ann.tsv").write_text(
+            "caf\u00e9\tNN\t-\nfish\tVB\t-\ntea\tNN\tORG\n", encoding="utf-8"
+        )
+        (tmp_path / "cores.txt").write_text("caf\u00e9\n", encoding="utf-8")
+        cb, emb, ann, cores, vocab, decoded, report = (
+            str(tmp_path / name)
+            for name in ("cb.json", "emb.txt", "ann.tsv", "cores.txt", "vocab.txt", "d.tsv", "r")
+        )
+        meta = vocab + ".meta.json"
+        steps = [
+            ["build-codebook", cb, "--dim", "16"],
+            ["compress", cb, emb, ann, vocab],
+            ["decode", cb, vocab, "--sidecar", meta, "--out", decoded],
+            ["analyze", "orthogonality", vocab, "--out", report],
+            ["analyze", "neighborhoods", emb, vocab, meta, "--cores", cores, "--out", report],
+        ]
+        flags = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        for argv in steps:
+            done = subprocess.run(
+                [sys.executable, *flags, "-m", "holovec.cli", *argv],
+                capture_output=True,
+                encoding="utf-8",
+                env=env,
+            )
+            assert (argv[0], done.returncode, done.stderr) == (argv[0], 0, "")
+        assert "caf\u00e9" in (tmp_path / "d.tsv").read_text(encoding="utf-8")
 
 
 class TestSelfTest:

@@ -260,7 +260,7 @@ class TestDecodeAndScore:
     def test_counts_match_a_per_entry_loop(self):
         cb = build_codebook(dimension=64, seed=9)
         rng = np.random.default_rng(10)
-        table = synthetic_embeddings(150, 64, rng, norm_scale=5.0)
+        table = {w: 5.0 * v for w, v in synthetic_embeddings(150, 64, rng).items()}
         corpus = synthetic_corpus(sorted(table), cb, 400, rng)
         vocab = build_vocabulary(corpus, table, cb)
         decoded, hits = decode_and_score(vocab, cb)

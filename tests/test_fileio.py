@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 
 from conftest import FISH_ANNOTATIONS, fish_table, make_surrogate_table
+from holovec import _fileio
 from holovec._fileio import (
     FORMAT_VERSION,
     atomic_write_lines,
@@ -19,7 +20,13 @@ from holovec._fileio import (
 )
 from holovec.analysis import classify_neighborhoods, sample_orthogonality
 from holovec.codebook import build_codebook, load_codebook, save_codebook
-from holovec.encoder import build_vocabulary, load_vocabulary, write_sidecar, write_vocabulary
+from holovec.encoder import (
+    build_vocabulary,
+    load_vocabulary,
+    read_vectors,
+    write_sidecar,
+    write_vocabulary,
+)
 from holovec.errors import ParseError
 
 
@@ -202,20 +209,22 @@ def test_a_chunk_that_raises_leaves_the_target_and_no_temp_file(tmp_path):
 
 def test_read_lines_numbers_every_line_and_yields_the_non_empty_ones(tmp_path):
     path = tmp_path / "in.txt"
-    path.write_bytes("\ufeffa b\r\n\nc\rd\n \r\n\u00e9\x0bf\x85g\u2028".encode("utf-8"))
+    text = "\ufeffa b\r\n\nc\rd\n \r\n\u00e9\x0bf\x85g\u2028\n\u6f22\u5b57 \U0001f600\r"
+    path.write_bytes(text.encode("utf-8"))
     assert list(read_lines(path)) == [
         (1, "a b"),
         (3, "c"),
         (4, "d"),
         (5, " "),
         (6, "\u00e9\x0bf\x85g\u2028"),  # only \n, \r\n and \r end a line
+        (7, "\u6f22\u5b57 \U0001f600"),
     ]
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 def test_a_byte_that_is_not_utf8_is_reported_on_its_line(tmp_path, newline):
-    # the text layer decodes ~8 KB ahead of the line it yields, so the
-    # error surfaces hundreds of lines before the line that holds it
+    # the bad line lies ~12 KB into the file, past the first 8 KB chunk the file
+    # is read in, and every line before it is yielded before it raises
     lines = [f"w{i:04d} 0.5 \u00e9".encode("utf-8") for i in range(1, 1001)]
     lines[899] = b"caf\xe9 0.5 0.5"
     path = tmp_path / "in.txt"
@@ -225,7 +234,7 @@ def test_a_byte_that_is_not_utf8_is_reported_on_its_line(tmp_path, newline):
         for lineno, _ in read_lines(path):
             seen.append(lineno)
     assert str(info.value) == f"{path}:900: not valid UTF-8 (invalid continuation byte)"
-    assert seen == list(range(1, len(seen) + 1)) and len(seen) < 900
+    assert seen == list(range(1, 900))
 
 
 @pytest.mark.parametrize(
@@ -234,8 +243,18 @@ def test_a_byte_that_is_not_utf8_is_reported_on_its_line(tmp_path, newline):
         (b"ok\n\xff\n", 2, "invalid start byte"),
         (b"ok\nab\xc3\r\nok\n", 2, "invalid continuation byte"),
         (b"ok\nok\nab\xe2\x82", 3, "unexpected end of data"),
+        (b"ok\n\xed\xa0\x80\n", 2, "invalid continuation byte"),
+        (b"ok\n\xc0\xaf\n", 2, "invalid start byte"),
+        (b"ok\r\xf0\x9f\x98\rok\r", 2, "invalid continuation byte"),
     ],
-    ids=["bad-start", "cut-before-a-line-break", "cut-at-the-end"],
+    ids=[
+        "bad-start",
+        "cut-before-a-line-break",
+        "cut-at-the-end",
+        "encoded-surrogate",
+        "overlong",
+        "cut-before-a-cr",
+    ],
 )
 def test_the_reason_is_the_decoders(tmp_path, data, lineno, reason):
     path = tmp_path / "in.txt"
@@ -243,6 +262,32 @@ def test_the_reason_is_the_decoders(tmp_path, data, lineno, reason):
     with pytest.raises(ParseError) as info:
         list(read_lines(path))
     assert str(info.value) == f"{path}:{lineno}: not valid UTF-8 ({reason})"
+
+
+def test_a_file_is_opened_once_also_when_a_byte_is_bad(tmp_path, monkeypatch):
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(_fileio, "open", counting_open, raising=False)
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_bytes("a\n\u00e9\n".encode("utf-8"))
+    bad.write_bytes(b"a\nb\xff\nc\n")
+    assert list(read_lines(good)) == [(1, "a"), (2, "\u00e9")]
+    with pytest.raises(ParseError, match=r":2: not valid UTF-8 \(invalid start byte\)"):
+        list(read_lines(bad))
+    assert opened == [good, bad]
+
+
+def test_faults_are_reported_in_line_order(tmp_path):
+    # the short record on line 2 comes before the bad byte on line 3
+    path = tmp_path / "vectors.txt"
+    path.write_bytes(b"a 0.1 0.2\nb 0.1\nc\xff 0.1 0.2\n")
+    with pytest.raises(ParseError) as info:
+        read_vectors(path)
+    assert str(info.value) == f"{path}:2: expected 2 values, got 1"
 
 
 def test_finding_the_bad_line_streams_the_file(tmp_path):
