@@ -45,13 +45,18 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     path = Path(path)
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
-            # only a line with a non-ASCII byte can hold a bad one; it is decoded again
+            # only a line with a non-ASCII byte can hold a bad one, and only a bad byte,
+            # escaped as a lone surrogate, fails a strict encode; that line is decoded again
             # with its line break, so a sequence cut by the break reads as in the file
             if not line.isascii():
                 try:
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise ParseError(f"{path}:{lineno}: not valid UTF-8 ({exc.reason})") from exc
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    try:
+                        line.encode("utf-8", "surrogateescape").decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        message = f"{path}:{lineno}: not valid UTF-8 ({exc.reason})"
+                        raise ParseError(message) from exc
             line = line.rstrip("\n")
             if line:
                 yield lineno, line

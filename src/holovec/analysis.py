@@ -9,16 +9,18 @@ Every analysis reads a `codebook.VectorSpace`: the keys in sorted order, one
 float64 matrix of their vectors and the vectors' norms. No unit matrix is
 kept: each analysis divides the rows it reads by their norms where it reads
 them, the same division every time, so a row's unit form is the same bits
-wherever it is used. Scans are exact matrix-vector products; vocabularies at
-desk scale do not need approximate indexing. Building the space once and
-reusing it makes repeated `k_nearest` queries cost one product each, plus an
-exact re-score of the few rows at the top-k boundary. The product only
-screens: it reads `VectorSpace.screen`, the unit rows in float32, built once
-per space (half the matrix's bytes again in memory). A partition, not a sort,
-finds the boundary, and rows within the screen's rounding error of it are
-divided by their norms and scored again in float64 by a per-row product
-whose summation order is fixed. So results are exact, the same as those of a
-float64 screen, identical vectors tie exactly, and ties go to the smaller key.
+wherever it is used. `classify_neighborhoods` screens composites with
+`VectorSpace.cosines`, the raw rows' product over their norms. Scans are exact
+matrix-vector products; vocabularies at desk scale do not need approximate
+indexing. Building the space once and reusing it makes repeated `k_nearest`
+queries cost one product each, plus an exact re-score of the few rows at the
+top-k boundary. The product only screens: it reads `VectorSpace.screen`, the
+unit rows in float32, built once per space (half the matrix's bytes again in
+memory). A partition, not a sort, finds the boundary, and rows within the
+screen's rounding error of it are divided by their norms and scored again in
+float64 by a per-row product whose summation order is fixed. So results are
+exact, the same as those of a float64 screen, identical vectors tie exactly,
+and ties go to the smaller key.
 """
 
 from __future__ import annotations
@@ -194,35 +196,37 @@ def _top_rows(
 
     ``sims`` screens: it is one BLAS product of ``query`` with unit rows, the
     row at position i being ``unit_rows([i])[0]``, in float64 or over both
-    rounded to float32. BLAS sums a row in an order that depends on where the
-    row sits, so two identical rows can screen one bit apart. Only the
-    positions near the top-k boundary are re-scored in float64, with a
-    per-row product whose order is fixed, and the k are picked by those
-    scores. Positions follow sorted keys, so the stable sort breaks exact
-    ties by key.
+    rounded to float32, or in float64 with the raw rows, divided by their
+    norms after it (`VectorSpace.cosines`). BLAS sums a row in an order that
+    depends on where the row sits, so two identical rows can screen one bit
+    apart. Only the positions near the top-k boundary are re-scored in
+    float64, with a per-row product whose order is fixed, and the k are picked
+    by those scores. Positions follow sorted keys, so the stable sort breaks
+    exact ties by key.
 
     Any computed dot product of two n-vectors of norm 1 lies within
     gamma_n(u) = n*u/(1 - n*u) of the exact one, u the unit roundoff,
     whatever the order of summation (Higham, Accuracy and Stability of
     Numerical Algorithms, sec. 3.1). A re-scored cosine is thus within
     gamma_n(u64) of the exact one, u64 = 2**-53. A float64 screen is within
-    gamma_n(u64) too. A float32 screen first rounds both unit rows, which
-    moves their dot product by at most about 2*u32, u32 = 2**-24, and then
-    sums in float32, which adds gamma_n(u32), about n*u32: it lies within
-    about (n + 2)*u32 of the exact cosine. Call that screen error d. At least
-    k positions besides ``exclude`` screen at or above the (k+1)-th largest
+    gamma_n(u64) too, or gamma_n(u64) + 2*u64 if it divides after the
+    product. A float32 screen first rounds both unit rows, which moves their
+    dot product by at most about 2*u32, u32 = 2**-24, and then sums in
+    float32, which adds gamma_n(u32), about n*u32: it lies within about
+    (n + 2)*u32 of the exact cosine. Call that screen error d. At least k
+    positions besides ``exclude`` screen at or above the (k+1)-th largest
     screened cosine, so each winner re-scores at most d + gamma_n(u64), and
     screens at most 2*d + 2*gamma_n(u64), below it.
 
     The slack is 4*n*eps of the screen's dtype. In float64 that is 8*n*u64,
-    twice the 4*gamma_n(u64) needed, which covers rows whose norms are a few
-    ulps off 1. In float32 it is 8*n*u32. That exceeds the 2*(n + 2)*u32
-    needed by (6*n - 4)*u32, a factor of 2 or more for every n >= 2, the
-    dimension floor, and at least 8*u32. The spare covers what the estimate
-    leaves out: 2*gamma_n(u64), terms of order n**2*u32**2, values that
-    become subnormal in float32, which add at most n*2**-149 absolute error,
-    and the float32 rounding of the threshold ``boundary - slack``, at most
-    u32.
+    about twice the 4*gamma_n(u64) + 4*u64 needed, which covers rows whose
+    norms are a few ulps off 1. In float32 it is 8*n*u32. That exceeds the
+    2*(n + 2)*u32 needed by (6*n - 4)*u32, a factor of 2 or more for every
+    n >= 2, the dimension floor, and at least 8*u32. The spare covers what
+    the estimate leaves out: 2*gamma_n(u64), terms of order n**2*u32**2,
+    values that become subnormal in float32, which add at most n*2**-149
+    absolute error, and the float32 rounding of the threshold
+    ``boundary - slack``, at most u32.
     """
     count = len(sims)
     if k + 1 < count:
@@ -356,7 +360,7 @@ def _cosine_matrix(unit_rows: np.ndarray) -> list[list[float]]:
 def _classify_core(
     core_row: int,
     orig: VectorSpace,
-    comp_unit: np.ndarray,
+    comp: VectorSpace,
     segments: tuple[np.ndarray, np.ndarray, np.ndarray],
     k: int,
 ) -> CoreNeighborhood:
@@ -364,16 +368,16 @@ def _classify_core(
     seg_rows, starts, seg_word = segments
     orig_rows, orig_nbrs = _nearest(orig, core_row, k)
 
-    # compressed-space neighborhood: each word is represented by its composite
-    # vector most similar to the core's own (lexicographically first) vector;
-    # of equally similar composites, the first in the segment (smallest key)
+    # compressed-space neighborhood: each word is represented by its composite vector
+    # that screens highest against the core's own (lexicographically first) vector;
+    # of equal screens, the first in the segment (smallest key)
     anchor = seg_rows[starts[core_row]]
-    query = comp_unit[anchor]
-    seg_sims = (comp_unit @ query)[seg_rows]
+    query = comp.unit_rows(anchor)
+    seg_sims = comp.cosines(query)[seg_rows]
     best = np.maximum.reduceat(seg_sims, starts)
     at_best = np.flatnonzero(seg_sims == best[seg_word])
     reps = seg_rows[at_best[np.searchsorted(at_best, starts)]]
-    comp_words, cosines = _top_rows(best, core_row, k, lambda at: comp_unit[reps[at]], query)
+    comp_words, cosines = _top_rows(best, core_row, k, lambda at: comp.unit_rows(reps[at]), query)
     comp_nbrs = list(zip([words[i] for i in comp_words], cosines.tolist()))
 
     rank_orig = {key: rank for rank, (key, _) in enumerate(orig_nbrs, 1)}
@@ -398,7 +402,7 @@ def _classify_core(
         original_neighbors=orig_nbrs,
         compressed_neighbors=comp_nbrs,
         original_cosine_matrix=_cosine_matrix(orig.unit_rows(np.r_[core_row, orig_rows])),
-        compressed_cosine_matrix=_cosine_matrix(comp_unit[np.r_[anchor, reps[comp_words]]]),
+        compressed_cosine_matrix=_cosine_matrix(comp.unit_rows(np.r_[anchor, reps[comp_words]])),
         same_position=same,
         shifted=shifted,
         disjoint=disjoint,
@@ -422,9 +426,10 @@ def classify_neighborhoods(
 
     When ``compressed_key_to_word`` maps composite keys to word types, the
     compressed space is compared at the word level: per core, each word is
-    represented by its composite vector with the highest cosine to the
-    core's vector (the core itself uses its lexicographically first
-    composite key). Both spaces must then resolve the same word set.
+    represented by its composite vector with the highest cosine to the core's
+    vector, as `VectorSpace.cosines` screens it, or of equals the smallest key
+    (the core itself uses its lexicographically first composite key). Both
+    spaces must then resolve the same word set.
     """
     orig = VectorSpace.of(original)
     comp = VectorSpace.of(compressed)
@@ -455,11 +460,7 @@ def classify_neighborhoods(
         np.cumsum([0] + lengths[:-1]),
         np.repeat(np.arange(len(lengths)), lengths),
     )
-    # every core scans all the compressed rows in float64, so they are divided once
-    comp_unit = comp.unit_rows()
-    results = [
-        _classify_core(orig.index[core], orig, comp_unit, segments, k) for core in core_list
-    ]
+    results = [_classify_core(orig.index[core], orig, comp, segments, k) for core in core_list]
 
     denominator = sum(c.k_effective for c in results)
     if denominator == 0:

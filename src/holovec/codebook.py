@@ -122,10 +122,10 @@ class VectorSpace(Mapping[str, np.ndarray]):
 
     `norms` and `screen` are built on first use, so a zero-norm vector raises
     there, in the search that needs it, not when the space is built. No unit
-    matrix is kept: `unit_rows` divides rows by their norms where a search
-    needs them. Rows follow the sorted keys, so the first of several equal
-    maxima over a row of cosines is the lexicographically smallest key: every
-    search breaks exact ties that way.
+    matrix is kept: `unit_rows` and `cosines` divide by the norms where a
+    search needs them. Rows follow the sorted keys, so the first of several
+    equal maxima over a row of cosines is the lexicographically smallest key:
+    every search breaks exact ties that way.
     """
 
     def __init__(self, vectors: Mapping[str, np.ndarray]):
@@ -174,19 +174,17 @@ class VectorSpace(Mapping[str, np.ndarray]):
         return norms
 
     def unit_rows(self, rows=None) -> np.ndarray:
-        """float64 rows of unit L2 norm, each vector divided by its norm: every row in
-        sorted key order when ``rows`` is None, else those rows (an index or an index array).
-        """
-        # a search calls this for every query, so each form is one gather and one division
-        if rows is None:
-            unit = self._matrix.take(self._rows, axis=0)
-            unit /= self.norms[:, None]
-            return unit
-        if isinstance(rows, (int, np.integer)):
-            return self._matrix[self._rows[rows]] / self.norms[rows]
-        unit = self._matrix.take(self._rows.take(rows), axis=0)
-        unit /= self.norms[:, None].take(rows, axis=0)
+        """float64 rows of unit L2 norm, by one gather and one division in place: every row in
+        sorted key order when ``rows`` is None, else those rows (an index, index array or slice)."""
+        rows = slice(None) if rows is None else rows
+        unit = self._matrix.take(self._rows[rows], axis=0)
+        unit /= self.norms[rows, None]
         return unit
+
+    def cosines(self, query: np.ndarray) -> np.ndarray:
+        """float64 cosines of every row with the unit ``query``, in sorted key order, to screen
+        rows with: one product of the matrix with ``query``, divided by the norms, no unit row."""
+        return (self._matrix @ query).take(self._rows) / self.norms
 
     @cached_property
     def screen(self) -> np.ndarray:
@@ -194,8 +192,7 @@ class VectorSpace(Mapping[str, np.ndarray]):
         of every row is made: for a search to screen rows with."""
         screen = np.empty((len(self), self.dimension), dtype=np.float32)
         for start in range(0, len(self), BLOCK_ROWS):
-            block = range(start, min(start + BLOCK_ROWS, len(self)))
-            screen[start : start + BLOCK_ROWS] = self.unit_rows(block)
+            screen[start : start + BLOCK_ROWS] = self.unit_rows(slice(start, start + BLOCK_ROWS))
         screen.flags.writeable = False
         return screen
 
@@ -226,7 +223,7 @@ class Codebook:
     ``pos_tags`` and ``ner_types`` are stored as tuples of the tags given, and
     ``vectors`` as a float64 copy of the rows given, one per `_layout` name in draw
     order; the labels and the rows of the filler tables, built on first use, are
-    views of it. A layout `load_codebook` would reject raises `ValueError`.
+    views of it. A layout or a value `load_codebook` would reject raises `ValueError`.
     """
 
     seed: int
@@ -238,15 +235,18 @@ class Codebook:
         _check_tags(self.pos_tags, "POS tag")
         _check_tags(self.ner_types, "NER type")
         _check_key_suffixes(self.pos_tags, self.ner_types)
-        rows = len(_layout(self.pos_tags, self.ner_types))
-        shape = np.shape(self.vectors)
+        layout = _layout(self.pos_tags, self.ner_types)
+        rows, shape = len(layout), np.shape(self.vectors)
         if len(shape) != 2 or shape[0] != rows:
             raise ValueError(f"vectors must be {rows} rows, one per layout name, got shape {shape}")
         if shape[1] < 2:
             raise ValueError(f"dimension must be >= 2, got {shape[1]}")
         vectors = np.array(self.vectors, dtype=np.float64)
+        finite = np.isfinite(vectors).all(axis=1)
+        if not finite.all():  # JSON cannot hold it, so `save_codebook` could not write it
+            raise ValueError(f"vector {layout[np.argmin(finite)]!r} contains non-finite values")
         vectors.flags.writeable = False
-        named = dict(zip(_layout(self.pos_tags, self.ner_types), vectors))
+        named = dict(zip(layout, vectors))
         derived = {
             "pos_tags": tuple(self.pos_tags),
             "ner_types": tuple(self.ner_types),
@@ -399,8 +399,6 @@ def _vector_from_doc(vectors: dict, name: str, dimension: int, source: str) -> n
             f"{source}: vector {name!r} has length {vec.shape[0] if vec.ndim == 1 else '?'}, "
             f"declared dimension is {dimension}"
         )
-    if not np.all(np.isfinite(vec)):
-        raise IntegrityError(f"{source}: vector {name!r} contains non-finite values")
     return vec
 
 

@@ -235,41 +235,44 @@ def reference_neighborhoods(original, compressed, core, k, key_to_word):
 
     Returns (original neighbors, word-level compressed neighbors, the
     composite key representing each word). Each word is represented by the
-    first of its sorted composite keys with the highest cosine (as one
-    matrix-vector product screens it) to the core word's first composite
-    key. Neighbors are ranked by their `row_cosines`.
+    first of its sorted composite keys with the highest screened cosine to
+    the core word's first composite key: as the library screens, the raw rows
+    times that key's unit row, divided by the rows' norms. Neighbors are
+    ranked by their `row_cosines`.
     """
 
-    def unit_rows(space, keys):
+    def stacked(space, keys):
         matrix = np.stack([np.asarray(space[key], dtype=np.float64) for key in keys])
-        return matrix / np.linalg.norm(matrix, axis=1)[:, None]
+        return matrix, np.linalg.norm(matrix, axis=1)
 
     def top(keys, sims):
         order = np.argsort(-sims, kind="stable")[:k]
         return [(keys[i], float(sims[i])) for i in order]
 
     orig_keys = sorted(original)
-    orig_unit = unit_rows(original, orig_keys)
+    matrix, norms = stacked(original, orig_keys)
+    orig_unit = matrix / norms[:, None]
     row = orig_keys.index(core)
     sims = row_cosines(orig_unit, orig_unit[row])
     orig_nbrs = top([key for key in orig_keys if key != core], np.delete(sims, row))
 
     comp_keys = sorted(compressed)
-    comp_unit = unit_rows(compressed, comp_keys)
+    comp_raw, comp_norms = stacked(compressed, comp_keys)
+    comp_unit = comp_raw / comp_norms[:, None]
     comp_index = {key: i for i, key in enumerate(comp_keys)}
     word_to_keys = {}
     for key in comp_keys:
         word_to_keys.setdefault(key_to_word[key], []).append(key)
     reps = {core: word_to_keys[core][0]}
-    sims_all = comp_unit @ comp_unit[comp_index[reps[core]]]
+    anchor = comp_unit[comp_index[reps[core]]]
+    sims_all = (comp_raw @ anchor) / comp_norms
     words = [w for w in sorted(word_to_keys) if w != core]
     for word in words:
         local = sims_all[[comp_index[key] for key in word_to_keys[word]]]
         best = int(np.argmax(local))  # first max == lexicographically first key
         reps[word] = word_to_keys[word][best]
     rep_rows = comp_unit[[comp_index[reps[word]] for word in words]]
-    rep_sims = row_cosines(rep_rows, comp_unit[comp_index[reps[core]]])
-    return orig_nbrs, top(words, rep_sims), reps
+    return orig_nbrs, top(words, row_cosines(rep_rows, anchor)), reps
 
 
 def vector_text(entries: dict[str, np.ndarray]) -> str:

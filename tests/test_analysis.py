@@ -222,7 +222,13 @@ class TestVectorSpace:
         space = VectorSpace(random_space(rows, 300, seed=rows))
         matrix = np.stack([space[key] for key in space])
         expected = matrix / np.linalg.norm(matrix, axis=1)[:, None]
-        assert space.unit_rows().tobytes() == expected.tobytes()
+        unit = space.unit_rows()
+        assert unit.tobytes() == expected.tobytes()
+        # an index, an index array and a slice read the same bits as all the rows
+        picked = np.array([rows - 1, 0, 3])
+        assert space.unit_rows(rows - 1).tobytes() == unit[rows - 1].tobytes()
+        assert space.unit_rows(picked).tobytes() == unit[picked].tobytes()
+        assert space.unit_rows(slice(3, None)).tobytes() == unit[3:].tobytes()
 
     def test_unit_is_built_without_full_size_temporaries(self):
         space = VectorSpace(random_space(2000, 300, seed=13))
@@ -263,6 +269,17 @@ class TestVectorSpace:
         k_nearest(space, "k0003", k=5)
         k_nearest(space, "k0040", k=5)
         assert space.screen is screen
+
+    def test_cosines_screen_the_raw_rows_in_sorted_key_order(self):
+        matrix = np.random.default_rng(14).normal(size=(6, 16))
+        matrix.flags.writeable = False
+        space = VectorSpace(VectorTable({"c": 4, "a": 1, "b": 3}, matrix))  # three of six rows
+        query = space.unit_rows(2)
+        rows = matrix[[1, 3, 4]]
+        screened = space.cosines(query)
+        assert screened.dtype == np.float64 and screened.shape == (3,)
+        np.testing.assert_allclose(screened, rows @ query / np.linalg.norm(rows, axis=1), atol=1e-15)
+        np.testing.assert_allclose(screened, space.unit_rows() @ query, atol=1e-15)
 
     def test_of_passes_a_space_through_and_wraps_the_rest(self):
         space = VectorSpace({"a": np.ones(2)})
@@ -837,6 +854,46 @@ class TestWordLevelProjection:
             rows = [compressed[reps[word]] for word in [core.core] + [w for w, _ in comp_nbrs]]
             units = np.array([row / np.linalg.norm(row) for row in rows])
             np.testing.assert_allclose(core.compressed_cosine_matrix, units @ units.T, atol=1e-12)
+
+    def test_composites_at_one_cosine_tie_on_the_float64_screen(self):
+        # w0JJ and w0NN are both at cosine -1/sqrt(5) to the anchor w1JJ; screened as raw
+        # rows times the anchor's unit row over the rows' norms, both read -fl(1/sqrt(5))
+        # exactly, so w0JJ, the smaller key, represents w0; unit rows of the two would
+        # screen one bit apart, and pick w0NN
+        original = {"w0": np.array([1.0, 0.0, 0.0, 0.0]), "w1": np.array([0.0, 1.0, 0.0, 0.0])}
+        compressed = {
+            "w0JJ": np.array([1.0, 0.0, 0.0, 0.0]),
+            "w0NN": np.array([-1.0, 2.0, 0.0, 2.0]),
+            "w1JJ": np.array([-1.0, 0.0, 0.0, -2.0]),
+        }
+        mapping = {key: key[:2] for key in compressed}
+        [core] = classify_neighborhoods(
+            original, compressed, ["w1"], k=1, compressed_key_to_word=mapping
+        ).cores
+        _, comp_nbrs, reps = reference_neighborhoods(original, compressed, "w1", 1, mapping)
+        assert reps["w0"] == "w0JJ"
+        assert bits(core.compressed_neighbors) == bits(comp_nbrs)
+        assert core.compressed_cosine_matrix[1][1] == 1.0  # w0JJ's unit row, (1, 0, 0, 0)
+
+    def test_allocates_no_block_the_size_of_the_compressed_matrix(self):
+        rng = np.random.default_rng(38)
+        words = [f"w{i:03d}" for i in range(500)]
+        # wide rows, so the matrix (8 MB) dwarfs the report's own objects (~0.6 MB)
+        original = VectorSpace({word: rng.normal(size=1000) for word in words})
+        composites = {word + tag: rng.normal(size=1000) for word in words for tag in ("JJ", "NN")}
+        compressed = VectorSpace(composites)
+        mapping = {key: key[:4] for key in composites}
+        original.screen, compressed.norms  # each space's own, built before the trace
+        tracemalloc.start()
+        try:
+            classify_neighborhoods(
+                original, compressed, words[:20], k=10, compressed_key_to_word=mapping
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a unit copy of the compressed rows, or any float64 copy of them, is all of it
+        assert peak < 0.25 * len(compressed) * compressed.dimension * 8
 
     def test_ties_between_and_within_words_go_to_the_smaller_key(self):
         core_vec = np.array([1.0, 0.0])

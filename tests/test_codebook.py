@@ -345,6 +345,16 @@ class TestPersistence:
         with pytest.raises(ValueError, match=message):
             Codebook(1, pos_tags, ner_types, edit(vectors))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["frame", "pos:VB", "unknown"])
+    def test_a_non_finite_value_is_rejected_on_construction(self, name, value):
+        cb = build_codebook(["NN", "VB"], ["ORG"], dimension=16, seed=1)
+        vectors = cb.vectors.copy()
+        vectors[list(cb.all_vectors()).index(name), 5] = value
+        # as `load_codebook` refuses it, not later, in `save_codebook`'s JSON encoder
+        with pytest.raises(ValueError, match=rf"^vector '{name}' contains non-finite values$"):
+            Codebook(cb.seed, cb.pos_tags, cb.ner_types, vectors)
+
     def test_a_filler_set_in_code_saves_loads_and_encodes_alike(self, tmp_path):
         cb = build_codebook(["NN", "VB", "DT"], ["ORG"], dimension=64, seed=3)
         cb = with_vectors(cb, {"pos:VB": cb.pos_table["DT"]})
