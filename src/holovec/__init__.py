@@ -21,7 +21,6 @@ from .codebook import (
     DEFAULT_SEED,
     Codebook,
     VectorSpace,
-    VectorTable,
     build_codebook,
     default_ner_types,
     default_pos_tags,
@@ -75,7 +74,6 @@ __all__ = [
     "UnknownKeyError",
     "UnknownTagError",
     "VectorSpace",
-    "VectorTable",
     "build_codebook",
     "build_vocabulary",
     "circular_convolve",

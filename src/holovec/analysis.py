@@ -5,11 +5,12 @@ statistics (how close to orthogonal a vocabulary is), and top-k neighborhood
 comparison between an original and a compressed space (how well semantic
 neighborhoods survive compression).
 
-Every analysis reads a `codebook.VectorSpace`: the keys in sorted order, one
-float64 matrix of their vectors and the vectors' norms. No unit matrix is
-kept: each analysis divides the rows it reads by their norms where it reads
-them, the same division every time, so a row's unit form is the same bits
-wherever it is used. `classify_neighborhoods` screens composites with
+Every analysis reads a `codebook.VectorSpace` in sorted key order: one
+float64 matrix, and the sorted keys and the vectors' norms that the space
+builds on its first search and keeps, so a `read_vectors` table is searched
+as it is. No unit matrix is kept: each analysis divides the rows it reads by
+their norms where it reads them, the same division every time, so a row's
+unit form is the same bits wherever it is used. `classify_neighborhoods` screens composites with
 `VectorSpace.cosines`, the raw rows' product over their norms. Scans are exact
 matrix-vector products; vocabularies at desk scale do not need approximate
 indexing. Building the space once and reusing it makes repeated `k_nearest`
@@ -247,8 +248,8 @@ def k_nearest(space, core: str, k: int = DEFAULT_K) -> list[tuple[str, float]]:
 
     Ordered by non-increasing cosine; exact ties resolve to the
     lexicographically smaller key. Returns fewer than k entries only when
-    the space itself is smaller. Pass a `VectorSpace` built once (such as
-    ``vocab.as_space()``) to run many queries over one screen.
+    the space itself is smaller. Pass one `VectorSpace` (a `read_vectors`
+    table, or ``vocab.as_space()`` built once) to run many queries over one screen.
     """
     space = VectorSpace.of(space)
     row = space.index.get(core)

@@ -24,7 +24,6 @@ from .codebook import (
     DEFAULT_DIMENSION,
     DEFAULT_SEED,
     VectorSpace,
-    VectorTable,
     build_codebook,
     load_codebook,
     read_tag_list,
@@ -39,7 +38,7 @@ from .encoder import (
     write_sidecar,
     write_vocabulary,
 )
-from .errors import DimensionMismatchError, HolovecError, UnknownKeyError
+from .errors import DimensionMismatchError, HolovecError, UnknownKeyError, UnknownTagError
 from .selftest import run_self_test
 
 
@@ -60,7 +59,10 @@ def cmd_compress(args) -> int:
     cb = load_codebook(args.codebook)
     table = read_vectors(args.embeddings)
     tokens = read_annotations(args.annotations)
-    vocab = build_vocabulary(tokens, table, cb)
+    try:
+        vocab = build_vocabulary(tokens, table, cb)
+    except UnknownTagError as exc:  # "line N: ...", N a line of the annotations file
+        raise UnknownTagError(f"{args.annotations}:{str(exc).removeprefix('line ')}") from None
     del table, tokens  # the vocabulary holds its own vectors: free the inputs before writing
     sidecar = args.sidecar or args.output + ".meta.json"
     with atomic_writes():
@@ -143,11 +145,11 @@ def cmd_analyze_neighborhoods(args) -> int:
             raise UnknownKeyError(f"core word {word!r} is not in the original embeddings")
         if word not in vocab_words:
             raise UnknownKeyError(f"core word {word!r} is not in the compressed vocabulary")
-    # both spaces take their rows from the matrices read, not copies of them
-    universe = vocab_words & table.index.keys()
-    original = VectorSpace(VectorTable({w: table.index[w] for w in universe}, table.matrix))
+    # both spaces take their rows, in file order, from the matrices read, not copies of them
+    universe = {word: row for row, word in enumerate(table) if word in vocab_words}
+    original = VectorSpace(universe, table.matrix)
     picked = [row for row, word in enumerate(vocab.word_types) if word in universe]
-    compressed = VectorSpace(VectorTable({vocab.keys[row]: row for row in picked}, vocab.vectors))
+    compressed = VectorSpace({vocab.keys[row]: row for row in picked}, vocab.vectors)
     report = classify_neighborhoods(
         original,
         compressed,

@@ -6,11 +6,11 @@ filler per NER type, and the unknown-token vector. All of them are drawn
 from a single seeded generator in a fixed order, so (seed, dimension, tag
 lists) reproduce the codebook bit for bit.
 
-`VectorSpace` is the one search structure of the package: keys in sorted
-order, one float64 matrix holding each vector once, and the vectors' norms.
-Each tag set's `FillerTable` is one, whose rows are views of the codebook's
-own matrix: the memory that `decoder` cleans a slot's estimate up against.
-The analyses search the compressed space through the same structure.
+`VectorSpace` is the one type for keys over vectors: keys over rows of one
+float64 matrix holding each vector once, searched in sorted key order. Each
+tag set's `FillerTable` is one, over the codebook's own matrix: the memory
+that `decoder` cleans a slot's estimate up against. A vector file is read
+into one, and the analyses search it and the compressed space as spaces.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "SLOT_POS",
     "SLOT_TOKEN",
     "VectorSpace",
-    "VectorTable",
     "build_codebook",
     "default_ner_types",
     "default_pos_tags",
@@ -87,84 +86,70 @@ def default_ner_types() -> list[str]:
     return _shipped_tags("ner_types.txt")
 
 
-class VectorTable(Mapping[str, np.ndarray]):
-    """Read-only mapping of keys, in the order given, to rows of one read-only float64
-    ``matrix``: ``index`` maps each key to its row, and a key's value is a view of it."""
-
-    def __init__(self, index: Mapping[str, int], matrix: np.ndarray):
-        if matrix.dtype != np.float64 or matrix.flags.writeable:
-            raise ValueError("a vector table's matrix must be read-only float64")
-        self.matrix = matrix
-        self.index = MappingProxyType(dict(index))
-
-    def __getitem__(self, key: str) -> np.ndarray:
-        return self.matrix[self.index[key]]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.index)
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-
 class VectorSpace(Mapping[str, np.ndarray]):
-    """Read-only snapshot of a key -> vector mapping, iterated in sorted key order.
+    """Read-only mapping of keys, in the order given, to rows of one read-only 2-D float64
+    ``matrix``: a key's value is a view of its row; `of` stacks any other mapping into one.
 
-    ``sorted_keys`` is a tuple and ``index``, key -> row, a read-only mapping;
-    a row is a key's position in sorted order. The space holds its vectors as
-    one read-only float64 matrix, their L2 ``norms`` and the float32
-    ``screen``, and nothing else. A space is built from keys, a matrix and
-    the keys' rows in it, by sorting the keys: a `VectorTable` gives all
-    three, so the space of a `read_vectors` table or of a vocabulary's
-    ``as_space()`` holds the file's or the vocabulary's matrix, not a copy, and
-    a value is a view of its row there. Any other mapping is stacked once, in
-    sorted key order, into a new read-only matrix.
-
-    `norms` and `screen` are built on first use, so a zero-norm vector raises
-    there, in the search that needs it, not when the space is built. No unit
+    A search reads the keys in sorted order, so the first of several equal
+    maxima over a row of cosines is the lexicographically smallest key: every
+    search breaks exact ties that way. ``sorted_keys``, a tuple, ``index``,
+    key -> sorted position, a read-only mapping, the rows' L2 ``norms`` and
+    the float32 ``screen`` are built on first use and kept for every later
+    search, so a zero-norm vector raises in the search that needs it. No unit
     matrix is kept: `unit_rows` and `cosines` divide by the norms where a
-    search needs them. Rows follow the sorted keys, so the first of several
-    equal maxima over a row of cosines is the lexicographically smallest key:
-    every search breaks exact ties that way.
+    search needs them.
     """
 
-    def __init__(self, vectors: Mapping[str, np.ndarray]):
-        if not isinstance(vectors, VectorTable):  # stacked once, in sorted key order
-            keys = sorted(vectors)
-            rows = [vectors[key] for key in keys]
-            matrix = np.stack(rows, dtype=np.float64) if rows else np.empty((0, 0))
-            matrix.flags.writeable = False
-            vectors = VectorTable(dict(zip(keys, range(len(keys)))), matrix)
-        self.sorted_keys = tuple(sorted(vectors.index))
-        self.index = MappingProxyType({key: row for row, key in enumerate(self.sorted_keys)})
-        self._matrix = vectors.matrix
-        self._rows = np.array([vectors.index[key] for key in self.sorted_keys], dtype=np.intp)
+    def __init__(self, rows: Mapping[str, int], matrix: np.ndarray):
+        if matrix.ndim != 2 or matrix.dtype != np.float64 or matrix.flags.writeable:
+            raise ValueError("a vector space's matrix must be read-only float64 and 2-D")
+        self.matrix = matrix
+        self._rows = MappingProxyType(dict(rows))
 
     @classmethod
-    def of(cls, space) -> VectorSpace:
-        """``space`` itself if it is a `VectorSpace`, else a snapshot of the mapping."""
-        return space if isinstance(space, VectorSpace) else cls(space)
+    def of(cls, vectors: Mapping[str, np.ndarray]) -> VectorSpace:
+        """``vectors`` itself if it is a `VectorSpace`, else its vectors stacked once, in
+        sorted key order, into a new read-only matrix."""
+        if isinstance(vectors, VectorSpace):
+            return vectors
+        keys = sorted(vectors)
+        stacked = [vectors[key] for key in keys]
+        matrix = np.stack(stacked, dtype=np.float64) if stacked else np.empty((0, 0))
+        matrix.flags.writeable = False
+        return cls(dict(zip(keys, range(len(keys)))), matrix)
 
     def __getitem__(self, key: str) -> np.ndarray:
-        return self._matrix[self._rows[self.index[key]]]
+        return self.matrix[self._rows[key]]
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self.sorted_keys)
+        return iter(self._rows)
 
     def __len__(self) -> int:
-        return len(self.sorted_keys)
+        return len(self._rows)
 
     @property
     def dimension(self) -> int:
         """The length of each vector."""
-        return self._matrix.shape[1]
+        return self.matrix.shape[1]
+
+    @cached_property
+    def sorted_keys(self) -> tuple[str, ...]:
+        return tuple(sorted(self._rows))
+
+    @cached_property
+    def index(self) -> Mapping[str, int]:
+        return MappingProxyType({key: pos for pos, key in enumerate(self.sorted_keys)})
+
+    @cached_property
+    def _order(self) -> np.ndarray:  # the matrix row of each key, in sorted key order
+        return np.array([self._rows[key] for key in self.sorted_keys], dtype=np.intp)
 
     @cached_property
     def norms(self) -> np.ndarray:
         """The L2 norm of each row, in sorted key order; a zero norm raises `ValueError`."""
         norms = np.empty(len(self))
         for start in range(0, len(self), BLOCK_ROWS):
-            block = self._matrix.take(self._rows[start : start + BLOCK_ROWS], axis=0)
+            block = self.matrix.take(self._order[start : start + BLOCK_ROWS], axis=0)
             block *= block  # the sum of squares of `np.linalg.norm`, in the block's own copy
             norms[start : start + BLOCK_ROWS] = np.sqrt(np.add.reduce(block, axis=1))
         zero = np.flatnonzero(norms == 0.0)
@@ -177,14 +162,14 @@ class VectorSpace(Mapping[str, np.ndarray]):
         """float64 rows of unit L2 norm, by one gather and one division in place: every row in
         sorted key order when ``rows`` is None, else those rows (an index, index array or slice)."""
         rows = slice(None) if rows is None else rows
-        unit = self._matrix.take(self._rows[rows], axis=0)
+        unit = self.matrix.take(self._order[rows], axis=0)
         unit /= self.norms[rows, None]
         return unit
 
     def cosines(self, query: np.ndarray) -> np.ndarray:
         """float64 cosines of every row with the unit ``query``, in sorted key order, to screen
         rows with: one product of the matrix with ``query``, divided by the norms, no unit row."""
-        return (self._matrix @ query).take(self._rows) / self.norms
+        return (self.matrix @ query).take(self._order) / self.norms
 
     @cached_property
     def screen(self) -> np.ndarray:
@@ -200,18 +185,18 @@ class VectorSpace(Mapping[str, np.ndarray]):
 class FillerTable(VectorSpace):
     """One tag set's fillers as a cleanup memory, plus their bound terms.
 
-    ``bound`` holds slot ⊛ filler per tag, computed on first use, in the
-    space's row order, so ``index`` locates a tag in both: the encoder
+    ``bound`` holds slot ⊛ filler per tag, computed on first use, in sorted
+    tag order, so ``index`` locates a tag in both: the encoder
     gathers bound terms with it and the decoder cleans up against the unit rows.
     """
 
-    def __init__(self, slot_label: np.ndarray, fillers: Mapping[str, np.ndarray]) -> None:
-        super().__init__(fillers)
+    def __init__(self, slot_label: np.ndarray, rows: Mapping[str, int], matrix: np.ndarray):
+        super().__init__(rows, matrix)
         self.slot_label = slot_label
 
     @cached_property
     def bound(self) -> np.ndarray:
-        bound = hrr.circular_convolve_fft(self.slot_label, self._matrix[self._rows])
+        bound = hrr.circular_convolve_fft(self.slot_label, self.matrix[self._order])
         bound.flags.writeable = False
         return bound
 
@@ -275,8 +260,8 @@ class Codebook:
     def _filler_table(self, slot: str, tags: tuple[str, ...]) -> FillerTable:
         """The fillers of ``tags`` as a table over the codebook's own rows, not a copy."""
         rows = {name: row for row, name in enumerate(_layout(self.pos_tags, self.ner_types))}
-        fillers = VectorTable({tag: rows[f"{slot}:{tag}"] for tag in tags}, self.vectors)
-        return FillerTable(self.slot_labels[slot], fillers)
+        fillers = {tag: rows[f"{slot}:{tag}"] for tag in tags}
+        return FillerTable(self.slot_labels[slot], fillers, self.vectors)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Codebook):

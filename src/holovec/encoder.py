@@ -13,7 +13,7 @@ bound terms.
 
 A vocabulary is held as columns, with no object per key: a tuple of keys,
 one read-only matrix with a row per key, and a tuple per sidecar field. The
-vector file is read into one matrix too, which a `VectorTable` maps by key.
+vector file is read into one matrix too, which a `VectorSpace` maps by key.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import hrr
 from ._fileio import atomic_write_lines, read_document, read_lines, write_document
-from .codebook import BLOCK_ROWS, SLOT_TOKEN, Codebook, VectorSpace, VectorTable
+from .codebook import BLOCK_ROWS, SLOT_TOKEN, Codebook, VectorSpace
 from .errors import (
     DimensionMismatchError,
     IntegrityError,
@@ -173,13 +173,13 @@ class CompressedVocabulary:
         return BuildStats(self.input_tokens, len(set(self.word_types)), len(self.keys), unknown)
 
     def as_space(self) -> VectorSpace:
-        """Snapshot of the key -> vector map for similarity scans, over this matrix.
+        """The keys, in vocabulary order, over this matrix, for similarity scans.
 
         Each call builds a new `VectorSpace`; build it once and reuse it
-        across queries, so the space is sorted, and its norms and screen
+        across queries, so its keys are sorted, and its norms and screen
         computed, only once.
         """
-        return VectorSpace(VectorTable(dict(zip(self.keys, range(len(self.keys)))), self.vectors))
+        return VectorSpace(dict(zip(self.keys, range(len(self.keys)))), self.vectors)
 
 
 def composite_key(token: AnnotatedToken) -> str:
@@ -296,7 +296,7 @@ def _is_number(field: str) -> bool:
     return True
 
 
-def read_vectors(path: str | Path) -> VectorTable:
+def read_vectors(path: str | Path) -> VectorSpace:
     """Read a text vector file: ``key v1 v2 ... vn`` per line, single spaces.
 
     Spaces that end a line are dropped first, as the word2vec C tool and
@@ -314,10 +314,10 @@ def read_vectors(path: str | Path) -> VectorTable:
     dimension: whatever uses the vectors checks theirs.
 
     The values are stored once, in one read-only float64 matrix with a row
-    per record in file order. The table is a read-only `VectorTable` over
-    the keys, in file order, and that matrix: a key's value is a view of its
-    row. The matrix is sized from the header, or else estimated from the
-    file's size, and grown in place if the estimate falls short.
+    per record in file order. The table is a `VectorSpace` of the keys, in
+    file order, over that matrix, which every search of it reuses: a key's
+    value is a view of its row. The matrix is sized from the header, or else
+    estimated from the file's size, and grown in place if it falls short.
     """
     path = Path(path)
     dimension = declared = None
@@ -364,7 +364,7 @@ def read_vectors(path: str | Path) -> VectorTable:
     matrix = np.empty((0, dimension or 0)) if matrix is None else matrix  # None: no records
     matrix.resize((len(rows), matrix.shape[1]), refcheck=False)
     matrix.flags.writeable = False
-    return VectorTable(rows, matrix)
+    return VectorSpace(rows, matrix)
 
 
 def _expected_records(path: Path, first_record: int, declared: int | None, dimension: int) -> int:
@@ -510,10 +510,10 @@ def load_vocabulary(
     if table and table.matrix.shape[1] != declared:
         mismatch = f"declares dimension {declared}, vector file has {table.matrix.shape[1]}"
         raise IntegrityError(f"{sidecar_path}: {mismatch}")
-    missing = table.index.keys() - meta.keys()
+    missing = table.keys() - meta.keys()
     if missing:
         raise IntegrityError(f"{sidecar_path}: no metadata for key {sorted(missing)[0]!r}")
-    extra = meta.keys() - table.index.keys()
+    extra = meta.keys() - table.keys()
     if extra:
         raise IntegrityError(f"{sidecar_path}: metadata for absent key {sorted(extra)[0]!r}")
     # the columns in file order; component_count, checked against ner_type, is derived

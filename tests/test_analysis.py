@@ -29,7 +29,7 @@ from holovec.analysis import (
     pairwise_cosine_stats,
     sample_orthogonality,
 )
-from holovec.codebook import VectorSpace, VectorTable, build_codebook
+from holovec.codebook import VectorSpace, build_codebook
 from holovec.encoder import (
     CompressedVocabulary,
     build_vocabulary,
@@ -156,12 +156,13 @@ def twins_in_key_order(neighbors, twins) -> int:
 
 
 class TestVectorSpace:
-    def test_is_a_sorted_read_only_mapping_of_references(self):
+    def test_is_a_read_only_mapping_of_references_searched_in_sorted_order(self):
         matrix = np.array([[0.0, 2.0], [3.0, 4.0]])
         matrix.flags.writeable = False
-        vectors = VectorTable({"b": 0, "a": 1}, matrix)
-        space = VectorSpace(vectors)
-        assert list(space) == ["a", "b"] and len(space) == 2
+        vectors = VectorSpace({"b": 0, "a": 1}, matrix)
+        space = VectorSpace.of(vectors)
+        assert list(space) == ["b", "a"] and len(space) == 2  # the keys in the order given
+        assert space.sorted_keys == ("a", "b")
         assert np.shares_memory(space["a"], vectors["a"])
         assert space["a"].tobytes() == vectors["a"].tobytes()
         assert "a" in space and "z" not in space
@@ -179,19 +180,19 @@ class TestVectorSpace:
     def test_holds_the_matrix_its_vectors_are_rows_of(self):
         matrix = np.arange(1.0, 13.0).reshape(4, 3).copy()
         matrix.flags.writeable = False
-        subset = VectorTable({"d": 3, "a": 0, "c": 2}, matrix)
+        subset = VectorSpace({"d": 3, "a": 0, "c": 2}, matrix)
         assert subset.matrix is matrix and list(subset) == ["d", "a", "c"]
-        space = VectorSpace(subset)
+        space = VectorSpace.of(subset)
         for key, vec in subset.items():
             assert np.shares_memory(space[key], matrix)
             assert space[key].tobytes() == vec.tobytes()
         assert not space["a"].flags.writeable
-        # a table holds its matrix as it is given, so it takes only a read-only float64 one
+        # a space holds its matrix as it is given, so it takes only a read-only float64 one
         float32 = matrix.astype(np.float32)
         float32.flags.writeable = False
-        for other in (matrix.copy(), float32):
-            with pytest.raises(ValueError, match="must be read-only float64"):
-                VectorTable({"a": 0}, other)
+        for other in (matrix.copy(), float32, matrix[0]):  # a row's values are scalars
+            with pytest.raises(ValueError, match="must be read-only float64 and 2-D"):
+                VectorSpace({"a": 0}, other)
 
     def test_stacks_any_other_mapping_once_into_a_read_only_copy(self):
         writable = np.arange(1.0, 7.0).reshape(2, 3)
@@ -200,10 +201,10 @@ class TestVectorSpace:
         for vectors in (
             {"b": np.array([1.0, 2.0, 3.0]), "a": np.array([4.0, 5.0, 6.0])},
             {"b": writable[0], "a": writable[1]},  # a writable matrix may change
-            {"b": read_only[0], "a": read_only[1]},  # row views outside a VectorTable
+            {"b": read_only[0], "a": read_only[1]},  # row views of a read-only matrix
             {"b": [1, 2, 3], "a": [4, 5, 6]},
         ):
-            space = VectorSpace(vectors)
+            space = VectorSpace.of(vectors)
             for key, vec in vectors.items():
                 assert not np.shares_memory(space[key], np.asarray(vec))
                 assert space[key].tobytes() == np.asarray(vec, dtype=np.float64).tobytes()
@@ -211,15 +212,15 @@ class TestVectorSpace:
             assert space["a"].base is space["b"].base  # rows of one matrix
 
     def test_keeps_no_unit_matrix(self):
-        space = VectorSpace(random_space(300, 16, seed=4))
+        space = VectorSpace.of(random_space(300, 16, seed=4))
         k_nearest(space, "k0007", k=5)
         held = {name for name, value in vars(space).items() if isinstance(value, np.ndarray)}
-        # the vectors, each key's row among them, their norms and the float32 screen
-        assert held == {"_matrix", "_rows", "norms", "screen"}
+        # the vectors, each key's row in sorted key order, their norms and the float32 screen
+        assert held == {"matrix", "_order", "norms", "screen"}
 
     @pytest.mark.parametrize("rows", [127, 128, 129])
     def test_unit_rows_equal_the_one_shot_formula(self, rows):
-        space = VectorSpace(random_space(rows, 300, seed=rows))
+        space = VectorSpace.of(random_space(rows, 300, seed=rows))
         matrix = np.stack([space[key] for key in space])
         expected = matrix / np.linalg.norm(matrix, axis=1)[:, None]
         unit = space.unit_rows()
@@ -231,7 +232,7 @@ class TestVectorSpace:
         assert space.unit_rows(slice(3, None)).tobytes() == unit[3:].tobytes()
 
     def test_unit_is_built_without_full_size_temporaries(self):
-        space = VectorSpace(random_space(2000, 300, seed=13))
+        space = VectorSpace.of(random_space(2000, 300, seed=13))
         tracemalloc.start()
         try:
             unit = space.unit_rows()
@@ -248,7 +249,7 @@ class TestVectorSpace:
         table = read_vectors(path)
         tracemalloc.start()
         try:
-            space = VectorSpace(table)
+            space = VectorSpace.of(table)
             for key in list(table)[:100]:
                 k_nearest(space, key, k=10)
             _, peak = tracemalloc.get_traced_memory()
@@ -261,7 +262,7 @@ class TestVectorSpace:
         assert peak - space.screen.nbytes < 0.25 * matrix.nbytes
 
     def test_screen_is_the_unit_rows_in_float32_built_once(self):
-        space = VectorSpace(random_space(50, 16, seed=12))
+        space = VectorSpace.of(random_space(50, 16, seed=12))
         screen = space.screen
         assert screen.dtype == np.float32 and screen.shape == (50, 16)
         assert screen.tobytes() == space.unit_rows().astype(np.float32).tobytes()
@@ -273,7 +274,7 @@ class TestVectorSpace:
     def test_cosines_screen_the_raw_rows_in_sorted_key_order(self):
         matrix = np.random.default_rng(14).normal(size=(6, 16))
         matrix.flags.writeable = False
-        space = VectorSpace(VectorTable({"c": 4, "a": 1, "b": 3}, matrix))  # three of six rows
+        space = VectorSpace({"c": 4, "a": 1, "b": 3}, matrix)  # three of six rows
         query = space.unit_rows(2)
         rows = matrix[[1, 3, 4]]
         screened = space.cosines(query)
@@ -282,9 +283,37 @@ class TestVectorSpace:
         np.testing.assert_allclose(screened, space.unit_rows() @ query, atol=1e-15)
 
     def test_of_passes_a_space_through_and_wraps_the_rest(self):
-        space = VectorSpace({"a": np.ones(2)})
+        space = VectorSpace.of({"a": np.ones(2)})
         assert VectorSpace.of(space) is space
         assert isinstance(VectorSpace.of({"a": np.ones(2)}), VectorSpace)
+
+    def test_a_table_is_searched_as_it_is(self, tmp_path):
+        write_vector_file(tmp_path / "vectors.txt", random_space(300, 16, seed=22))
+        table = read_vectors(tmp_path / "vectors.txt")
+        assert VectorSpace.of(table) is table
+        first = k_nearest(table, "k0007", k=10)
+        index, norms, screen = table.index, table.norms, table.screen
+        second = k_nearest(table, "k0123", k=10)
+        assert table.index is index and table.norms is norms and table.screen is screen
+        stacked = VectorSpace.of(dict(table))
+        assert bits(first) == bits(k_nearest(stacked, "k0007", k=10))
+        assert bits(second) == bits(k_nearest(stacked, "k0123", k=10))
+
+    def test_rows_in_any_order_are_searched_in_sorted_key_order(self, tmp_path):
+        vectors = random_space(200, 24, seed=23)
+        keys = list(vectors)
+        shuffled = {keys[i]: vectors[keys[i]] for i in np.random.default_rng(24).permutation(200)}
+        assert list(shuffled) != sorted(vectors)
+        spaces = []
+        for name, given in (("sorted.txt", vectors), ("shuffled.txt", shuffled)):
+            write_vector_file(tmp_path / name, given)
+            spaces.append(read_vectors(tmp_path / name))
+            assert list(spaces[-1]) == list(given)
+        ordered, scrambled = spaces
+        for core in list(vectors)[::7]:
+            assert bits(k_nearest(scrambled, core, 10)) == bits(k_nearest(ordered, core, 10))
+        reports = [sample_orthogonality(space, sample_size=60, seed=25) for space in spaces]
+        assert reports[0].to_json_dict() == reports[1].to_json_dict()
 
     def test_vocabulary_as_space_is_a_snapshot(self):
         matrix = np.array([np.full(3, 1.0), np.full(3, 2.0)])
@@ -294,7 +323,7 @@ class TestVectorSpace:
         assert vocab.vectors is matrix  # a read-only matrix is held, not copied
         space = vocab.as_space()
         assert isinstance(space, VectorSpace)
-        assert list(space) == ["aNN", "zNN"]
+        assert list(space) == ["zNN", "aNN"] and space.sorted_keys == ("aNN", "zNN")
         assert np.shares_memory(space["zNN"], matrix)
         assert space["zNN"].tobytes() == matrix[0].tobytes()
         assert vocab.as_space() is not space
@@ -346,7 +375,7 @@ class TestSampleOrthogonality:
 
     @pytest.mark.parametrize("size", [127, 128, 129, 257])
     def test_blocked_cosines_equal_the_one_shot_formula(self, size):
-        space = VectorSpace(random_space(600, 16, seed=11))
+        space = VectorSpace.of(random_space(600, 16, seed=11))
         picked = np.random.default_rng(12).choice(600, size=2 * size, replace=False)
         unit = space.unit_rows()
         cosines = np.clip(np.abs(np.sum(unit[picked[:size]] * unit[picked[size:]], axis=1)), 0, 1)
@@ -432,7 +461,7 @@ class TestPairwiseStats:
         assert abs(stats.max_abs_cosine - upper.max()) <= np.spacing(upper.max())
 
     def test_scan_is_built_without_the_full_gram(self):
-        space = VectorSpace(random_space(3000, 64, seed=14))
+        space = VectorSpace.of(random_space(3000, 64, seed=14))
         space.norms  # built before the measurement
         tracemalloc.start()
         try:
@@ -499,18 +528,18 @@ class TestKNearest:
         with pytest.raises(UnknownKeyError, match="nope"):
             k_nearest(random_space(5, 4, seed=20), "nope", k=1)
         with pytest.raises(UnknownKeyError, match="nope"):
-            k_nearest(VectorSpace(random_space(5, 4, seed=20)), "nope", k=1)
+            k_nearest(VectorSpace.of(random_space(5, 4, seed=20)), "nope", k=1)
 
     @settings(max_examples=150, deadline=None)
     @given(plain_spaces(), st.integers(1, 12))
     def test_vector_space_gives_the_plain_dict_result_bit_for_bit(self, space, k):
-        shared = VectorSpace(space)
+        shared = VectorSpace.of(space)
         for core in space:
             assert bits(k_nearest(shared, core, k)) == bits(k_nearest(space, core, k))
 
     def test_one_space_serves_many_queries(self):
         space = random_space(300, 24, seed=37)
-        shared = VectorSpace(space)
+        shared = VectorSpace.of(space)
         for core in list(space)[::10]:
             fast = k_nearest(shared, core, k=10)
             slow = brute_force_neighbors(space, core, 10)
@@ -545,7 +574,7 @@ class TestKNearest:
             cosine = 0.5 + i * 1e-9
             space[f"band{key:02d}"] = cosine * core + np.sqrt(1 - cosine**2) * other
         space.update(random_space(400, dimension, seed=44))
-        shared = VectorSpace(space)
+        shared = VectorSpace.of(space)
         row = shared.index["core"]
         for k in (1, 10, 25):
             want = exact_neighbors(space, "core", k)
@@ -599,7 +628,7 @@ class TestTopRows:
 
     @pytest.mark.parametrize("k", [4, 5, 9])
     def test_k_past_the_boundary_ranks_every_other_row(self, k):
-        unit = VectorSpace(random_space(4, 8, seed=41)).unit_rows()[[0, 1, 2, 1, 3]]
+        unit = VectorSpace.of(random_space(4, 8, seed=41)).unit_rows()[[0, 1, 2, 1, 3]]
         rows, cosines = _top_rows(unit @ unit[4], 4, k, unit.__getitem__, unit[4])
         assert rows.tolist() == sorted_top_rows(row_cosines(unit, unit[4]), 4, k).tolist()
         at = rows.tolist().index(1)  # row 3 repeats row 1: equal, and after it
@@ -609,7 +638,7 @@ class TestTopRows:
     def test_a_rows_cosine_does_not_depend_on_where_it_sits(self, dimension):
         rng = np.random.default_rng(dimension)
         for _ in range(20):
-            others = VectorSpace(
+            others = VectorSpace.of(
                 random_space(14, dimension, seed=int(rng.integers(1 << 30)))
             ).unit_rows()
             row, query = others[0], others[13]
@@ -879,9 +908,9 @@ class TestWordLevelProjection:
         rng = np.random.default_rng(38)
         words = [f"w{i:03d}" for i in range(500)]
         # wide rows, so the matrix (8 MB) dwarfs the report's own objects (~0.6 MB)
-        original = VectorSpace({word: rng.normal(size=1000) for word in words})
+        original = VectorSpace.of({word: rng.normal(size=1000) for word in words})
         composites = {word + tag: rng.normal(size=1000) for word in words for tag in ("JJ", "NN")}
-        compressed = VectorSpace(composites)
+        compressed = VectorSpace.of(composites)
         mapping = {key: key[:4] for key in composites}
         original.screen, compressed.norms  # each space's own, built before the trace
         tracemalloc.start()

@@ -329,7 +329,22 @@ class TestCompress:
             str(tmp_path / "vocab.txt"),
         )
         assert code == 1
-        assert "line 2" in err and "BOGUS" in err
+        assert f"{tmp_path / 'ann.tsv'}:2: POS tag 'BOGUS'" in err
+
+    @pytest.mark.parametrize(
+        "line, kind", [("fish\tQQ\t-\n", "POS tag 'QQ'"), ("fish\tNN\tBOGUS\n", "NER type 'BOGUS'")]
+    )
+    def test_an_unknown_tag_names_the_annotations_file_and_lands_nothing(
+        self, fish_setup, capsys, line, kind
+    ):
+        (fish_setup / "ann.tsv").write_text(line)
+        assert main(["build-codebook", str(fish_setup / "cb.json"), "--dim", "32"]) == 0
+        args = [str(fish_setup / name) for name in ("cb.json", "emb.txt", "ann.tsv", "out.txt")]
+        capsys.readouterr()
+        code, out, err = run(capsys, "compress", *args)
+        assert (code, out) == (1, "")
+        assert err == f"error: {fish_setup / 'ann.tsv'}:1: {kind} is not in the codebook\n"
+        assert {path.name for path in fish_setup.iterdir()} == {"ann.tsv", "cb.json", "emb.txt"}
 
 
     def test_surface_with_a_space_exits_one_before_output(self, tmp_path, capsys):

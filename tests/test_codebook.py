@@ -521,7 +521,7 @@ class TestCleanup:
     def test_a_space_built_once_gives_the_mapping_result(self, default_codebook):
         rng = np.random.default_rng(11)
         fillers = dict(default_codebook.ner_table)
-        space = VectorSpace(fillers)
+        space = VectorSpace.of(fillers)
         for _ in range(20):
             query = rng.normal(size=default_codebook.dimension)
             assert cleanup(query, space) == cleanup(query, fillers)

@@ -26,7 +26,7 @@ from conftest import (
 )
 from holovec import encoder, hrr
 from holovec._fileio import atomic_writes
-from holovec.codebook import BLOCK_ROWS, VectorSpace, VectorTable, build_codebook
+from holovec.codebook import BLOCK_ROWS, VectorSpace, build_codebook
 from holovec.encoder import (
     FILLER_EXACT,
     FILLER_LOWERCASED,
@@ -209,8 +209,8 @@ class TestBuildVocabulary:
         read_only.flags.writeable = False
         for other in (
             MappingProxyType(table),
-            VectorSpace(table),
-            VectorTable({"known": 0}, read_only),
+            VectorSpace.of(table),
+            VectorSpace({"known": 0}, read_only),
         ):
             vocab = build_vocabulary(tokens, other, small_codebook)
             assert vocab.keys == built.keys
@@ -792,7 +792,7 @@ class TestVocabularyPersistence:
         loaded = load_vocabulary(tmp_path / "vocab.txt", tmp_path / "vocab.meta.json")
         [table] = tables
         assert loaded.vectors is table.matrix
-        for space in (loaded.as_space(), VectorSpace(table)):
+        for space in (loaded.as_space(), VectorSpace.of(table)):
             for key in loaded.keys:
                 assert np.shares_memory(space[key], table.matrix)
                 assert space[key].tobytes() == table[key].tobytes()
